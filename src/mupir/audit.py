@@ -44,10 +44,6 @@ class AuditReport:
     total_queries: int
     per_db_counts: tuple
 
-    @property
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
 
 def count_rate(bundle: QueryBundle, S: int, N: int, K: int) -> Fraction:
     """Measured rate: answer blocks downloaded over blocks per file."""

@@ -1,49 +1,154 @@
 """GF(2) linear solver used as an independent decoding oracle.
 
 Equations are XOR constraints over unknown blocks: a row is a bitmask over
-unknown indices and a value block.  An unknown is decodable exactly when its
-unit vector lies in the row space; the solver returns its value as the XOR
-of the contributing equations' blocks.
+unknown indices.  Elimination is value-free: instead of a block, each row
+carries the bitmask of the equations it is the XOR of.  A session's answer
+rows are reduced once; each user then reduces only its own few cache rows
+against them.  Blocks are touched only at the end: a determined unknown's
+value is the XOR of the blocks its combination names.
 """
 from __future__ import annotations
 
-from .core import Block, xor_blocks
+from functools import cached_property
+
+from .errors import UnresolvablePlanError
 
 
-class GF2System:
-    def __init__(self, block_bytes: int):
-        self.block_bytes = block_bytes
-        self._pivots = {}  # pivot column -> (mask, value)
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def add_equation(self, mask: int, value: Block) -> None:
-        """Insert one XOR constraint; reduces against current pivot rows."""
-        cur, val = mask, value
-        while cur:
-            reduced = False
-            m = cur
-            while m:
-                low = m & -m
-                col = low.bit_length() - 1
-                m ^= low
-                piv = self._pivots.get(col)
-                if piv is not None:
-                    cur ^= piv[0]
-                    val = xor_blocks(val, piv[1])
-                    reduced = True
-                    break
-            if not reduced:
+
+def _reduce(mask: int, comb: int, rows: dict, pivots: int):
+    """Clear from mask every pivot of `pivots` it has set, XORing in the
+    reduced row at that pivot; rows hold no other row's pivot, so one pass
+    suffices."""
+    for p in _bits(mask & pivots):
+        row = rows[p]
+        mask ^= row[0]
+        comb ^= row[1]
+    return mask, comb
+
+
+def _rref(rows):
+    """Reduced echelon form of (mask, combination) rows.
+
+    Returns ({pivot: row}, mask of the pivots).  Each pivot is its row's
+    highest bit, and no row has another row's pivot set.  Zero rows
+    (dependent equations) are dropped.
+    """
+    echelon = {}
+    for mask, comb in rows:
+        while mask:
+            top = mask.bit_length() - 1
+            row = echelon.get(top)
+            if row is None:
+                echelon[top] = (mask, comb)
                 break
-        if cur:
-            col = (cur & -cur).bit_length() - 1
-            self._pivots[col] = (cur, val)
-            # keep rows mutually reduced so solvability is a local test
-            for c, (pm, pv) in list(self._pivots.items()):
-                if c != col and (pm >> col) & 1:
-                    self._pivots[c] = (pm ^ cur, xor_blocks(pv, val))
+            mask ^= row[0]
+            comb ^= row[1]
+    pivots = 0
+    for p in echelon:
+        pivots |= 1 << p
+    reduced = {}
+    # a row's other pivots are all below its own, and rows with lower
+    # pivots are reduced first
+    for p in sorted(echelon):
+        reduced[p] = _reduce(*echelon[p], reduced, pivots & ~(1 << p))
+    return reduced, pivots
 
-    def solve(self, index: int):
-        """Value of unknown `index` if it is determined, else None."""
-        piv = self._pivots.get(index)
-        if piv is None or piv[0] != (1 << index):
-            return None
-        return piv[1]
+
+class Reduction:
+    """Value-free reduced echelon form of a list of XOR equations.
+
+    Equation e is `masks[e]`; a combination is a bitmask over equation
+    indices, and the XOR of the named equations' values is the value of the
+    row it belongs to.
+    """
+
+    def __init__(self, masks):
+        self.size = len(masks)
+        self._rows, self._pivots = _rref((m, 1 << e) for e, m in enumerate(masks))
+
+    def combinations(self, targets, extra=()) -> list:
+        """For each target unknown, the combination of equations equal to it,
+        or None when the equations do not determine it.
+
+        `extra` masks are further equations numbered from `size` on.  They
+        are reduced against the shared rows, which leaves them on free
+        columns only, and then among themselves.  A target is determined
+        exactly when its unit vector reduces to zero against both, so a
+        target fixed only by a sum of several extra rows is found too.
+        """
+        shared, pivots = self._rows, self._pivots
+        small, small_pivots = _rref(
+            _reduce(mask, 1 << (self.size + n), shared, pivots)
+            for n, mask in enumerate(extra))
+        out = []
+        for t in targets:
+            mask, comb = _reduce(*_reduce(1 << t, 0, shared, pivots), small, small_pivots)
+            out.append(None if mask else comb)
+        return out
+
+
+class AnswerSystem:
+    """One session's answers as XOR equations over its subsubfiles.
+
+    Nothing is computed when it is made.  The first `solve` reduces the
+    answer rows; every later call, one per user, reuses that reduction.
+    """
+
+    def __init__(self, bundle, answers, K: int, sub: int):
+        self.bundle, self.answers, self.K, self.sub = bundle, answers, K, sub
+
+    def column(self, i: int, j: int, x: int) -> int:
+        """Unknown index of subsubfile x of subfile j of file i."""
+        return ((i - 1) * self.K + (j - 1)) * self.sub + (x - 1)
+
+    @cached_property
+    def reduction(self) -> Reduction:
+        masks = []
+        for queries in self.bundle.per_db:
+            for q in queries:
+                mask = 0
+                for a in q.atoms:
+                    mask ^= 1 << self.column(a.file, a.subfile, a.subsub)
+                masks.append(mask)
+        return Reduction(masks)
+
+    def solve(self, targets, extra=()):
+        """Yield (target, block) for every target (i, j, x), determined by the
+        answers plus `extra` (mask, block) equations such as one user's cache
+        lines.
+
+        Raises UnresolvablePlanError if any target is undetermined.  Each
+        named block is converted to an int once per call and dropped after
+        its last use, so only the blocks still needed are held as ints.
+        """
+        extra = list(extra)
+        combs = self.reduction.combinations(
+            [self.column(*t) for t in targets], [m for m, _ in extra])
+        for (i, j, x), comb in zip(targets, combs):
+            if comb is None:
+                raise UnresolvablePlanError(
+                    f"oracle: subsubfile ({i},{j},{x}) undetermined from answers+cache")
+        blocks = [b for row in self.answers for b in row] + [b for _, b in extra]
+        last_use = {}
+        for n, comb in enumerate(combs):
+            for e in _bits(comb):
+                last_use[e] = n
+        block_bytes = len(blocks[0])
+        ints = {}
+        for n, (t, comb) in enumerate(zip(targets, combs)):
+            acc = 0
+            for e in _bits(comb):
+                v = ints.get(e)
+                if v is None:
+                    v = ints[e] = int.from_bytes(blocks[e], "big")
+                acc ^= v
+                if last_use[e] == n:
+                    del ints[e]
+            yield t, acc.to_bytes(block_bytes, "big")

@@ -20,6 +20,7 @@ from .core import (
     validate_demands,
 )
 from .errors import ConfigError, RegimeError
+from .gf2 import AnswerSystem
 from .params import (
     SchemeParams,
     cache_fraction,
@@ -204,10 +205,12 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
                                            shuffle_rng=streams["shuffle"], seed=seed)
     answers = answer_bundle(store, bundle)
     symbols = resolve_symbols(transcript, answers)
+    system = AnswerSystem(bundle, answers, K, sub)
     decode_ok = True
     decoded_all = {}
     for u in range(1, K + 1):
-        got = decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols)
+        got = decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols,
+                          system=system)
         decoded_all[u] = got
         d = demands[u - 1]
         for j in range(1, K + 1):

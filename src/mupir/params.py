@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import InvalidDimensionError, RegimeError
@@ -26,12 +27,13 @@ def _f_closed(S: int, k: int) -> Fraction:
     return Fraction(1, S) * ((-1) ** k + Fraction(S - 1) ** (k - 1))
 
 
+@lru_cache(maxsize=None)
 def base_reps(S: int, k: int) -> tuple:
     """Per-database repetition counts (g, f) of a k-sum type.
 
     g counts repetitions in the distinguished first database, f in each of
     the others.  Computed both by recurrence and closed form; the two must
-    agree exactly.
+    agree exactly.  Memoised, so the check runs once per (S, k).
     """
     if S < 2 or k < 1:
         raise InvalidDimensionError(f"base_reps needs S>=2, k>=1, got S={S}, k={k}")

@@ -41,7 +41,7 @@ from .errors import (
     RegimeError,
     UnresolvablePlanError,
 )
-from .gf2 import GF2System
+from .gf2 import AnswerSystem
 from .params import f_rep, h_value, phi, psi
 
 
@@ -570,42 +570,14 @@ def resolve_symbols(transcript: SessionTranscript, answers) -> dict:
     return values
 
 
-def _unknown_index(i, j, x, K, sub):
-    return ((i - 1) * K + (j - 1)) * sub + (x - 1)
-
-
-def _gf2_oracle(transcript, bundle, answers, cache, targets, block_bytes):
-    """Independent check: Gaussian elimination over answers + cache lines."""
-    K, sub = transcript.K, transcript.S ** (transcript.N - 1)
-    system = GF2System(block_bytes)
-    for db0, queries in enumerate(bundle.per_db):
-        for pos, q in enumerate(queries):
-            mask = 0
-            for a in q.atoms:
-                mask ^= 1 << _unknown_index(a.file, a.subfile, a.subsub, K, sub)
-            system.add_equation(mask, answers[db0][pos])
-    for tt, line in cache.lines.items():
-        mask = 0
-        for i in range(1, transcript.N + 1):
-            mask ^= 1 << _unknown_index(i, cache.subfile, tt, K, sub)
-        system.add_equation(mask, line)
-    out = {}
-    for (i, j, x) in targets:
-        val = system.solve(_unknown_index(i, j, x, K, sub))
-        if val is None:
-            raise UnresolvablePlanError(
-                f"oracle: subsubfile ({i},{j},{x}) undetermined from answers+cache"
-            )
-        out[(i, j, x)] = val
-    return out
-
-
 def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answers,
-                cache: CacheContent, symbols=None, run_oracle=True) -> dict:
+                cache: CacheContent, symbols=None, run_oracle=True, system=None) -> dict:
     """Recover every subsubfile of the user's demanded file.
 
     Returns {(subfile j, x): block}.  A GF(2) solver over (answers + this
     user's cache lines) independently re-derives every block and must agree.
+    `system` is the session's AnswerSystem, shared by all users so that the
+    answers are reduced once; one is made here when none is given.
     """
     if symbols is None:
         symbols = resolve_symbols(transcript, answers)
@@ -664,10 +636,16 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
         raise UnresolvablePlanError(f"peeling plan missing value for {exc}") from exc
     assert len(out) == K * sub
     if run_oracle:
+        if system is None:
+            system = AnswerSystem(bundle, answers, K, sub)
         targets = [(d, j, x) for j in range(1, K + 1) for x in range(1, sub + 1)]
-        oracle = _gf2_oracle(transcript, bundle, answers, cache, targets,
-                             len(next(iter(out.values()))))
-        for (i, j, x), val in oracle.items():
+        cache_rows = []
+        for tt, line in cache.lines.items():
+            mask = 0
+            for i in range(1, N + 1):
+                mask |= 1 << system.column(i, cache.subfile, tt)
+            cache_rows.append((mask, line))
+        for (i, j, x), val in system.solve(targets, cache_rows):
             if out[(j, x)] != val:
                 raise UnresolvablePlanError(
                     f"peeling and GF(2) oracle disagree at ({i},{j},{x})"

@@ -24,7 +24,7 @@ from .core import (
     xor_blocks,
 )
 from .errors import DemandError, UnresolvablePlanError
-from .gf2 import GF2System
+from .gf2 import AnswerSystem
 from .params import phi
 from .protocol import SessionTranscript
 
@@ -174,18 +174,10 @@ def decode_single(answers, transcript: SessionTranscript, d: int) -> dict:
         raise UnresolvablePlanError(
             f"plan resolved {len(out)} of {sub} subsubfiles of the demand"
         )
-    # independent oracle: full GF(2) solve per block position
-    system = GF2System(len(next(iter(out.values()))))
-    bundle = replay_alg1(transcript)
-    for db0, queries in enumerate(bundle.per_db):
-        for pos, q in enumerate(queries):
-            mask = 0
-            for a in q.atoms:
-                mask ^= 1 << ((a.file - 1) * sub + (a.subsub - 1))
-            system.add_equation(mask, answers[db0][pos])
-    for x in range(1, sub + 1):
-        val = system.solve((d - 1) * sub + (x - 1))
-        if val is None or val != out[x]:
+    # independent oracle: one GF(2) solve of the same answers
+    system = AnswerSystem(replay_alg1(transcript), answers, K=1, sub=sub)
+    for (_, _, x), val in system.solve([(d, 1, x) for x in range(1, sub + 1)]):
+        if val != out[x]:
             raise UnresolvablePlanError(
                 f"GF(2) oracle disagrees with peeling at subsubfile {x}"
             )

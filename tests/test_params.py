@@ -36,10 +36,11 @@ class TestBaseReps:
             assert f == 1 - g
 
     def test_closed_form_matches_recurrence_everywhere(self):
-        # base_reps itself asserts agreement; drive it across the range
+        # base_reps itself asserts agreement; drive it across the range,
+        # past its memo so that every (S, k) is computed here
         for S in range(2, 17):
             for k in range(1, 17):
-                base_reps(S, k)
+                base_reps.__wrapped__(S, k)
 
 
 class TestPhiPsi:

@@ -12,7 +12,13 @@ from mupir.core import (
     xor_blocks,
     xor_combine,
 )
-from mupir.errors import DemandError, InfeasibleSwapError, RegimeError
+from mupir.errors import (
+    DemandError,
+    InfeasibleSwapError,
+    RegimeError,
+    UnresolvablePlanError,
+)
+from mupir.gf2 import AnswerSystem
 from mupir.harness import run_mupir_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
@@ -312,8 +318,6 @@ class TestDecodeDetail:
         store, tr, bundle = art["store"], art["transcript"], art["bundle"]
         answers = [list(row) for row in art["answers"]]
         answers[0][0] = bytes([answers[0][0][0] ^ 1])
-        from mupir.errors import UnresolvablePlanError
-
         try:
             out = decode_user(1, tr, bundle, answers, art["caches"][1])
             changed = any(
@@ -323,3 +327,28 @@ class TestDecodeDetail:
             assert changed
         except UnresolvablePlanError:
             pass
+
+    def test_oracle_catches_tampered_symbol(self):
+        # correct answers, one wrong peeled symbol: only the oracle sees it
+        report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3), block_bytes=4)
+        tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
+        symbols = dict(art["symbols"])
+        key = ("w", 2, tr.user_slots[1], 1)
+        symbols[key] = bytes(b ^ 0xFF for b in symbols[key])
+        cache = art["caches"][1]
+        out = decode_user(1, tr, bundle, answers, cache, symbols=symbols,
+                          run_oracle=False)
+        assert out[(tr.user_slots[1], 1)] == symbols[key]
+        with pytest.raises(UnresolvablePlanError, match="disagree"):
+            decode_user(1, tr, bundle, answers, cache, symbols=symbols)
+
+    def test_shared_system_gives_same_output(self):
+        for args in [(3, 3, 5, 7), (2, 3, 3, 2)]:
+            report, art = _session(*args, block_bytes=3)
+            tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
+            system = AnswerSystem(bundle, answers, tr.K, tr.S ** (tr.N - 1))
+            for u in range(1, tr.K + 1):
+                shared = decode_user(u, tr, bundle, answers, art["caches"][u],
+                                     system=system)
+                own = decode_user(u, tr, bundle, answers, art["caches"][u])
+                assert shared == own == art["decoded"][u]
