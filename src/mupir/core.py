@@ -2,8 +2,9 @@
 
 Indexing convention: files i, subfiles j, subsubfiles x and permutation
 positions are all 1-based, matching the usual set notation [n].  A "block"
-is the byte content of one subsubfile; all blocks in a session have the
-same length.
+is the content of one subsubfile, held as a non-negative int of at most
+8 * block_bytes bits, so that adding blocks is one int XOR.  Bytes appear
+only where a store is imported (`file_store_from_bytes`).
 """
 from __future__ import annotations
 
@@ -13,29 +14,19 @@ from typing import Iterable, Optional
 
 from .errors import DemandError, InvalidDimensionError, LengthMismatchError
 
-Block = bytes
-
-
-def zero_block(block_bytes: int) -> Block:
-    return bytes(block_bytes)
-
-
-def xor_blocks(a: Block, b: Block) -> Block:
-    if len(a) != len(b):
-        raise LengthMismatchError(f"block lengths differ: {len(a)} != {len(b)}")
-    n = len(a)
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+Block = int
 
 
 def xor_combine(blocks: Iterable[Block]) -> Block:
-    """Bytewise XOR of a nonempty list of equal-length blocks."""
+    """XOR of a nonempty list of blocks; a single block is returned as is,
+    not copied."""
     it = iter(blocks)
     try:
         acc = next(it)
     except StopIteration:
         raise LengthMismatchError("xor_combine needs at least one block") from None
     for b in it:
-        acc = xor_blocks(acc, b)
+        acc ^= b
     return acc
 
 
@@ -67,7 +58,11 @@ class FileStore:
 
 
 def build_file_store(N: int, K: int, S: int, block_bytes: int, seed) -> FileStore:
-    """Deterministic pseudo-random store contents from a named seed."""
+    """Deterministic pseudo-random store contents from a named seed.
+
+    Each block is `getrandbits(8 * block_bytes)`, the little-endian int of
+    what `randbytes(block_bytes)` would draw from the same generator state.
+    """
     if N < 2:
         raise InvalidDimensionError(f"need at least 2 files, got N={N}")
     if S < 2:
@@ -77,14 +72,15 @@ def build_file_store(N: int, K: int, S: int, block_bytes: int, seed) -> FileStor
     rng = random.Random(f"{seed}:store")
     sub = S ** (N - 1)
     data = tuple(
-        tuple(tuple(rng.randbytes(block_bytes) for _ in range(sub)) for _ in range(K))
+        tuple(tuple(rng.getrandbits(8 * block_bytes) for _ in range(sub)) for _ in range(K))
         for _ in range(N)
     )
     return FileStore(N=N, K=K, S=S, block_bytes=block_bytes, data=data)
 
 
 def file_store_from_bytes(raw: bytes, N: int, K: int, S: int, block_bytes: int) -> FileStore:
-    """Import path: N files concatenated as raw binary, fixed sizes."""
+    """Import path: N files concatenated as raw binary, fixed sizes.  Each
+    block_bytes slice becomes one block, read little-endian."""
     if N < 2 or S < 2 or K < 1 or block_bytes < 1:
         raise InvalidDimensionError("bad dimensions for import")
     sub = S ** (N - 1)
@@ -100,7 +96,7 @@ def file_store_from_bytes(raw: bytes, N: int, K: int, S: int, block_bytes: int) 
         for _ in range(K):
             row = []
             for _ in range(sub):
-                row.append(raw[off:off + block_bytes])
+                row.append(int.from_bytes(raw[off:off + block_bytes], "little"))
                 off += block_bytes
             subs.append(tuple(row))
         data.append(tuple(subs))

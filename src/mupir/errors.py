@@ -6,7 +6,7 @@ class InvalidDimensionError(ValueError):
 
 
 class LengthMismatchError(ValueError):
-    """Raised when XOR operands have different block lengths."""
+    """Raised when an XOR of blocks is given no blocks."""
 
 
 class RegimeError(ValueError):

@@ -124,9 +124,7 @@ class AnswerSystem:
         answers plus `extra` (mask, block) equations such as one user's cache
         lines.
 
-        Raises UnresolvablePlanError if any target is undetermined.  Each
-        named block is converted to an int once per call and dropped after
-        its last use, so only the blocks still needed are held as ints.
+        Raises UnresolvablePlanError if any target is undetermined.
         """
         extra = list(extra)
         combs = self.reduction.combinations(
@@ -136,19 +134,8 @@ class AnswerSystem:
                 raise UnresolvablePlanError(
                     f"oracle: subsubfile ({i},{j},{x}) undetermined from answers+cache")
         blocks = [b for row in self.answers for b in row] + [b for _, b in extra]
-        last_use = {}
-        for n, comb in enumerate(combs):
-            for e in _bits(comb):
-                last_use[e] = n
-        block_bytes = len(blocks[0])
-        ints = {}
-        for n, (t, comb) in enumerate(zip(targets, combs)):
+        for t, comb in zip(targets, combs):
             acc = 0
             for e in _bits(comb):
-                v = ints.get(e)
-                if v is None:
-                    v = ints[e] = int.from_bytes(blocks[e], "big")
-                acc ^= v
-                if last_use[e] == n:
-                    del ints[e]
-            yield t, acc.to_bytes(block_bytes, "big")
+                acc ^= blocks[e]
+            yield t, acc

@@ -139,7 +139,7 @@ def run_single_session(S, N, block_bytes, seed, demand=None):
     bundle, transcript = generate_alg1(S, N, perms, d, shuffle_rng=streams["shuffle"],
                                        seed=seed)
     answers = answer_bundle(store, bundle)
-    decoded = decode_single(answers, transcript, d)
+    decoded = decode_single(transcript, bundle, answers, d)
     decode_ok = all(decoded[x] == store.block(d, 1, x)
                     for x in range(1, store.subpackets + 1))
     audit = check_structure(bundle, S, N)

@@ -32,7 +32,6 @@ from .core import (
     QueryBundle,
     SlotInfo,
     validate_demands,
-    xor_blocks,
     xor_combine,
 )
 from .errors import (
@@ -311,13 +310,12 @@ class CacheContent:
 
     owner: int
     subfile: int
+    block_bytes: int
     lines: dict  # t -> Block
 
     @property
     def bits(self) -> int:
-        if not self.lines:
-            return 0
-        return sum(len(b) * 8 for b in self.lines.values())
+        return len(self.lines) * self.block_bytes * 8
 
 
 def placement(store: FileStore, P: Permutation):
@@ -343,7 +341,8 @@ def placement(store: FileStore, P: Permutation):
             broadcast.append(((j, tt), line))
         lines_by_subfile[j] = lines
     caches = {
-        u: CacheContent(owner=u, subfile=P(u), lines=dict(lines_by_subfile[P(u)]))
+        u: CacheContent(owner=u, subfile=P(u), block_bytes=store.block_bytes,
+                        lines=dict(lines_by_subfile[P(u)]))
         for u in range(1, K + 1)
     }
     return broadcast, caches
@@ -559,7 +558,7 @@ def resolve_symbols(transcript: SessionTranscript, answers) -> dict:
                     acc = answers[dbi][pos]
                     try:
                         for u, p in rec.old_picks:
-                            acc = xor_blocks(acc, values[sym_for(user, info, u, p)])
+                            acc ^= values[sym_for(user, info, u, p)]
                     except KeyError as exc:
                         raise UnresolvablePlanError(
                             f"old reference {exc} not resolved before use"
@@ -607,23 +606,22 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
                     own_rest[(i, tt)] = symbols[("w", i, ju, tt)]
                 else:
                     ref = slot_of[transcript.rho[user][i]]
-                    own_rest[(i, tt)] = xor_blocks(
-                        symbols[("om", user, i, tt)], symbols[("w", i, ref, tt)]
-                    )
+                    own_rest[(i, tt)] = (symbols[("om", user, i, tt)]
+                                         ^ symbols[("w", i, ref, tt)])
         for tt in range(H + 1, sub + 1):
             acc = cache.lines[tt]
             for i in range(1, N + 1):
                 if i != d:
-                    acc = xor_blocks(acc, own_rest[(i, tt)])
+                    acc ^= own_rest[(i, tt)]
             out[(ju, tt)] = acc
         # 3. split own paired difference against the demand twin's slot
         if user not in base:
             twin = min(b for b in base if transcript.demand[b - 1] == d)
             jt = slot_of[twin]
             for x in range(1, H + 1):
-                out[(ju, x)] = xor_blocks(symbols[("om", user, d, x)], out[(jt, x)])
+                out[(ju, x)] = symbols[("om", user, d, x)] ^ out[(jt, x)]
             for x in range(H + 1, sub + 1):
-                out[(jt, x)] = xor_blocks(symbols[("om", user, d, x)], out[(ju, x)])
+                out[(jt, x)] = symbols[("om", user, d, x)] ^ out[(ju, x)]
         # 4. remaining slots via their paired differences
         for v in range(1, K + 1):
             if v in base or v == user:
@@ -631,7 +629,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
             ref = slot_of[transcript.rho[v][d]]
             jv = slot_of[v]
             for x in range(1, sub + 1):
-                out[(jv, x)] = xor_blocks(symbols[("om", v, d, x)], out[(ref, x)])
+                out[(jv, x)] = symbols[("om", v, d, x)] ^ out[(ref, x)]
     except KeyError as exc:
         raise UnresolvablePlanError(f"peeling plan missing value for {exc}") from exc
     assert len(out) == K * sub

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -21,7 +22,6 @@ from .core import (
     QueryAtom,
     QueryBundle,
     SlotInfo,
-    xor_blocks,
 )
 from .errors import DemandError, UnresolvablePlanError
 from .gf2 import AnswerSystem
@@ -29,9 +29,10 @@ from .params import phi
 from .protocol import SessionTranscript
 
 
-@dataclass
+@dataclass(frozen=True)
 class PirQuery:
-    """One scheduled query: file -> permutation position, plus peel linkage."""
+    """One scheduled query: file -> permutation position, plus peel linkage.
+    Schedules are cached and shared across sessions, hence frozen."""
 
     db: int
     k: int
@@ -45,7 +46,10 @@ class PirQuery:
         return tuple(f for f, _ in self.pos_map)
 
 
+@lru_cache(maxsize=None)
 def _alg1_schedule(S: int, N: int, d: int):
+    """Position-level schedule for demand d: per database, a tuple of
+    PirQuery in insertion order."""
     if not 1 <= d <= N:
         raise DemandError(f"demand {d} outside [1,{N}]")
     per_db = [[] for _ in range(S)]
@@ -53,7 +57,7 @@ def _alg1_schedule(S: int, N: int, d: int):
         per_db[0].append(
             PirQuery(db=1, k=1, kind="seed", pos_map=((1, 1),), source=None, fresh_pos=1)
         )
-        return per_db
+        return tuple(tuple(db) for db in per_db)
     t = [0] * (N + 1)
     for i in range(1, N + 1):
         t[i] = 1
@@ -90,7 +94,7 @@ def _alg1_schedule(S: int, N: int, d: int):
                                      source=None, fresh_pos=None)
                         )
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
-    return per_db
+    return tuple(tuple(db) for db in per_db)
 
 
 def generate_alg1(S: int, N: int, perms: dict, d: int,
@@ -119,7 +123,7 @@ def generate_alg1(S: int, N: int, perms: dict, d: int,
     transcript = SessionTranscript(
         scheme="single", S=S, N=N, K=1, seed=seed, demand=(d,),
         user_slots=(1,), base_set=None, rho=None, perms={1: dict(perms)},
-        records={1: tuple(tuple(db) for db in records)}, slots=slots,
+        records={1: records}, slots=slots,
         emission=emission, H=S ** (N - 1),
     )
     return bundle, transcript
@@ -143,11 +147,13 @@ def replay_alg1(transcript: SessionTranscript) -> QueryBundle:
                        slots=dict(transcript.slots))
 
 
-def decode_single(answers, transcript: SessionTranscript, d: int) -> dict:
+def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,
+                  d: int) -> dict:
     """Recover all S^(N-1) subsubfiles of file d from the answer blocks.
 
     Peels demand references out of the answers, then re-derives every block
-    with a GF(2) solver over the same answers and checks agreement.
+    with a GF(2) solver over the same answers (the equations are read from
+    `bundle`, the session's emitted queries) and checks agreement.
     """
     if (d,) != transcript.demand:
         raise DemandError(f"transcript was generated for demand {transcript.demand}")
@@ -165,7 +171,7 @@ def decode_single(answers, transcript: SessionTranscript, d: int) -> dict:
             if rec.source is not None:
                 sdb, sidx = rec.source
                 sdbi, spos = index[(1, sdb - 1, sidx)]
-                val = xor_blocks(val, answers[sdbi][spos])
+                val ^= answers[sdbi][spos]
             x = perm_d(rec.fresh_pos)
             if x in out:
                 raise UnresolvablePlanError(f"subsubfile {x} resolved twice")
@@ -175,7 +181,7 @@ def decode_single(answers, transcript: SessionTranscript, d: int) -> dict:
             f"plan resolved {len(out)} of {sub} subsubfiles of the demand"
         )
     # independent oracle: one GF(2) solve of the same answers
-    system = AnswerSystem(replay_alg1(transcript), answers, K=1, sub=sub)
+    system = AnswerSystem(bundle, answers, K=1, sub=sub)
     for (_, _, x), val in system.solve([(d, 1, x) for x in range(1, sub + 1)]):
         if val != out[x]:
             raise UnresolvablePlanError(

@@ -109,7 +109,7 @@ def test_criterion_03_single_user_pir():
             if count_rate(bundle, 4, 3, 1) != Fraction(21, 16):
                 ok = False
             answers = answer_bundle(store, bundle)
-            decoded = decode_single(answers, transcript, d)
+            decoded = decode_single(transcript, bundle, answers, d)
             if any(decoded[x] != store.block(d, 1, x) for x in range(1, 17)):
                 ok = False
     assert _report(3, ok, "21 queries split 6/5/5/5, rate 21/16, exact decode")

@@ -16,27 +16,25 @@ from mupir.core import (
     identity_permutation,
     sample_permutation,
     validate_demands,
-    xor_blocks,
     xor_combine,
-    zero_block,
 )
 from mupir.errors import DemandError, InvalidDimensionError, LengthMismatchError
 
-blocks = st.binary(min_size=1, max_size=16)
+blocks = st.integers(min_value=0, max_value=2 ** 128 - 1)  # up to 16 bytes
 
 
 @given(blocks)
 def test_xor_self_inverse(b):
-    assert xor_combine([b, b]) == zero_block(len(b))
+    assert xor_combine([b, b]) == 0
 
 
 @given(blocks)
 def test_xor_identity(b):
     assert xor_combine([b]) == b
-    assert xor_blocks(b, zero_block(len(b))) == b
+    assert xor_combine([b, 0]) == b
 
 
-@given(st.lists(st.binary(min_size=4, max_size=4), min_size=2, max_size=6),
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1), min_size=2, max_size=6),
        st.randoms(use_true_random=False))
 def test_xor_order_independent(bs, rnd):
     shuffled = list(bs)
@@ -45,8 +43,6 @@ def test_xor_order_independent(bs, rnd):
 
 
 def test_xor_errors():
-    with pytest.raises(LengthMismatchError):
-        xor_blocks(b"ab", b"abc")
     with pytest.raises(LengthMismatchError):
         xor_combine([])
 
@@ -57,7 +53,7 @@ class TestFileStore:
         assert store.subpackets == 16
         assert len(store.data) == 3
         assert len(store.data[0][0]) == 16
-        assert len(store.block(1, 1, 1)) == 1
+        assert 0 <= store.block(1, 1, 1) < 2 ** 8
 
     def test_file_bits_matches_example(self):
         # 3 files x 3 subfiles x 9 subsubfiles of 1 byte: 27 blocks per file
@@ -81,10 +77,28 @@ class TestFileStore:
     def test_import_from_raw(self):
         raw = bytes(range(2 * 2 * 2 * 1))
         store = file_store_from_bytes(raw, N=2, K=2, S=2, block_bytes=1)
-        assert store.block(1, 1, 1) == b"\x00"
-        assert store.block(2, 2, 2) == b"\x07"
+        assert store.block(1, 1, 1) == 0x00
+        assert store.block(2, 2, 2) == 0x07
         with pytest.raises(InvalidDimensionError):
             file_store_from_bytes(raw[:-1], N=2, K=2, S=2, block_bytes=1)
+
+    def test_import_reads_slices_little_endian(self):
+        raw = bytes(range(2 * 2 * 2 * 3))
+        store = file_store_from_bytes(raw, N=2, K=2, S=2, block_bytes=3)
+        assert store.block(1, 1, 1) == 0x020100
+        assert store.block(1, 1, 2) == 0x050403
+        assert store.block(2, 2, 2) == 0x171615
+
+    @pytest.mark.parametrize("N,K,S,b,seed", [(2, 2, 2, 1, 0), (3, 2, 2, 5, 9),
+                                              (2, 1, 3, 4096, "x")])
+    def test_store_data_equals_randbytes_draws(self, N, K, S, b, seed):
+        # blocks are ints, but the data is what randbytes would have drawn
+        store = build_file_store(N, K, S, b, seed)
+        rng = random.Random(f"{seed}:store")
+        for i in range(1, N + 1):
+            for j in range(1, K + 1):
+                for x in range(1, S ** (N - 1) + 1):
+                    assert store.block(i, j, x) == int.from_bytes(rng.randbytes(b), "little")
 
 
 class TestPermutation:

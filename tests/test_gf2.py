@@ -74,14 +74,13 @@ def _bundle(queries):
 
 
 def test_answer_system_solves_with_cache_rows():
-    blocks = {(1, 1): b"\x01\x10", (1, 2): b"\x02\x20", (2, 1): b"\x04\x40",
-              (2, 2): b"\x08\x80"}
+    blocks = {(1, 1): 0x0110, (1, 2): 0x0220, (2, 1): 0x0440, (2, 2): 0x0880}
 
     def xor(*keys):
         acc = 0
         for k in keys:
-            acc ^= int.from_bytes(blocks[k], "big")
-        return acc.to_bytes(2, "big")
+            acc ^= blocks[k]
+        return acc
 
     bundle = _bundle([[(2, 2)], [(1, 2), (2, 1)]])
     answers = [[xor((2, 2)), xor((1, 2), (2, 1))]]

@@ -9,7 +9,6 @@ from mupir.core import (
     Permutation,
     build_file_store,
     identity_permutation,
-    xor_blocks,
     xor_combine,
 )
 from mupir.errors import (
@@ -48,19 +47,21 @@ class TestPlacement:
             assert sorted(caches[u].lines) == [6, 7, 8, 9]
 
     def test_broadcast_size_and_cache_bits(self):
-        store = build_file_store(3, 5, 3, 2, seed=0)
-        broadcast, caches = placement(store, identity_permutation(5))
-        assert len(broadcast) == 5 * 4
+        # bits count block_bytes per line, not the bit length of the line's int
         M = cache_fraction(3, 3, 5)
-        for u in caches:
-            assert caches[u].bits == M * store.file_bits
+        for block_bytes in (1, 2, 4096):
+            store = build_file_store(3, 5, 3, block_bytes, seed=0)
+            broadcast, caches = placement(store, identity_permutation(5))
+            assert len(broadcast) == 5 * 4
+            for u in caches:
+                assert caches[u].bits == M * store.file_bits
 
     def test_line_peeling(self):
         store = build_file_store(3, 3, 3, 4, seed=9)
         _, caches = placement(store, identity_permutation(3))
         line = caches[2].lines[7]
         rest = xor_combine([store.block(i, 2, 7) for i in (1, 2)])
-        assert xor_blocks(line, rest) == store.block(3, 2, 7)
+        assert line ^ rest == store.block(3, 2, 7)
 
     def test_regime_error(self):
         store = build_file_store(3, 2, 3, 1, seed=0)
@@ -317,7 +318,7 @@ class TestDecodeDetail:
         report, art = _session(2, 2, 2, seed=3, demand=(1, 2))
         store, tr, bundle = art["store"], art["transcript"], art["bundle"]
         answers = [list(row) for row in art["answers"]]
-        answers[0][0] = bytes([answers[0][0][0] ^ 1])
+        answers[0][0] ^= 1
         try:
             out = decode_user(1, tr, bundle, answers, art["caches"][1])
             changed = any(
@@ -334,7 +335,7 @@ class TestDecodeDetail:
         tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
         symbols = dict(art["symbols"])
         key = ("w", 2, tr.user_slots[1], 1)
-        symbols[key] = bytes(b ^ 0xFF for b in symbols[key])
+        symbols[key] ^= 0xFFFFFFFF  # every bit of the 4-byte block
         cache = art["caches"][1]
         out = decode_user(1, tr, bundle, answers, cache, symbols=symbols,
                           run_oracle=False)
