@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -30,7 +31,7 @@ from .protocol import (
     generate_alg3,
     replay_bundle,
 )
-from .single_user import generate_alg1, replay_alg1
+from .single_user import generate_alg1
 
 
 @dataclass
@@ -50,12 +51,21 @@ def count_rate(bundle: QueryBundle, S: int, N: int, K: int) -> Fraction:
     return Fraction(bundle.total_queries(), K * S ** (N - 1))
 
 
+# Copies of each k-subset type at database s, per generator kind.  File i
+# is then referenced sum_k C(N-1, k-1) * reps(s, k) times at database s.
+_REPS = {
+    "alg1": lambda S, N, s, k: phi(s, S, k),
+    "qset1": lambda S, N, s, k: psi(s, S, N, k),
+    "qset2": lambda S, N, s, k: k * phi(s, S, k),
+}
+
+
 def _slot_queries(bundle: QueryBundle):
     """Group queries by originating generator block, preserving order."""
     by_user = {}
-    for db0, (queries, prov) in enumerate(zip(bundle.per_db, bundle.provenance)):
-        for q, p in zip(queries, prov):
-            by_user.setdefault(p.user, [[] for _ in range(bundle.S)])[db0].append(q)
+    for db0, (queries, order) in enumerate(zip(bundle.per_db, bundle.emission)):
+        for q, (user, _) in zip(queries, order):
+            by_user.setdefault(user, [[] for _ in range(bundle.S)])[db0].append(q)
     return by_user
 
 
@@ -75,62 +85,68 @@ def _peel_closure(sym_sets):
     return exposed, unresolved
 
 
-def _expected_type_table(S, N, reps):
-    table = {}
-    for k in range(1, N + 1):
-        for s in range(1, S + 1):
-            r = reps(s, k)
-            for fileset in combinations(range(1, N + 1), k):
-                table[(s, fileset)] = r
-    return table
-
-
-def _check_type_counts(user, per_db, S, N, reps, failures, tables):
-    expected = _expected_type_table(S, N, reps)
-    got = Counter()
+def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
+    """Per database: every reference (file, subsub) touches exactly its
+    block's subfile slots, no sum repeats a file, and each k-subset type and
+    each file occur as often as `reps` prescribes.  Returns each query's
+    set of references."""
+    want_slots = {i: sorted(info.subfiles(i)) for i in range(1, N + 1)}
+    types = Counter()
+    sym_sets = []
     for db0, queries in enumerate(per_db):
-        for q in queries:
-            files = tuple(sorted({a.file for a in q.atoms}))
-            got[(db0 + 1, files)] += 1
-    for key, want in expected.items():
-        have = got.get(key, 0)
-        tables[(user,) + key] = have
-        if have != want:
-            s, fileset = key
-            failures.append(
-                f"user {user}: db {s} holds {have} sums of type {fileset}, expected {want}"
-            )
-    for key in got:
-        if key not in expected:
-            failures.append(f"user {user}: unexpected sum type at {key}")
-
-
-def _audit_alg1(user, per_db, d, S, N, failures, tables, refs):
-    sub = S ** (N - 1)
-    _check_type_counts(user, per_db, S, N, lambda s, k: phi(s, S, k), failures, tables)
-    canon_by_db = []
-    for db0, queries in enumerate(per_db):
-        seen = set()
         per_file = Counter()
         for q in queries:
-            if len({a.file for a in q.atoms}) != len(q.atoms):
-                failures.append(f"db {db0 + 1}: repeated file within one sum")
+            groups = {}
+            for a in q.atoms:
+                groups.setdefault((a.file, a.subsub), []).append(a.subfile)
+            for (f, _), subfiles in groups.items():
+                if sorted(subfiles) != want_slots.get(f):
+                    failures.append(
+                        f"user {user} db {db0 + 1}: reference to file {f} "
+                        f"uses slots {sorted(subfiles)}"
+                    )
+            files = [f for f, _ in groups]
+            if len(set(files)) != len(files):
+                failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
+            per_file.update(files)
+            types[(db0 + 1, tuple(sorted(set(files))))] += 1
+            sym_sets.append(set(groups))
+        for i in range(1, N + 1):
+            want = sum(comb(N - 1, k - 1) * reps(db0 + 1, k) for k in range(1, N + 1))
+            refs[(user, db0 + 1, i)] = per_file[i]
+            if per_file[i] != want:
+                failures.append(
+                    f"user {user} db {db0 + 1}: file {i} referenced "
+                    f"{per_file[i]} times, expected {want}"
+                )
+    for k in range(1, N + 1):
+        for s in range(1, S + 1):
+            for fileset in combinations(range(1, N + 1), k):
+                have = types.pop((s, fileset), 0)
+                tables[(user, s, fileset)] = have
+                if have != reps(s, k):
+                    failures.append(
+                        f"user {user}: db {s} holds {have} sums of type {fileset}, "
+                        f"expected {reps(s, k)}"
+                    )
+    for key in types:
+        failures.append(f"user {user}: unexpected sum type at {key}")
+    return sym_sets
+
+
+def _check_alg1_sources(per_db, d, S, N, failures):
+    """Single-user peeling: no reference repeats within a database, each
+    demand sum's rest is sent whole by another database, and every demand
+    subsubfile is resolved exactly once."""
+    canon_by_db = [{q.canonical() for q in queries} for queries in per_db]
+    demand_subs = Counter()
+    for db0, queries in enumerate(per_db):
+        seen = set()
+        for q in queries:
             for a in q.atoms:
                 if a in seen:
                     failures.append(f"db {db0 + 1}: reference {a} appears twice")
                 seen.add(a)
-                per_file[a.file] += 1
-        for i in range(1, N + 1):
-            want = sum(comb(N - 1, k - 1) * phi(db0 + 1, S, k) for k in range(1, N + 1))
-            refs[(user, db0 + 1, i)] = per_file.get(i, 0)
-            if per_file.get(i, 0) != want:
-                failures.append(
-                    f"db {db0 + 1}: file {i} referenced {per_file.get(i, 0)} times, expected {want}"
-                )
-        canon_by_db.append({q.canonical() for q in queries})
-    demand_subs = Counter()
-    for db0, queries in enumerate(per_db):
-        for q in queries:
             dem = [a for a in q.atoms if a.file == d]
             if len(dem) > 1:
                 failures.append(f"db {db0 + 1}: sum with two demand references")
@@ -146,115 +162,42 @@ def _audit_alg1(user, per_db, d, S, N, failures, tables, refs):
                     )
     if N == 1:
         return
-    if demand_subs != Counter({x: 1 for x in range(1, sub + 1)}):
+    if demand_subs != Counter({x: 1 for x in range(1, S ** (N - 1) + 1)}):
         failures.append("demand subsubfile coverage is not one-of-each")
 
 
-def _audit_qset1(user, per_db, j, d, S, N, failures, tables, refs):
-    sub = S ** (N - 1)
-    H = h_value(S, N)
-    _check_type_counts(user, per_db, S, N, lambda s, k: psi(s, S, N, k), failures, tables)
-    sym_sets = []
-    for db0, queries in enumerate(per_db):
-        per_file = Counter()
-        for q in queries:
-            if any(a.subfile != j for a in q.atoms):
-                failures.append(f"user {user}: query touches a foreign subfile slot")
-            if len({a.file for a in q.atoms}) != len(q.atoms):
-                failures.append(f"user {user}: repeated file within one sum")
-            for a in q.atoms:
-                per_file[a.file] += 1
-            sym_sets.append({(a.file, a.subsub) for a in q.atoms})
-        for i in range(1, N + 1):
-            want = sum(comb(N - 1, k - 1) * psi(db0 + 1, S, N, k) for k in range(1, N + 1))
-            refs[(user, db0 + 1, i)] = per_file.get(i, 0)
-            if per_file.get(i, 0) != want:
-                failures.append(
-                    f"user {user} db {db0 + 1}: file {i} referenced "
-                    f"{per_file.get(i, 0)} times, expected {want}"
-                )
+def _check_peel_exposure(user, sym_sets, S, N, demand, failures):
+    """Multi-user peeling: every sum resolves by one-unknown steps, exposing
+    every subsubfile of each file except `demand` (a qset1 block's demanded
+    file, or None), of which only the first H are exposed."""
     exposed, unresolved = _peel_closure(sym_sets)
     if unresolved:
         failures.append(f"user {user}: {unresolved} sums cannot be peeled")
     for i in range(1, N + 1):
         got = {x for (f, x) in exposed if f == i}
-        want = set(range(1, H + 1)) if i == d else set(range(1, sub + 1))
+        want = set(range(1, (h_value(S, N) if i == demand else S ** (N - 1)) + 1))
         if got != want:
             failures.append(
                 f"user {user}: file {i} exposes {sorted(got)}, expected {sorted(want)}"
             )
 
 
-def _audit_qset2(user, per_db, omega_pairs, S, N, failures, tables, refs):
-    sub = S ** (N - 1)
-    pair_of = {f: (j1, j2) for f, j1, j2 in omega_pairs}
-    sym_sets = []
-    rebuilt = [[] for _ in range(S)]
-    for db0, queries in enumerate(per_db):
-        per_file = Counter()
-        for q in queries:
-            groups = {}
-            for a in q.atoms:
-                groups.setdefault((a.file, a.subsub), []).append(a.subfile)
-            syms = set()
-            bad = False
-            for (f, x), subfiles in groups.items():
-                if sorted(subfiles) != sorted(pair_of.get(f, ())):
-                    failures.append(
-                        f"user {user} db {db0 + 1}: reference pair for file {f} "
-                        f"uses slots {sorted(subfiles)}"
-                    )
-                    bad = True
-                syms.add((f, x))
-                per_file[f] += 1
-            if len({f for f, _ in syms}) != len(syms):
-                failures.append(f"user {user}: repeated file among paired sums")
-                bad = True
-            if not bad:
-                rebuilt[db0].append(
-                    Query(tuple(QueryAtom(f, 1, x) for f, x in sorted(syms)))
-                )
-            sym_sets.append(syms)
-        for i in range(1, N + 1):
-            want = sum(comb(N - 1, k - 1) * k * phi(db0 + 1, S, k) for k in range(1, N + 1))
-            refs[(user, db0 + 1, i)] = per_file.get(i, 0)
-            if per_file.get(i, 0) != want:
-                failures.append(
-                    f"user {user} db {db0 + 1}: file {i} paired-referenced "
-                    f"{per_file.get(i, 0)} times, expected {want}"
-                )
-    _check_type_counts(user, rebuilt, S, N, lambda s, k: k * phi(s, S, k),
-                       failures, tables)
-    exposed, unresolved = _peel_closure(sym_sets)
-    if unresolved:
-        failures.append(f"user {user}: {unresolved} paired sums cannot be peeled")
-    for i in range(1, N + 1):
-        got = {x for (f, x) in exposed if f == i}
-        if got != set(range(1, sub + 1)):
-            failures.append(f"user {user}: paired file {i} exposes only {len(got)} values")
-
-
-def check_structure(bundle: QueryBundle, S: int, N: int, mode: str = None) -> AuditReport:
-    """Verify repetition tables, no-repeat/pairing rules and peelability.
-
-    mode overrides the per-slot kind recorded in the bundle (useful for
-    hand-built bundles); normally each generator block is checked against
-    the tables for its own kind.
-    """
+def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
+    """Verify repetition tables, no-repeat/pairing rules and peelability,
+    each generator block against the tables for its own kind."""
     failures, tables, refs = [], {}, {}
-    by_user = _slot_queries(bundle)
-    for user, per_db in sorted(by_user.items()):
+    for user, per_db in sorted(_slot_queries(bundle).items()):
         info = bundle.slots.get(user)
-        kind = mode or (info.kind if info else None)
-        if kind == "alg1":
-            _audit_alg1(user, per_db, info.demand, S, N, failures, tables, refs)
-        elif kind == "qset1":
-            _audit_qset1(user, per_db, info.subfile, info.demand, S, N,
-                         failures, tables, refs)
-        elif kind == "qset2":
-            _audit_qset2(user, per_db, info.omega_pairs, S, N, failures, tables, refs)
-        else:
+        kind = info.kind if info else None
+        if kind not in _REPS:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
+            continue
+        reps = partial(_REPS[kind], S, N)
+        sym_sets = _check_counts(user, per_db, info, S, N, reps, failures, tables, refs)
+        if kind == "alg1":
+            _check_alg1_sources(per_db, info.demand, S, N, failures)
+        else:
+            _check_peel_exposure(user, sym_sets, S, N, info.demand, failures)
     return AuditReport(
         ok=not failures,
         failures=failures,
@@ -266,15 +209,20 @@ def check_structure(bundle: QueryBundle, S: int, N: int, mode: str = None) -> Au
 
 
 def verify_replay(bundle: QueryBundle, transcript: SessionTranscript) -> bool:
-    """True iff the bundle matches a bit-identical regeneration."""
-    rebuilt = replay_alg1(transcript) if transcript.scheme == "single" else replay_bundle(transcript)
-    return canonical_form(bundle) == canonical_form(rebuilt)
+    """True iff each database's emission order names every record of the
+    transcript exactly once and each query equals its record's replay."""
+    if len(bundle.emission) != transcript.S:
+        return False
+    for db0, order in enumerate(bundle.emission):
+        if sorted(order) != transcript.record_keys(db0):
+            return False
+    return replay_bundle(transcript, bundle.emission).per_db == bundle.per_db
 
 
 def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
     """Apply one random drop / duplicate / atom-swap; returns (bundle', op)."""
     per_db = [list(q) for q in bundle.per_db]
-    prov = [list(p) for p in bundle.provenance]
+    emission = [list(o) for o in bundle.emission]
     op = rng.choice(["drop", "duplicate", "swap"])
     db0 = rng.randrange(len(per_db))
     while not per_db[db0]:
@@ -282,10 +230,10 @@ def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
     pos = rng.randrange(len(per_db[db0]))
     if op == "drop":
         per_db[db0].pop(pos)
-        prov[db0].pop(pos)
+        emission[db0].pop(pos)
     elif op == "duplicate":
         per_db[db0].append(per_db[db0][pos])
-        prov[db0].append(prov[db0][pos])
+        emission[db0].append(emission[db0][pos])
     else:
         q = per_db[db0][pos]
         ai = rng.randrange(len(q.atoms))
@@ -296,7 +244,7 @@ def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
         atoms = list(q.atoms)
         atoms[ai] = QueryAtom(atom.file, atom.subfile, new_sub)
         per_db[db0][pos] = Query(tuple(sorted(atoms)))
-    mutated = QueryBundle(S=bundle.S, per_db=per_db, provenance=prov,
+    mutated = QueryBundle(S=bundle.S, per_db=per_db, emission=emission,
                           slots=dict(bundle.slots))
     return mutated, op
 

@@ -186,15 +186,6 @@ class Query:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Which generator block produced a query (user-side metadata only)."""
-
-    user: int
-    kind: str  # "alg1" | "qset1" | "qset2"
-    index: int  # position within that block's per-database output
-
-
-@dataclass(frozen=True)
 class SlotInfo:
     """Per-generator-block session facts needed for auditing and decoding."""
 
@@ -204,18 +195,27 @@ class SlotInfo:
     demand: Optional[int] = None         # alg1/qset1: demanded file
     omega_pairs: Optional[tuple] = None  # qset2: tuple of (file, j1, j2)
 
+    def subfiles(self, file: int) -> tuple:
+        """The subfile slots each reference to `file` touches: the block's
+        own slot, or for qset2 the file's omega pair (empty if it has none)."""
+        if self.omega_pairs is None:
+            return (self.subfile,)
+        return next(((j1, j2) for f, j1, j2 in self.omega_pairs if f == file), ())
+
 
 @dataclass
 class QueryBundle:
-    """Per-database query lists for one session, plus user-side provenance.
+    """Per-database query lists for one session, plus their emission order.
 
     ``per_db[s-1]`` is the (emission-ordered) query list sent to database s.
-    ``provenance`` is aligned with it and never leaves the user side.
+    ``emission[s-1]`` is aligned with it: entry n is (user, local index) of
+    the generator record that query n was made from.  It is the one record
+    of emission order and never leaves the user side.
     """
 
     S: int
     per_db: list
-    provenance: list
+    emission: list
     slots: dict = field(default_factory=dict)  # user -> SlotInfo
 
     def total_queries(self) -> int:
@@ -224,9 +224,17 @@ class QueryBundle:
     def counts(self) -> tuple:
         return tuple(len(q) for q in self.per_db)
 
+    def answer_index(self) -> dict:
+        """(user, db, local_index) -> (db, emitted position)."""
+        out = {}
+        for db0, order in enumerate(self.emission):
+            for pos, (user, local) in enumerate(order):
+                out[(user, db0, local)] = (db0, pos)
+        return out
+
 
 def canonical_form(bundle: QueryBundle) -> tuple:
-    """Order- and provenance-independent key: per database, the sorted
+    """Order- and emission-independent key: per database, the sorted
     multiset of sorted atom lists.  This is exactly the database's view."""
     return tuple(
         tuple(sorted(q.canonical() for q in queries)) for queries in bundle.per_db

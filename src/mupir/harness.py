@@ -85,16 +85,23 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _parse_demands(spec, N, K, rng):
+def _parse_demands(spec, scheme, N, K):
+    """The config's demands: a valid vector of K files for the multi-user
+    scheme, exactly one file index in [1, N] for the single-user one."""
     if isinstance(spec, (list, tuple)):
-        return validate_demands(spec, N, K)
-    if spec == "random-valid":
-        return random_valid_demands(N, K, rng)
-    try:
-        demands = tuple(int(part) for part in str(spec).split(","))
-    except ValueError:
-        raise ConfigError(f"field 'demands': cannot parse {spec!r}") from None
-    return validate_demands(demands, N, K)
+        demands = tuple(spec)
+    else:
+        try:
+            demands = tuple(int(part) for part in str(spec).split(","))
+        except ValueError:
+            raise ConfigError(f"field 'demands': cannot parse {spec!r}") from None
+    if scheme == "mupir":
+        return validate_demands(demands, N, K)
+    if len(demands) != 1 or not 1 <= demands[0] <= N:
+        raise ConfigError(
+            f"field 'demands': the single-user scheme needs one file in [1,{N}], got {spec!r}"
+        )
+    return demands
 
 
 def random_valid_demands(N, K, rng):
@@ -130,41 +137,57 @@ def rng_streams(seed):
     }
 
 
-def run_single_session(S, N, block_bytes, seed, demand=None):
-    """End-to-end single-user session; returns (report, artifacts)."""
-    streams = rng_streams(seed)
-    store = build_file_store(N, 1, S, block_bytes, seed)
-    d = demand if demand is not None else streams["demand"].randrange(1, N + 1)
-    perms = {i: sample_permutation(store.subpackets, streams["perms"]) for i in range(1, N + 1)}
-    bundle, transcript = generate_alg1(S, N, perms, d, shuffle_rng=streams["shuffle"],
-                                       seed=seed)
-    answers = answer_bundle(store, bundle)
-    decoded = decode_single(transcript, bundle, answers, d)
-    decode_ok = all(decoded[x] == store.block(d, 1, x)
-                    for x in range(1, store.subpackets + 1))
+def _user_perms(K, N, sub, rng, tail_fixed=lambda c, i: None) -> dict:
+    """{user c -> {file i -> permutation of [sub]}}, drawn in user then file
+    order; tail_fixed(c, i) is H where the permutation must fix the tail."""
+    return {
+        c: {i: sample_permutation(sub, rng, tail_fixed=tail_fixed(c, i))
+            for i in range(1, N + 1)}
+        for c in range(1, K + 1)
+    }
+
+
+def _audit_and_report(scheme, params, bundle, transcript, decode_ok, artifacts):
+    """The tail both schemes share: structure audit, replay check, measured
+    rate and the report."""
+    S, N, K = transcript.S, transcript.N, transcript.K
     audit = check_structure(bundle, S, N)
     replay_ok = verify_replay(bundle, transcript)
-    rate = count_rate(bundle, S, N, 1)
+    rate = count_rate(bundle, S, N, K)
     report = {
-        "scheme": "single",
-        "params": {
-            "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
-            "subpackets": store.subpackets,
-            "R_pir": frac_str(pir_rate(S, N)), "R_pir_dec": dec(pir_rate(S, N)),
-        },
-        "demand": [d],
-        "seed": seed,
+        "scheme": scheme,
+        "params": params,
+        "demand": list(transcript.demand),
+        "seed": transcript.seed,
         "per_db_query_counts": list(bundle.counts()),
         "rate_exact": frac_str(rate),
         "rate_dec": dec(rate),
         "decode_ok": decode_ok,
         "audit_ok": audit.ok and replay_ok,
     }
-    artifacts = {
-        "store": store, "bundle": bundle, "transcript": transcript,
-        "answers": answers, "audit": audit, "decoded": decoded,
-    }
+    artifacts.update(bundle=bundle, transcript=transcript, audit=audit)
     return report, artifacts
+
+
+def run_single_session(S, N, block_bytes, seed, demand=None):
+    """End-to-end single-user session; returns (report, artifacts)."""
+    streams = rng_streams(seed)
+    store = build_file_store(N, 1, S, block_bytes, seed)
+    d = demand if demand is not None else streams["demand"].randrange(1, N + 1)
+    perms = _user_perms(1, N, store.subpackets, streams["perms"])[1]
+    bundle, transcript = generate_alg1(S, N, perms, d, shuffle_rng=streams["shuffle"],
+                                       seed=seed)
+    answers = answer_bundle(store, bundle)
+    decoded = decode_single(transcript, bundle, answers, d)
+    decode_ok = all(decoded[x] == store.block(d, 1, x)
+                    for x in range(1, store.subpackets + 1))
+    params = {
+        "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
+        "subpackets": store.subpackets,
+        "R_pir": frac_str(pir_rate(S, N)), "R_pir_dec": dec(pir_rate(S, N)),
+    }
+    return _audit_and_report("single", params, bundle, transcript, decode_ok,
+                             {"store": store, "answers": answers, "decoded": decoded})
 
 
 def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
@@ -179,32 +202,23 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
     broadcast, caches = placement(store, P)
     H = h_value(S, N)
     sub = store.subpackets
+    # qset1 users (every user when N = K, the base users otherwise) draw
+    # their demanded file's permutation with its tail fixed
     if N == K:
-        user_perms = {
-            c: {
-                i: sample_permutation(sub, streams["perms"],
-                                      tail_fixed=H if i == demands[c - 1] else None)
-                for i in range(1, N + 1)
-            }
-            for c in range(1, K + 1)
-        }
+        base, rho = range(1, K + 1), None
+    else:
+        base, rho = choose_base_and_rho(demands, N, K, streams["base"])
+    user_perms = _user_perms(
+        K, N, sub, streams["perms"],
+        lambda c, i: H if c in base and i == demands[c - 1] else None)
+    if N == K:
         bundle, transcript = generate_alg2(S, N, K, demands, P, user_perms,
                                            shuffle_rng=streams["shuffle"], seed=seed)
     else:
-        base, rho = choose_base_and_rho(demands, N, K, streams["base"])
-        user_perms = {}
-        for c in range(1, K + 1):
-            constrained = c in base
-            user_perms[c] = {
-                i: sample_permutation(
-                    sub, streams["perms"],
-                    tail_fixed=H if (constrained and i == demands[c - 1]) else None)
-                for i in range(1, N + 1)
-            }
         bundle, transcript = generate_alg3(S, N, K, demands, P, base, rho, user_perms,
                                            shuffle_rng=streams["shuffle"], seed=seed)
     answers = answer_bundle(store, bundle)
-    symbols = resolve_symbols(transcript, answers)
+    symbols = resolve_symbols(transcript, bundle, answers)
     system = AnswerSystem(bundle, answers, K, sub)
     decode_ok = True
     decoded_all = {}
@@ -217,57 +231,32 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
             for x in range(1, sub + 1):
                 if got[(j, x)] != store.block(d, j, x):
                     decode_ok = False
-    audit = check_structure(bundle, S, N)
-    replay_ok = verify_replay(bundle, transcript)
-    rate = count_rate(bundle, S, N, K)
     params = SchemeParams.compute(S, N, K)
-    report = {
-        "scheme": "mupir",
-        "params": {
-            "S": S, "N": N, "K": K, "block_bytes": block_bytes,
-            "q": params.q, "H": params.H,
-            "M_exact": frac_str(params.M), "M_dec": dec(params.M),
-            "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
-        },
-        "demand": list(demands),
-        "seed": seed,
-        "per_db_query_counts": list(bundle.counts()),
-        "rate_exact": frac_str(rate),
-        "rate_dec": dec(rate),
-        "decode_ok": decode_ok,
-        "audit_ok": audit.ok and replay_ok,
+    report_params = {
+        "S": S, "N": N, "K": K, "block_bytes": block_bytes,
+        "q": params.q, "H": params.H,
+        "M_exact": frac_str(params.M), "M_dec": dec(params.M),
+        "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
     }
-    artifacts = {
-        "store": store, "bundle": bundle, "transcript": transcript,
-        "answers": answers, "caches": caches, "broadcast": broadcast,
-        "audit": audit, "decoded": decoded_all, "symbols": symbols,
-    }
-    return report, artifacts
+    return _audit_and_report("mupir", report_params, bundle, transcript, decode_ok, {
+        "store": store, "answers": answers, "caches": caches, "broadcast": broadcast,
+        "decoded": decoded_all, "symbols": symbols,
+    })
 
 
 def run_session(config: dict):
     """Drive one session from a parsed config; returns (report, artifacts)."""
     scheme = config["scheme"]
     S, N = config["S"], config["N"]
+    K = 1 if scheme == "single" else config.get("K", N)
     block_bytes = config.get("block_bytes", 1)
     seed = config.get("seed", 0)
-    demands_spec = config.get("demands", "random-valid")
-    rng = random.Random(f"{seed}:demand")
+    spec = config.get("demands", "random-valid")
+    demands = None if spec == "random-valid" else _parse_demands(spec, scheme, N, K)
     if scheme == "single":
-        demand = None
-        if demands_spec != "random-valid":
-            try:
-                demand = int(str(demands_spec).split(",")[0])
-            except ValueError:
-                raise ConfigError(f"field 'demands': cannot parse {demands_spec!r}") from None
-            if not 1 <= demand <= N:
-                raise ConfigError(f"field 'demands': {demand} outside [1,{N}]")
+        demand = None if demands is None else demands[0]
         return run_single_session(S, N, block_bytes, seed, demand=demand)
-    K = config.get("K", N)
-    demand = None
-    if demands_spec != "random-valid":
-        demand = _parse_demands(demands_spec, N, K, rng)
-    return run_mupir_session(S, N, K, block_bytes, seed, demand=demand)
+    return run_mupir_session(S, N, K, block_bytes, seed, demand=demands)
 
 
 SWEEP_COLUMNS = ["S", "N", "K", "q", "H", "M_exact", "M_dec", "R_exact", "R_dec",

@@ -11,7 +11,11 @@ earlier rounds, so each query is one XOR away from known material.
 The schedule produced by the engine is a pure function of the counting
 parameters; the secret permutations only relabel positions to subsubfile
 indices afterwards.  That keeps generation, replay and exhaustive
-enumeration cheap and exactly reproducible.
+enumeration cheap and exactly reproducible.  Every generator block, the
+single-user one (alg1) included, is a schedule of records with `refs`
+((file, position) pairs); one `materialize` turns records into queries, and
+one `replay_bundle` interleaves the blocks per database in a given emission
+order, which `assemble_bundle` draws at generation time.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from typing import Optional
 from .core import (
     FileStore,
     Permutation,
-    Provenance,
     Query,
     QueryAtom,
     QueryBundle,
@@ -60,6 +63,11 @@ class SlotQuery:
     fresh_file: int
     fresh_pos: int
     old_picks: tuple
+
+    @property
+    def refs(self) -> tuple:
+        """Every (file, position) reference, the fresh one first."""
+        return ((self.fresh_file, self.fresh_pos),) + self.old_picks
 
 
 @dataclass
@@ -266,29 +274,19 @@ class OmegaSpec:
         raise KeyError(i)
 
 
-def _materialize_qset1(records, j: int, perms) -> list:
+def materialize(records, perms: dict, subfiles) -> list:
+    """Per-database query lists of one generator block.
+
+    Each record reference (file, pos) becomes subsubfile perms[file](pos) at
+    every subfile slot in subfiles(file): one slot for alg1 and qset1, the
+    file's omega pair for qset2.
+    """
+    slots = {f: subfiles(f) for f in perms}
     out = []
     for db_list in records:
         row = []
         for rec in db_list:
-            atoms = [QueryAtom(rec.fresh_file, j, perms[rec.fresh_file](rec.fresh_pos))]
-            atoms += [QueryAtom(u, j, perms[u](pos)) for u, pos in rec.old_picks]
-            row.append(Query(tuple(sorted(atoms))))
-        out.append(row)
-    return out
-
-
-def _materialize_qset2(records, omega: OmegaSpec, perms) -> list:
-    out = []
-    for db_list in records:
-        row = []
-        for rec in db_list:
-            atoms = []
-            for u, pos in [(rec.fresh_file, rec.fresh_pos)] + list(rec.old_picks):
-                x = perms[u](pos)
-                j1, j2 = omega.for_file(u)
-                atoms.append(QueryAtom(u, j1, x))
-                atoms.append(QueryAtom(u, j2, x))
+            atoms = [QueryAtom(f, j, perms[f](pos)) for f, pos in rec.refs for j in slots[f]]
             row.append(Query(tuple(sorted(atoms))))
         out.append(row)
     return out
@@ -296,12 +294,12 @@ def _materialize_qset2(records, omega: OmegaSpec, perms) -> list:
 
 def qset1(j: int, perms: dict, d: int, S: int, N: int) -> list:
     """Per-database query lists for the subfile slot j under demand d."""
-    return _materialize_qset1(qset1_schedule(S, N, d), j, perms)
+    return materialize(qset1_schedule(S, N, d), perms, lambda f: (j,))
 
 
 def qset2(omega: OmegaSpec, perms: dict, S: int, N: int) -> list:
     """Per-database query lists recovering every paired difference value."""
-    return _materialize_qset2(qset2_schedule(S, N), omega, perms)
+    return materialize(qset2_schedule(S, N), perms, omega.for_file)
 
 
 @dataclass(frozen=True)
@@ -392,12 +390,13 @@ def choose_base_and_rho(demands, N: int, K: int, rng: random.Random):
 class SessionTranscript:
     """Everything needed to replay a session and to decode it.
 
-    Replaying with the recorded randomness regenerates a bit-identical
-    bundle; the per-slot records double as the decode plan (each query names
-    the reference it freshly resolves and the already-known ones it reuses).
+    Replaying with the recorded randomness, in a bundle's emission order,
+    regenerates that bundle bit-identically; the per-slot records double as
+    the decode plan (each query names the reference it freshly resolves and
+    the already-known ones it reuses).  A single-user session is one alg1
+    block of user 1 with K = 1.
     """
 
-    scheme: str
     S: int
     N: int
     K: int
@@ -407,35 +406,40 @@ class SessionTranscript:
     base_set: Optional[tuple]
     rho: Optional[dict]
     perms: dict                       # user -> {file -> Permutation}
-    records: dict                     # user -> per-db tuple of SlotQuery
+    records: dict                     # user -> per-db tuple of SlotQuery or PirQuery
     slots: dict                       # user -> SlotInfo
-    emission: list                    # per db: list of (user, local_index)
     H: int
 
-    def answer_index(self):
-        """(user, db, local_index) -> (db, emitted position)."""
-        out = {}
-        for db0, order in enumerate(self.emission):
-            for pos, (user, local) in enumerate(order):
-                out[(user, db0, local)] = (db0, pos)
-        return out
+    def record_keys(self, db0: int) -> list:
+        """(user, local index) of every record for database db0 + 1, in user
+        then schedule order."""
+        return [(user, local) for user in sorted(self.records)
+                for local in range(len(self.records[user][db0]))]
 
 
-def _assemble_bundle(S, per_user_queries, slots, shuffle_rng):
-    per_db, prov, emission = [], [], []
-    for db0 in range(S):
-        entries = []
-        for user in sorted(per_user_queries):
-            kind = slots[user].kind
-            for local, q in enumerate(per_user_queries[user][db0]):
-                entries.append((user, kind, local, q))
+def replay_bundle(transcript: SessionTranscript, emission) -> QueryBundle:
+    """Regenerate the bundle bit-identically from the recorded randomness,
+    with each database's queries in `emission` order ((user, local) pairs)."""
+    queries = {
+        user: materialize(records, transcript.perms[user], transcript.slots[user].subfiles)
+        for user, records in transcript.records.items()
+    }
+    per_db = [[queries[user][db0][local] for user, local in order]
+              for db0, order in enumerate(emission)]
+    return QueryBundle(S=transcript.S, per_db=per_db, emission=[list(o) for o in emission],
+                       slots=dict(transcript.slots))
+
+
+def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None) -> QueryBundle:
+    """The session's bundle: every user's records in user order, each
+    database's list then shuffled by shuffle_rng (when given)."""
+    emission = []
+    for db0 in range(transcript.S):
+        order = transcript.record_keys(db0)
         if shuffle_rng is not None:
-            shuffle_rng.shuffle(entries)
-        per_db.append([e[3] for e in entries])
-        prov.append([Provenance(user=e[0], kind=e[1], index=e[2]) for e in entries])
-        emission.append([(e[0], e[2]) for e in entries])
-    bundle = QueryBundle(S=S, per_db=per_db, provenance=prov, slots=dict(slots))
-    return bundle, emission
+            shuffle_rng.shuffle(order)
+        emission.append(order)
+    return replay_bundle(transcript, emission)
 
 
 def _check_tail_constraint(perm: Permutation, H: int, user: int, file: int):
@@ -451,21 +455,18 @@ def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None
     if N != K:
         raise RegimeError(f"this generator requires N=K, got N={N}, K={K}")
     H = h_value(S, N)
-    slots, queries = {}, {}
+    slots, records = {}, {}
     for c in range(1, K + 1):
         d = demands[c - 1]
         _check_tail_constraint(user_perms[c][d], H, c, d)
         slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
-        queries[c] = qset1(P(c), user_perms[c], d, S, N)
-    bundle, emission = _assemble_bundle(S, queries, slots, shuffle_rng)
+        records[c] = qset1_schedule(S, N, d)
     transcript = SessionTranscript(
-        scheme="mupir", S=S, N=N, K=K, seed=seed, demand=demands,
+        S=S, N=N, K=K, seed=seed, demand=demands,
         user_slots=tuple(P(u) for u in range(1, K + 1)), base_set=None, rho=None,
-        perms=user_perms,
-        records={c: qset1_schedule(S, N, demands[c - 1]) for c in range(1, K + 1)},
-        slots=slots, emission=emission, H=H,
+        perms=user_perms, records=records, slots=slots, H=H,
     )
-    return bundle, transcript
+    return assemble_bundle(transcript, shuffle_rng), transcript
 
 
 def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
@@ -478,12 +479,11 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
     base = tuple(sorted(base))
     if len(base) != N or {demands[b - 1] for b in base} != set(range(1, N + 1)):
         raise DemandError(f"base set {base} does not cover all files exactly once")
-    slots, queries, records = {}, {}, {}
+    slots, records = {}, {}
     for c in base:
         d = demands[c - 1]
         _check_tail_constraint(user_perms[c][d], H, c, d)
         slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
-        queries[c] = qset1(P(c), user_perms[c], d, S, N)
         records[c] = qset1_schedule(S, N, d)
     for c in range(1, K + 1):
         if c in base:
@@ -496,49 +496,22 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
             pairs=tuple((i, P(align[i]), P(c)) for i in range(1, N + 1))
         )
         slots[c] = SlotInfo(user=c, kind="qset2", subfile=P(c), omega_pairs=omega.pairs)
-        queries[c] = qset2(omega, user_perms[c], S, N)
         records[c] = qset2_schedule(S, N)
-    bundle, emission = _assemble_bundle(S, queries, slots, shuffle_rng)
     transcript = SessionTranscript(
-        scheme="mupir", S=S, N=N, K=K, seed=seed, demand=demands,
+        S=S, N=N, K=K, seed=seed, demand=demands,
         user_slots=tuple(P(u) for u in range(1, K + 1)), base_set=base, rho=rho,
-        perms=user_perms, records=records, slots=slots, emission=emission, H=H,
+        perms=user_perms, records=records, slots=slots, H=H,
     )
-    return bundle, transcript
+    return assemble_bundle(transcript, shuffle_rng), transcript
 
 
-def replay_bundle(transcript: SessionTranscript) -> QueryBundle:
-    """Regenerate the bundle bit-identically from recorded randomness."""
-    queries = {}
-    for user, info in transcript.slots.items():
-        if info.kind == "qset1":
-            queries[user] = _materialize_qset1(
-                transcript.records[user], info.subfile, transcript.perms[user]
-            )
-        else:
-            queries[user] = _materialize_qset2(
-                transcript.records[user], OmegaSpec(pairs=info.omega_pairs),
-                transcript.perms[user],
-            )
-    per_db, prov = [], []
-    for db0 in range(transcript.S):
-        row, prow = [], []
-        for user, local in transcript.emission[db0]:
-            row.append(queries[user][db0][local])
-            prow.append(Provenance(user=user, kind=transcript.slots[user].kind, index=local))
-        per_db.append(row)
-        prov.append(prow)
-    return QueryBundle(S=transcript.S, per_db=per_db, provenance=prov,
-                       slots=dict(transcript.slots))
-
-
-def resolve_symbols(transcript: SessionTranscript, answers) -> dict:
+def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:
     """Peel every per-slot reference value out of the answer blocks.
 
     Keys: ("w", file, subfile, x) for direct subsubfile values exposed by
     qset1 blocks, ("om", user, file, x) for paired-difference values.
     """
-    index = transcript.answer_index()
+    index = bundle.answer_index()
     values = {}
 
     def sym_for(user, info, file, pos):
@@ -579,7 +552,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     answers are reduced once; one is made here when none is given.
     """
     if symbols is None:
-        symbols = resolve_symbols(transcript, answers)
+        symbols = resolve_symbols(transcript, bundle, answers)
     N, K, S = transcript.N, transcript.K, transcript.S
     sub = S ** (N - 1)
     H = transcript.H

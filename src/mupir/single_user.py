@@ -6,7 +6,9 @@ one singleton per file; afterwards each database turns every demand-free
 demand reference, then pads with fresh demand-free k-sums until every
 k-subset of files appears its prescribed number of times.  Decoding peels:
 each demand-bearing query differs from an already-answered query by exactly
-one reference.
+one reference.  The session is one generator block (kind "alg1") of user 1,
+materialised, assembled and replayed by the same code as the multi-user
+blocks in `protocol`.
 """
 from __future__ import annotations
 
@@ -16,17 +18,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .core import (
-    Provenance,
-    Query,
-    QueryAtom,
-    QueryBundle,
-    SlotInfo,
-)
+from .core import QueryBundle, SlotInfo
 from .errors import DemandError, UnresolvablePlanError
 from .gf2 import AnswerSystem
 from .params import phi
-from .protocol import SessionTranscript
+from .protocol import SessionTranscript, assemble_bundle
 
 
 @dataclass(frozen=True)
@@ -37,13 +33,13 @@ class PirQuery:
     db: int
     k: int
     kind: str          # "seed" | "peel" | "fill"
-    pos_map: tuple     # ((file, pos), ...) sorted by file
+    refs: tuple        # ((file, pos), ...) sorted by file
     source: Optional[tuple]  # (db, index) of the consumed smaller query
     fresh_pos: Optional[int]  # demand position resolved by this query
 
     @property
     def files(self) -> tuple:
-        return tuple(f for f, _ in self.pos_map)
+        return tuple(f for f, _ in self.refs)
 
 
 @lru_cache(maxsize=None)
@@ -55,14 +51,14 @@ def _alg1_schedule(S: int, N: int, d: int):
     per_db = [[] for _ in range(S)]
     if N == 1:
         per_db[0].append(
-            PirQuery(db=1, k=1, kind="seed", pos_map=((1, 1),), source=None, fresh_pos=1)
+            PirQuery(db=1, k=1, kind="seed", refs=((1, 1),), source=None, fresh_pos=1)
         )
         return tuple(tuple(db) for db in per_db)
     t = [0] * (N + 1)
     for i in range(1, N + 1):
         t[i] = 1
         per_db[0].append(
-            PirQuery(db=1, k=1, kind="seed", pos_map=((i, 1),), source=None,
+            PirQuery(db=1, k=1, kind="seed", refs=((i, 1),), source=None,
                      fresh_pos=1 if i == d else None)
         )
     for k in range(2, N + 1):
@@ -78,19 +74,19 @@ def _alg1_schedule(S: int, N: int, d: int):
                     t[d] += 1
                     per_db[j - 1].append(
                         PirQuery(db=j, k=k, kind="peel",
-                                 pos_map=tuple(sorted(rec.pos_map + ((d, t[d]),))),
+                                 refs=tuple(sorted(rec.refs + ((d, t[d]),))),
                                  source=(i, idx), fresh_pos=t[d])
                     )
                     consumed = True
             if consumed:
                 for fileset in combinations([i for i in range(1, N + 1) if i != d], k):
                     for _ in range(phi(j, S, k)):
-                        pos_map = []
+                        refs = []
                         for u in fileset:
                             t[u] += 1
-                            pos_map.append((u, t[u]))
+                            refs.append((u, t[u]))
                         per_db[j - 1].append(
-                            PirQuery(db=j, k=k, kind="fill", pos_map=tuple(pos_map),
+                            PirQuery(db=j, k=k, kind="fill", refs=tuple(refs),
                                      source=None, fresh_pos=None)
                         )
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
@@ -102,49 +98,16 @@ def generate_alg1(S: int, N: int, perms: dict, d: int,
     """Build the per-database query bundle for demand d.
 
     perms: {file -> Permutation over [S^(N-1)]}.  Returns (bundle,
-    transcript); the transcript replays bit-identically and holds the
-    peeling plan.
+    transcript); the transcript holds the peeling plan, and
+    `protocol.replay_bundle` regenerates the bundle from it bit-identically.
     """
-    records = _alg1_schedule(S, N, d)
-    per_db, prov, emission = [], [], []
-    for db0 in range(S):
-        entries = list(enumerate(records[db0]))
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(entries)
-        row = []
-        for _, rec in entries:
-            atoms = tuple(sorted(QueryAtom(f, 1, perms[f](p)) for f, p in rec.pos_map))
-            row.append(Query(atoms))
-        per_db.append(row)
-        prov.append([Provenance(user=1, kind="alg1", index=i) for i, _ in entries])
-        emission.append([(1, i) for i, _ in entries])
-    slots = {1: SlotInfo(user=1, kind="alg1", subfile=1, demand=d)}
-    bundle = QueryBundle(S=S, per_db=per_db, provenance=prov, slots=slots)
     transcript = SessionTranscript(
-        scheme="single", S=S, N=N, K=1, seed=seed, demand=(d,),
+        S=S, N=N, K=1, seed=seed, demand=(d,),
         user_slots=(1,), base_set=None, rho=None, perms={1: dict(perms)},
-        records={1: records}, slots=slots,
-        emission=emission, H=S ** (N - 1),
+        records={1: _alg1_schedule(S, N, d)},
+        slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=d)}, H=S ** (N - 1),
     )
-    return bundle, transcript
-
-
-def replay_alg1(transcript: SessionTranscript) -> QueryBundle:
-    """Regenerate the bundle bit-identically from the recorded randomness."""
-    perms = transcript.perms[1]
-    records = transcript.records[1]
-    per_db, prov = [], []
-    for db0 in range(transcript.S):
-        row, prow = [], []
-        for _, local in transcript.emission[db0]:
-            rec = records[db0][local]
-            atoms = tuple(sorted(QueryAtom(f, 1, perms[f](p)) for f, p in rec.pos_map))
-            row.append(Query(atoms))
-            prow.append(Provenance(user=1, kind="alg1", index=local))
-        per_db.append(row)
-        prov.append(prow)
-    return QueryBundle(S=transcript.S, per_db=per_db, provenance=prov,
-                       slots=dict(transcript.slots))
+    return assemble_bundle(transcript, shuffle_rng), transcript
 
 
 def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,
@@ -158,7 +121,7 @@ def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,
     if (d,) != transcript.demand:
         raise DemandError(f"transcript was generated for demand {transcript.demand}")
     records = transcript.records[1]
-    index = transcript.answer_index()
+    index = bundle.answer_index()
     perm_d = transcript.perms[1][d]
     sub = transcript.S ** (transcript.N - 1)
     out = {}

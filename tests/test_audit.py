@@ -48,13 +48,12 @@ class TestCheckStructure:
             [[a(6), b(1)], [a(7), c(1)], [b(4), c(4)],
              [a(15), b(2), c(2)], [a(16), b(3), c(3)]],
         ]
-        from mupir.core import Provenance, Query, QueryBundle, QueryAtom, SlotInfo
+        from mupir.core import Query, QueryBundle, QueryAtom, SlotInfo
 
         per_db = [[Query(tuple(QueryAtom(*t) for t in q)) for q in db] for db in dbs]
-        prov = [[Provenance(user=1, kind="alg1", index=i) for i in range(len(db))]
-                for db in per_db]
+        emission = [[(1, i) for i in range(len(db))] for db in per_db]
         bundle = QueryBundle(
-            S=4, per_db=per_db, provenance=prov,
+            S=4, per_db=per_db, emission=emission,
             slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=1)},
         )
         report = check_structure(bundle, 4, 3)
@@ -66,7 +65,7 @@ class TestCheckStructure:
         _, art = run_mupir_session(3, 3, 3, 1, seed=0)
         bundle = art["bundle"]
         bundle.per_db[0].pop(0)
-        bundle.provenance[0].pop(0)
+        bundle.emission[0].pop(0)
         report = check_structure(bundle, 3, 3)
         assert not report.ok
 
@@ -132,6 +131,19 @@ class TestReplayVerification:
             else:
                 _, art = run_single_session(*args, 1, seed=8)
             assert verify_replay(art["bundle"], art["transcript"])
+
+    def test_replay_alone_rejects_every_mutation(self):
+        # without the structure audit: a dropped or duplicated query leaves
+        # a record emitted zero or two times, a swapped atom breaks a query
+        for run, args in [(run_mupir_session, (3, 3, 4, 1)), (run_single_session, (3, 3, 1))]:
+            _, art = run(*args, seed=11)
+            rng = random.Random(5)
+            ops = set()
+            for _ in range(150):
+                mutated, op = mutate_bundle(art["bundle"], rng, 9)
+                assert not verify_replay(mutated, art["transcript"]), op
+                ops.add(op)
+            assert ops == {"drop", "duplicate", "swap"}
 
     def test_replay_detects_tampering(self):
         _, art = run_mupir_session(2, 2, 2, 1, seed=8)

@@ -160,8 +160,8 @@ class TestDemands:
 
 def _bundle_of(queries_per_db):
     per_db = [[Query(tuple(QueryAtom(*a) for a in q)) for q in db] for db in queries_per_db]
-    prov = [[None] * len(db) for db in per_db]
-    return QueryBundle(S=len(per_db), per_db=per_db, provenance=prov)
+    emission = [[None] * len(db) for db in per_db]
+    return QueryBundle(S=len(per_db), per_db=per_db, emission=emission)
 
 
 class TestCanonicalForm:
@@ -185,7 +185,7 @@ class TestCanonicalForm:
         shuffled = QueryBundle(
             S=bundle.S,
             per_db=[sorted(db, key=lambda q: rng.random()) for db in bundle.per_db],
-            provenance=bundle.provenance,
+            emission=bundle.emission,
         )
         assert canonical_form(shuffled) == canonical_form(bundle)
 
@@ -197,7 +197,7 @@ class TestCanonicalForm:
 
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
         per_db = qset1(1, perms, 2, 3, 3)
-        bundle = QueryBundle(S=3, per_db=per_db, provenance=[[None] * len(d) for d in per_db])
+        bundle = QueryBundle(S=3, per_db=per_db, emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)
         sizes = sorted(len(q) for q in key[0])
         assert sizes == [1, 1, 1, 3, 3, 3, 3]

@@ -70,7 +70,7 @@ def test_target_fixed_only_by_sum_of_two_extra_rows():
 def _bundle(queries):
     """One database, one query per atom list over file i, subfile 1."""
     per_db = [[Query(tuple(QueryAtom(i, 1, x) for i, x in atoms)) for atoms in queries]]
-    return QueryBundle(S=1, per_db=per_db, provenance=[[None] * len(queries)])
+    return QueryBundle(S=1, per_db=per_db, emission=[[None] * len(queries)])
 
 
 def test_answer_system_solves_with_cache_rows():

@@ -61,8 +61,9 @@ class TestRunSession:
                                  "seed": 3, "demands": "2"})
         assert report["demand"] == [2]
         assert report["decode_ok"]
-        with pytest.raises(ConfigError):
-            run_session({"scheme": "single", "S": 4, "N": 3, "demands": "9"})
+        for demands in ("9", "2,3"):
+            with pytest.raises(ConfigError):
+                run_session({"scheme": "single", "S": 4, "N": 3, "demands": demands})
 
     def test_random_valid_demands(self):
         report, _ = run_session({
@@ -183,6 +184,8 @@ class TestCli:
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("scheme = mupir\nS = 2\nN = 2\nK = 2\ndemands = 1,1\n")
         assert main(["mupir", "--config", str(cfg)]) == 2
+        cfg.write_text("scheme = single\nS = 2\nN = 3\ndemands = 2,3\n")
+        assert main(["pir", "--config", str(cfg)]) == 2
 
     def test_oracle_guard_exit(self, capsys):
         rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",

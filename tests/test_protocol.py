@@ -187,7 +187,7 @@ class TestSwapRebalancing:
         bundle, tr = generate_alg2(S, N, K, demands, P, perms)
         assert check_structure(bundle, S, N).ok
         answers = answer_bundle(store, bundle)
-        syms = resolve_symbols(tr, answers)
+        syms = resolve_symbols(tr, bundle, answers)
         for u in (1, K):
             got = decode_user(u, tr, bundle, answers, caches[u], symbols=syms,
                               run_oracle=False)
@@ -266,9 +266,11 @@ class TestSessions:
     def test_replay_bit_identical(self):
         for demand in [(2, 1, 3), None]:
             report, art = _session(3, 3, 3, seed=5, demand=demand)
-            assert replay_bundle(art["transcript"]).per_db == art["bundle"].per_db
+            bundle = art["bundle"]
+            assert replay_bundle(art["transcript"], bundle.emission).per_db == bundle.per_db
         report, art = _session(2, 2, 4, seed=6)
-        assert replay_bundle(art["transcript"]).per_db == art["bundle"].per_db
+        bundle = art["bundle"]
+        assert replay_bundle(art["transcript"], bundle.emission).per_db == bundle.per_db
 
 
 class TestDecodeDetail:

@@ -13,7 +13,8 @@ from mupir.core import (
 )
 from mupir.errors import DemandError
 from mupir.params import phi, pir_rate
-from mupir.single_user import decode_single, generate_alg1, replay_alg1
+from mupir.protocol import replay_bundle
+from mupir.single_user import decode_single, generate_alg1
 
 
 def _random_perms(S, N, seed):
@@ -55,7 +56,7 @@ class TestGeneration:
         perms = _random_perms(3, 3, seed=9)
         rng = random.Random(11)
         bundle, transcript = generate_alg1(3, 3, perms, 2, shuffle_rng=rng)
-        assert replay_alg1(transcript).per_db == bundle.per_db
+        assert replay_bundle(transcript, bundle.emission).per_db == bundle.per_db
 
 
 class TestStructuralProperties:
