@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb, factorial
 
 from .core import (
@@ -29,6 +29,7 @@ from .protocol import (
     SessionTranscript,
     generate_alg2,
     generate_alg3,
+    materialize,
     replay_bundle,
 )
 from .single_user import generate_alg1
@@ -279,6 +280,45 @@ def _compare_distributions(dists, S):
     return True, None
 
 
+def _count_branch(generate, per_user, counters) -> int:
+    """Count one branch's assignments into the per-database key counters.
+
+    A branch fixes everything but the users' per-file permutations
+    (`per_user[c - 1]` lists user c's options), and a user's queries depend
+    only on its own permutations.  So each user's per-database canonical
+    lists are materialised once per option, and an assignment's key at a
+    database is the sorted union of its users' lists: the per-database
+    multiset `canonical_form` takes.  `generate(perms)` runs once, on the
+    first assignment, for its validation and its records; the bundle it
+    returns cross-checks that assignment's factored key.  Returns the
+    number of assignments counted.
+    """
+    first = {c: dict(enumerate(opts[0], start=1)) for c, opts in enumerate(per_user, start=1)}
+    bundle, transcript = generate(first)
+    views = []
+    for c, opts in enumerate(per_user, start=1):
+        records, subfiles = transcript.records[c], transcript.slots[c].subfiles
+        views.append([
+            [sorted(q.canonical() for q in queries)
+             for queries in materialize(records, dict(enumerate(opt, start=1)), subfiles)]
+            for opt in opts
+        ])
+    dbs = range(len(counters))
+    count = 0
+    for combo in product(*views):
+        key = tuple(tuple(sorted(chain.from_iterable(view[s] for view in combo)))
+                    for s in dbs)
+        if count == 0 and key != canonical_form(bundle):
+            raise RuntimeError(
+                f"factored oracle key differs from the generated bundle's "
+                f"(demand {transcript.demand}, slots {transcript.user_slots})"
+            )
+        for s in dbs:
+            counters[s][key[s]] += 1
+        count += 1
+    return count
+
+
 def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "single",
                                guard: int = 10_000_000) -> OracleReport:
     """Enumerate all admissible randomness and compare, per database, the
@@ -313,11 +353,10 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     free = _all_perms(sub)
     tails = _tail_perms(sub, H)
 
-    def perm_options(demand, constrained):
-        opts = []
-        for i in range(1, N + 1):
-            opts.append(tails if (constrained and i == demand) else free)
-        return opts
+    def perm_options(theta, c, constrained):
+        """Every per-file permutation tuple user c may draw."""
+        return list(product(*(tails if constrained and i == theta[c - 1] else free
+                              for i in range(1, N + 1))))
 
     if N == K:
         thetas = list(permutations(range(1, N + 1)))
@@ -329,22 +368,10 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         dists, total = {}, 0
         for theta in thetas:
             counters = [Counter() for _ in range(S)]
+            per_user = [perm_options(theta, c, True) for c in range(1, K + 1)]
             for P in permutations(range(1, K + 1)):
-                puser = Permutation(tuple(P))
-                per_user = [
-                    list(product(*perm_options(theta[c - 1], True)))
-                    for c in range(1, K + 1)
-                ]
-                for assign in product(*per_user):
-                    perms = {
-                        c: {i: assign[c - 1][i - 1] for i in range(1, N + 1)}
-                        for c in range(1, K + 1)
-                    }
-                    bundle, _ = generate_alg2(S, N, K, theta, puser, perms)
-                    key = canonical_form(bundle)
-                    for s in range(S):
-                        counters[s][key[s]] += 1
-                    total += 1
+                generate = partial(generate_alg2, S, N, K, theta, Permutation(P))
+                total += _count_branch(generate, per_user, counters)
             dists[theta] = counters
         equal, mismatch = _compare_distributions(dists, S)
         return OracleReport(equal=equal, scheme="mupir", assignments=total,
@@ -395,29 +422,15 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     for theta in thetas:
         counters = [Counter() for _ in range(S)]
         for bset in valid_bases(theta):
+            per_user = [perm_options(theta, c, c in bset) for c in range(1, K + 1)]
+            nonbase = [c for c in range(1, K + 1) if c not in bset]
+            rho_lists = [rho_options(theta, bset, c) for c in nonbase]
             for P in permutations(range(1, K + 1)):
-                puser = Permutation(tuple(P))
-                rho_lists = {
-                    c: rho_options(theta, bset, c)
-                    for c in range(1, K + 1) if c not in bset
-                }
-                nonbase = sorted(rho_lists)
-                per_user = [
-                    list(product(*perm_options(theta[c - 1], c in bset)))
-                    for c in range(1, K + 1)
-                ]
-                for rho_pick in product(*(rho_lists[c] for c in nonbase)):
+                puser = Permutation(P)
+                for rho_pick in product(*rho_lists):
                     rho = dict(zip(nonbase, rho_pick))
-                    for assign in product(*per_user):
-                        perms = {
-                            c: {i: assign[c - 1][i - 1] for i in range(1, N + 1)}
-                            for c in range(1, K + 1)
-                        }
-                        bundle, _ = generate_alg3(S, N, K, theta, puser, bset,
-                                                  rho, perms)
-                        key = canonical_form(bundle)
-                        for s in range(S):
-                            counters[s][key[s]] += 1
+                    generate = partial(generate_alg3, S, N, K, theta, puser, bset, rho)
+                    _count_branch(generate, per_user, counters)
         norm = sum(counters[0].values())
         dists[theta] = [
             Counter({k: Fraction(v, norm) for k, v in c.items()}) for c in counters

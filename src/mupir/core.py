@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import DemandError, InvalidDimensionError, LengthMismatchError
+from .errors import DemandError, InvalidDimensionError
 
 Block = int
 
@@ -24,7 +24,7 @@ def xor_combine(blocks: Iterable[Block]) -> Block:
     try:
         acc = next(it)
     except StopIteration:
-        raise LengthMismatchError("xor_combine needs at least one block") from None
+        raise InvalidDimensionError("xor_combine needs at least one block") from None
     for b in it:
         acc ^= b
     return acc
@@ -163,9 +163,9 @@ def validate_demands(demands, N: int, K: int) -> tuple:
     return demands
 
 
-@dataclass(frozen=True, order=True)
-class QueryAtom:
-    """One subsubfile reference W_{file,subfile}^subsub inside a query."""
+class QueryAtom(NamedTuple):
+    """One subsubfile reference W_{file,subfile}^subsub inside a query.  A
+    plain tuple underneath, so atoms sort, compare and hash as tuples."""
 
     file: int
     subfile: int
@@ -182,7 +182,7 @@ class Query:
         return len(self.atoms)
 
     def canonical(self) -> tuple:
-        return tuple(sorted((a.file, a.subfile, a.subsub) for a in self.atoms))
+        return tuple(sorted(self.atoms))
 
 
 @dataclass(frozen=True)

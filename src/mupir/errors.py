@@ -2,11 +2,8 @@
 
 
 class InvalidDimensionError(ValueError):
-    """Raised when store or scheme dimensions are out of range."""
-
-
-class LengthMismatchError(ValueError):
-    """Raised when an XOR of blocks is given no blocks."""
+    """Raised when store or scheme dimensions are out of range, or when an
+    XOR of blocks is given no blocks."""
 
 
 class RegimeError(ValueError):

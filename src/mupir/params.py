@@ -80,9 +80,10 @@ def q_value(S: int, N: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def h_value(S: int, N: int) -> int:
     """Subsubfiles of the demanded subfile recovered directly (the rest come
-    from the cache)."""
+    from the cache).  Memoised, so its range check runs once per (S, N)."""
     H = q_value(S, N) - (N - 1) * S ** (N - 1)
     assert 0 < H <= S ** (N - 1), (S, N, H)
     return H

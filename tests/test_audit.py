@@ -1,9 +1,13 @@
 """Audits: structure tables, mutation detection, distribution oracles."""
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
+from mupir import audit
 from mupir.audit import (
     check_structure,
     count_rate,
@@ -11,10 +15,77 @@ from mupir.audit import (
     mutate_bundle,
     verify_replay,
 )
-from mupir.core import Query, QueryAtom, identity_permutation
+from mupir.core import Permutation, Query, QueryAtom, canonical_form, identity_permutation
 from mupir.errors import TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
+from mupir.params import h_value
+from mupir.protocol import generate_alg2, generate_alg3
 from mupir.single_user import generate_alg1
+
+
+def reference_mupir_oracle(S, N, K):
+    """The unfactored exhaustive oracle: run the session generator and take
+    `canonical_form` for every assignment of every branch.  Returns
+    (equal, assignments, mismatch, distributions)."""
+    sub = S ** (N - 1)
+    H = h_value(S, N)
+    free = [Permutation(p) for p in permutations(range(1, sub + 1))]
+    tail = tuple(range(H + 1, sub + 1))
+    tails = [Permutation(h + tail) for h in permutations(range(1, H + 1))]
+    files = set(range(1, N + 1))
+    if N == K:
+        thetas = list(permutations(range(1, N + 1)))
+    else:
+        thetas = [t for t in product(range(1, N + 1), repeat=K) if set(t) == files]
+
+    def rho_options(theta, bset, c):
+        dc = theta[c - 1]
+        twin = next(b for b in bset if theta[b - 1] == dc)
+        rest_files = [i for i in range(1, N + 1) if i != dc]
+        opts = [dict([(dc, twin)] + list(zip(rest_files, perm)))
+                for perm in permutations([b for b in bset if b != twin])
+                if all(theta[b - 1] != i for i, b in zip(rest_files, perm))]
+        return opts or [{i: twin for i in range(1, N + 1)}]
+
+    dists, total = {}, 0
+    for theta in thetas:
+        counters = [Counter() for _ in range(S)]
+        bsets = [None] if N == K else [
+            b for b in combinations(range(1, K + 1), N) if {theta[u - 1] for u in b} == files
+        ]
+        for bset in bsets:
+            base = range(1, K + 1) if bset is None else bset
+            nonbase = [c for c in range(1, K + 1) if c not in base]
+            per_user = [
+                list(product(*(tails if c in base and i == theta[c - 1] else free
+                               for i in range(1, N + 1))))
+                for c in range(1, K + 1)
+            ]
+            for P in permutations(range(1, K + 1)):
+                puser = Permutation(P)
+                for rho_pick in product(*(rho_options(theta, bset, c) for c in nonbase)):
+                    rho = dict(zip(nonbase, rho_pick))
+                    for assign in product(*per_user):
+                        perms = {c: dict(enumerate(assign[c - 1], start=1))
+                                 for c in range(1, K + 1)}
+                        if bset is None:
+                            bundle, _ = generate_alg2(S, N, K, theta, puser, perms)
+                        else:
+                            bundle, _ = generate_alg3(S, N, K, theta, puser, bset, rho, perms)
+                        for counter, key in zip(counters, canonical_form(bundle)):
+                            counter[key] += 1
+                        total += 1
+        if N < K:
+            norm = sum(counters[0].values())
+            counters = [Counter({k: Fraction(v, norm) for k, v in c.items()})
+                        for c in counters]
+        dists[theta] = counters
+    mismatch = next(
+        (f"database {s + 1}: demand {thetas[0]} vs {d} differ"
+         for d in thetas[1:] for s in range(S) if dists[d][s] != dists[thetas[0]][s]),
+        None,
+    )
+    return mismatch is None, total, mismatch, dists
 
 
 class TestCheckStructure:
@@ -110,6 +181,45 @@ class TestDistributionOracle:
         report = demand_distribution_oracle(2, 2, K=2, scheme="mupir")
         assert report.equal
         assert report.assignments == 16
+
+    @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (2, 2, 3)])
+    def test_factored_oracle_matches_reference(self, S, N, K):
+        report = demand_distribution_oracle(S, N, K=K, scheme="mupir")
+        equal, assignments, mismatch, dists = reference_mupir_oracle(S, N, K)
+        assert report.equal == equal
+        assert report.assignments == assignments
+        assert report.mismatch == mismatch
+        assert report.distributions == dists
+        value_type = int if N == K else Fraction
+        assert all(type(v) is value_type for counters in report.distributions.values()
+                   for counter in counters for v in counter.values())
+
+    def test_mupir_two_two_three_leaks(self):
+        # N = 2 < K: non-base users pair both files with their demand twin
+        # (see README), which the per-database distributions reveal
+        report = demand_distribution_oracle(2, 2, K=3, scheme="mupir")
+        assert report.equal is False
+        assert report.assignments == 1152
+        assert report.mismatch == "database 1: demand (1, 1, 2) vs (1, 2, 2) differ"
+
+    @pytest.mark.parametrize("S,N,K,name", [(2, 2, 2, "generate_alg2"),
+                                            (2, 2, 3, "generate_alg3")])
+    def test_branch_cross_check_catches_a_diverging_generator(self, monkeypatch,
+                                                              S, N, K, name):
+        # a generator whose bundle is not what its records materialise to
+        # makes the factored key disagree with canonical_form on the first
+        # assignment of a branch
+        real = getattr(audit, name)
+
+        def drop_first_query(*args, **kwargs):
+            bundle, transcript = real(*args, **kwargs)
+            bundle.per_db[0].pop(0)
+            bundle.emission[0].pop(0)
+            return bundle, transcript
+
+        monkeypatch.setattr(audit, name, drop_first_query)
+        with pytest.raises(RuntimeError, match="factored oracle key"):
+            demand_distribution_oracle(S, N, K=K, scheme="mupir")
 
     def test_guard_trips(self):
         with pytest.raises(TooLargeInstanceError):

@@ -18,7 +18,7 @@ from mupir.core import (
     validate_demands,
     xor_combine,
 )
-from mupir.errors import DemandError, InvalidDimensionError, LengthMismatchError
+from mupir.errors import DemandError, InvalidDimensionError
 
 blocks = st.integers(min_value=0, max_value=2 ** 128 - 1)  # up to 16 bytes
 
@@ -43,7 +43,7 @@ def test_xor_order_independent(bs, rnd):
 
 
 def test_xor_errors():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InvalidDimensionError):
         xor_combine([])
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mupir.cli import main
+from mupir.cli import EXIT_AUDIT, main
 from mupir.errors import ConfigError
 from mupir.harness import (
     dec,
@@ -160,6 +160,15 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["equal"] is True
+
+    def test_audit_distribution_leak_exit(self, capsys):
+        rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",
+                   "-S", "2", "-N", "2", "-K", "3"])
+        assert rc == EXIT_AUDIT
+        out = json.loads(capsys.readouterr().out)
+        assert out["equal"] is False
+        assert out["assignments"] == 1152
+        assert out["mismatch"] == "database 1: demand (1, 1, 2) vs (1, 2, 2) differ"
 
     def test_audit_structure(self, capsys):
         rc = main(["audit", "--mode", "structure", "--scheme", "mupir",

@@ -132,6 +132,15 @@ class TestQHM:
             for N in range(2, 7):
                 assert 0 < h_value(S, N) <= S ** (N - 1)
 
+    def test_h_memo_matches_uncached_grid(self):
+        # h_value is memoised; compute every (S, N) past the memo, which
+        # also runs its range check, and compare with the cached value
+        for S in range(2, 9):
+            for N in range(2, 9):
+                H = h_value.__wrapped__(S, N)
+                assert H == q_value(S, N) - (N - 1) * S ** (N - 1)
+                assert h_value(S, N) == H
+
     def test_cache_fraction_examples(self):
         assert cache_fraction(3, 3, 3) == Fraction(4, 27)
         assert cache_fraction(3, 3, 5) == Fraction(4, 45)
