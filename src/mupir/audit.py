@@ -31,6 +31,7 @@ from .protocol import (
     generate_alg3,
     materialize,
     replay_bundle,
+    rho_options,
 )
 from .single_user import generate_alg1
 
@@ -70,36 +71,48 @@ def _slot_queries(bundle: QueryBundle):
     return by_user
 
 
-def _peel_closure(sym_sets):
-    """Fixpoint of: a query with exactly one unknown reference resolves it."""
-    exposed = set()
-    pending = [set(s) for s in sym_sets]
+def _peel_closure(sums):
+    """References resolvable from the sums, (db, frozenset of references).
+
+    Source rule, applied once: a sum resolves a reference whose removal
+    leaves a sum sent whole by another database.  Then, to a fixpoint: a
+    sum with exactly one unknown reference resolves it.  Returns (exposed,
+    the unknown references of each sum left unresolved).
+    """
+    sent = {}  # sum -> the database sending it, or -1 when several do
+    for db, refs in sums:
+        sent[refs] = db if sent.get(refs, db) == db else -1
+    exposed = {r for db, refs in sums for r in refs if sent.get(refs - {r}, db) != db}
+    pending = [refs for _, refs in sums]
     changed = True
     while changed:
         changed = False
-        for syms in pending:
-            unknown = syms - exposed
+        rest = []
+        for unknown in pending:
+            unknown = unknown - exposed
             if len(unknown) == 1:
-                exposed.add(unknown.pop())
+                exposed |= unknown
                 changed = True
-    unresolved = sum(1 for syms in pending if syms - exposed)
-    return exposed, unresolved
+            elif unknown:
+                rest.append(unknown)
+        pending = rest
+    return exposed, pending
 
 
 def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
     """Per database: every reference (file, subsub) touches exactly its
     block's subfile slots, no sum repeats a file, and each k-subset type and
     each file occur as often as `reps` prescribes.  Returns each query's
-    set of references."""
+    (database, frozenset of references)."""
     want_slots = {i: sorted(info.subfiles(i)) for i in range(1, N + 1)}
     types = Counter()
-    sym_sets = []
+    sums = []
     for db0, queries in enumerate(per_db):
         per_file = Counter()
         for q in queries:
             groups = {}
-            for a in q.atoms:
-                groups.setdefault((a.file, a.subsub), []).append(a.subfile)
+            for f, j, x in q.atoms:
+                groups.setdefault((f, x), []).append(j)
             for (f, _), subfiles in groups.items():
                 if sorted(subfiles) != want_slots.get(f):
                     failures.append(
@@ -111,7 +124,7 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
                 failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
             per_file.update(files)
             types[(db0 + 1, tuple(sorted(set(files))))] += 1
-            sym_sets.append(set(groups))
+            sums.append((db0, frozenset(groups)))
         for i in range(1, N + 1):
             want = sum(comb(N - 1, k - 1) * reps(db0 + 1, k) for k in range(1, N + 1))
             refs[(user, db0 + 1, i)] = per_file[i]
@@ -132,54 +145,42 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
                     )
     for key in types:
         failures.append(f"user {user}: unexpected sum type at {key}")
-    return sym_sets
+    return sums
 
 
-def _check_alg1_sources(per_db, d, S, N, failures):
-    """Single-user peeling: no reference repeats within a database, each
-    demand sum's rest is sent whole by another database, and every demand
-    subsubfile is resolved exactly once."""
-    canon_by_db = [{q.canonical() for q in queries} for queries in per_db]
-    demand_subs = Counter()
-    for db0, queries in enumerate(per_db):
-        seen = set()
-        for q in queries:
-            for a in q.atoms:
-                if a in seen:
-                    failures.append(f"db {db0 + 1}: reference {a} appears twice")
-                seen.add(a)
-            dem = [a for a in q.atoms if a.file == d]
-            if len(dem) > 1:
-                failures.append(f"db {db0 + 1}: sum with two demand references")
-                continue
-            if dem:
-                demand_subs[dem[0].subsub] += 1
-                rest = tuple(sorted((a.file, a.subfile, a.subsub)
-                                    for a in q.atoms if a.file != d))
-                if rest and not any(rest in canon_by_db[o]
-                                    for o in range(S) if o != db0):
-                    failures.append(
-                        f"db {db0 + 1}: demand sum has no matching source elsewhere: {rest}"
-                    )
-    if N == 1:
-        return
-    if demand_subs != Counter({x: 1 for x in range(1, S ** (N - 1) + 1)}):
-        failures.append("demand subsubfile coverage is not one-of-each")
+def _check_no_repeats(user, sums, failures):
+    """Single-user privacy: no reference repeats within a database."""
+    by_db = {}
+    for db0, refs in sums:
+        by_db.setdefault(db0, []).extend(refs)
+    for db0, refs in sorted(by_db.items()):
+        failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
+                        for r, n in Counter(refs).items() if n > 1)
 
 
-def _check_peel_exposure(user, sym_sets, S, N, demand, failures):
-    """Multi-user peeling: every sum resolves by one-unknown steps, exposing
-    every subsubfile of each file except `demand` (a qset1 block's demanded
-    file, or None), of which only the first H are exposed."""
-    exposed, unresolved = _peel_closure(sym_sets)
+def _wanted_exposure(info, S, N) -> dict:
+    """file -> subsubfiles a block's peeling must expose: every subsubfile
+    of the demand for alg1, every one but the demand's tail (past H) for
+    qset1, every one of every file for qset2."""
+    sub = S ** (N - 1)
+    if info.kind == "alg1":
+        return {info.demand: set(range(1, sub + 1))}
+    return {i: set(range(1, (h_value(S, N) if i == info.demand else sub) + 1))
+            for i in range(1, N + 1)}
+
+
+def _check_peel_exposure(user, sums, want, failures):
+    """Peeling: every sum with a reference to a file of `want` resolves it,
+    and each such file exposes exactly its wanted subsubfiles."""
+    exposed, unknowns = _peel_closure(sums)
+    unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
     if unresolved:
         failures.append(f"user {user}: {unresolved} sums cannot be peeled")
-    for i in range(1, N + 1):
+    for i, wanted in sorted(want.items()):
         got = {x for (f, x) in exposed if f == i}
-        want = set(range(1, (h_value(S, N) if i == demand else S ** (N - 1)) + 1))
-        if got != want:
+        if got != wanted:
             failures.append(
-                f"user {user}: file {i} exposes {sorted(got)}, expected {sorted(want)}"
+                f"user {user}: file {i} exposes {sorted(got)}, expected {sorted(wanted)}"
             )
 
 
@@ -194,11 +195,10 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
         reps = partial(_REPS[kind], S, N)
-        sym_sets = _check_counts(user, per_db, info, S, N, reps, failures, tables, refs)
+        sums = _check_counts(user, per_db, info, S, N, reps, failures, tables, refs)
         if kind == "alg1":
-            _check_alg1_sources(per_db, info.demand, S, N, failures)
-        else:
-            _check_peel_exposure(user, sym_sets, S, N, info.demand, failures)
+            _check_no_repeats(user, sums, failures)
+        _check_peel_exposure(user, sums, _wanted_exposure(info, S, N), failures)
     return AuditReport(
         ok=not failures,
         failures=failures,
@@ -387,21 +387,6 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             if {theta[b - 1] for b in bset} == set(range(1, N + 1)):
                 out.append(bset)
         return out
-
-    def rho_options(theta, bset, c):
-        dc = theta[c - 1]
-        twin = next(b for b in bset if theta[b - 1] == dc)
-        rest_files = [i for i in range(1, N + 1) if i != dc]
-        rest_users = [b for b in bset if b != twin]
-        opts = []
-        for perm in permutations(rest_users):
-            if all(theta[b - 1] != i for i, b in zip(rest_files, perm)):
-                rho = {dc: twin}
-                rho.update(dict(zip(rest_files, perm)))
-                opts.append(rho)
-        if not opts:
-            opts = [{i: twin for i in range(1, N + 1)}]
-        return opts
 
     # exact count before enumerating
     total_assignments = 0

@@ -15,7 +15,9 @@ enumeration cheap and exactly reproducible.  Every generator block, the
 single-user one (alg1) included, is a schedule of records with `refs`
 ((file, position) pairs); one `materialize` turns records into queries, and
 one `replay_bundle` interleaves the blocks per database in a given emission
-order, which `assemble_bundle` draws at generation time.
+order, which `assemble_bundle` draws at generation time.  One
+`resolve_symbols` peels every block: a record's fresh reference is its answer
+XOR its known old picks XOR its source's answer, when it has a source.
 """
 from __future__ import annotations
 
@@ -53,8 +55,9 @@ class SlotQuery:
 
     Positions refer to the (secret) per-file permutations; `fresh_pos` is a
     position never used before for `fresh_file`, `old_picks` are positions
-    already exposed in earlier rounds.  Schedules are cached and shared
-    across sessions, hence frozen.
+    already exposed in earlier rounds, so the fresh reference is the answer
+    XOR the old picks.  Schedules are cached and shared across sessions,
+    hence frozen.
     """
 
     db: int
@@ -63,6 +66,7 @@ class SlotQuery:
     fresh_file: int
     fresh_pos: int
     old_picks: tuple
+    source = None  # no answer of another query is consumed
 
     @property
     def refs(self) -> tuple:
@@ -346,17 +350,31 @@ def placement(store: FileStore, P: Permutation):
     return broadcast, caches
 
 
+def rho_options(demands, base, c) -> list:
+    """Every file-to-base-user alignment non-base user c may draw, in
+    permutation order: its demanded file pairs with the base user demanding
+    it (its twin), every other file with a base user not demanding that file.
+
+    For N >= 3 such an alignment always exists.  For N = 2 none does, so the
+    one option aligns both files with the twin; this keeps every user
+    decodable at the cost of revealing which base slot the twin occupies.
+    """
+    N = len(base)
+    dc = demands[c - 1]
+    twin = next(b for b in base if demands[b - 1] == dc)
+    rest_files = [i for i in range(1, N + 1) if i != dc]
+    options = [dict([(dc, twin)] + list(zip(rest_files, perm)))
+               for perm in permutations([b for b in base if b != twin])
+               if all(demands[b - 1] != i for i, b in zip(rest_files, perm))]
+    if not options:
+        assert N == 2  # derangement of one element cannot exist
+        options = [{i: twin for i in range(1, N + 1)}]
+    return options
+
+
 def choose_base_and_rho(demands, N: int, K: int, rng: random.Random):
     """Pick the base set (lowest-index user per file) and, for every other
-    user, a file-to-base-user alignment matching demands only on the user's
-    own demanded file.
-
-    For N >= 3 the alignment avoiding every other demand match always exists
-    and is sampled uniformly among the valid options.  For N = 2 no such
-    alignment exists, so both files align with the user's demand twin; this
-    keeps every user decodable at the cost of revealing which base slot the
-    twin occupies.
-    """
+    user, an alignment drawn uniformly from its `rho_options`."""
     demands = validate_demands(demands, N, K)
     if N >= K:
         raise RegimeError(f"base set only applies to N<K, got N={N}, K={K}")
@@ -368,21 +386,8 @@ def choose_base_and_rho(demands, N: int, K: int, rng: random.Random):
     for c in range(1, K + 1):
         if c in base:
             continue
-        dc = demands[c - 1]
-        rest_files = [i for i in range(1, N + 1) if i != dc]
-        rest_users = [b for b in base if b != twin[dc]]
-        options = []
-        for perm in permutations(rest_users):
-            if all(demands[b - 1] != i for i, b in zip(rest_files, perm)):
-                options.append(perm)
-        if options:
-            pick = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
-            assignment = {dc: twin[dc]}
-            assignment.update(dict(zip(rest_files, pick)))
-        else:
-            assert N == 2  # derangement of one element cannot exist
-            assignment = {i: twin[dc] for i in range(1, N + 1)}
-        rho[c] = assignment
+        options = rho_options(demands, base, c)
+        rho[c] = options[rng.randrange(len(options))] if len(options) > 1 else options[0]
     return base, rho
 
 
@@ -392,9 +397,9 @@ class SessionTranscript:
 
     Replaying with the recorded randomness, in a bundle's emission order,
     regenerates that bundle bit-identically; the per-slot records double as
-    the decode plan (each query names the reference it freshly resolves and
-    the already-known ones it reuses).  A single-user session is one alg1
-    block of user 1 with K = 1.
+    the decode plan (each query names the reference it freshly resolves, and
+    the already-known ones or the source query it consumes).  A single-user
+    session is one alg1 block of user 1 with K = 1.
     """
 
     S: int
@@ -508,46 +513,57 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
 def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:
     """Peel every per-slot reference value out of the answer blocks.
 
-    Keys: ("w", file, subfile, x) for direct subsubfile values exposed by
-    qset1 blocks, ("om", user, file, x) for paired-difference values.
+    Every record with a fresh reference resolves it as its answer XOR its
+    known old picks XOR its source's answer (alg1 records pick no old
+    references, qset1/qset2 records have no source).  Keys: ("w", file,
+    subfile, x) for direct subsubfile values exposed by alg1 and qset1
+    blocks, ("om", user, file, x) for paired-difference values of qset2.
     """
     index = bundle.answer_index()
     values = {}
 
     def sym_for(user, info, file, pos):
         x = transcript.perms[user][file](pos)
-        if info.kind == "qset1":
+        if info.omega_pairs is None:
             return ("w", file, info.subfile, x)
         return ("om", user, file, x)
 
-    for k in range(1, transcript.N + 1):
-        for user in sorted(transcript.records):
-            info = transcript.slots[user]
-            for db0, db_list in enumerate(transcript.records[user]):
-                for local, rec in enumerate(db_list):
-                    if rec.k != k:
-                        continue
-                    dbi, pos = index[(user, db0, local)]
-                    acc = answers[dbi][pos]
-                    try:
-                        for u, p in rec.old_picks:
-                            acc ^= values[sym_for(user, info, u, p)]
-                    except KeyError as exc:
-                        raise UnresolvablePlanError(
-                            f"old reference {exc} not resolved before use"
-                        ) from exc
-                    key = sym_for(user, info, rec.fresh_file, rec.fresh_pos)
-                    assert key not in values, key
-                    values[key] = acc
+    work = [(user, db0, local, rec)
+            for user in sorted(transcript.records)
+            for db0, db_list in enumerate(transcript.records[user])
+            for local, rec in enumerate(db_list) if rec.fresh_file is not None]
+    work.sort(key=lambda w: w[3].k)  # old picks were exposed in earlier rounds
+    for user, db0, local, rec in work:
+        info = transcript.slots[user]
+        dbi, pos = index[(user, db0, local)]
+        acc = answers[dbi][pos]
+        if rec.source is not None:
+            sdb, sidx = rec.source
+            sdbi, spos = index[(user, sdb - 1, sidx)]
+            acc ^= answers[sdbi][spos]
+        try:
+            for u, p in rec.old_picks:
+                acc ^= values[sym_for(user, info, u, p)]
+        except KeyError as exc:
+            raise UnresolvablePlanError(
+                f"old reference {exc} not resolved before use"
+            ) from exc
+        key = sym_for(user, info, rec.fresh_file, rec.fresh_pos)
+        if key in values:
+            raise UnresolvablePlanError(f"reference {key} resolved twice")
+        values[key] = acc
     return values
 
 
 def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answers,
-                cache: CacheContent, symbols=None, run_oracle=True, system=None) -> dict:
+                cache: Optional[CacheContent], symbols=None, run_oracle=True,
+                system=None) -> dict:
     """Recover every subsubfile of the user's demanded file.
 
     Returns {(subfile j, x): block}.  A GF(2) solver over (answers + this
     user's cache lines) independently re-derives every block and must agree.
+    `cache` None means no cache lines, as in a single-user session, where
+    K = 1 and H = S^(N-1) leave only step 1: take the demand's symbols.
     `system` is the session's AnswerSystem, shared by all users so that the
     answers are reduced once; one is made here when none is given.
     """
@@ -559,6 +575,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     d = transcript.demand[user - 1]
     slot_of = {u: transcript.user_slots[u - 1] for u in range(1, K + 1)}
     base = transcript.base_set if transcript.base_set is not None else tuple(range(1, K + 1))
+    lines = {} if cache is None else cache.lines
     out = {}
     try:
         # 1. slots generated with qset1: full non-demand exposure, H for demand
@@ -582,7 +599,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
                     own_rest[(i, tt)] = (symbols[("om", user, i, tt)]
                                          ^ symbols[("w", i, ref, tt)])
         for tt in range(H + 1, sub + 1):
-            acc = cache.lines[tt]
+            acc = lines[tt]
             for i in range(1, N + 1):
                 if i != d:
                     acc ^= own_rest[(i, tt)]
@@ -611,7 +628,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
             system = AnswerSystem(bundle, answers, K, sub)
         targets = [(d, j, x) for j in range(1, K + 1) for x in range(1, sub + 1)]
         cache_rows = []
-        for tt, line in cache.lines.items():
+        for tt, line in lines.items():
             mask = 0
             for i in range(1, N + 1):
                 mask |= 1 << system.column(i, cache.subfile, tt)

@@ -6,9 +6,9 @@ one singleton per file; afterwards each database turns every demand-free
 demand reference, then pads with fresh demand-free k-sums until every
 k-subset of files appears its prescribed number of times.  Decoding peels:
 each demand-bearing query differs from an already-answered query by exactly
-one reference.  The session is one generator block (kind "alg1") of user 1,
-materialised, assembled and replayed by the same code as the multi-user
-blocks in `protocol`.
+one reference: its answer XOR its `source` answer.  The session is one
+generator block (kind "alg1") of user 1, materialised, assembled, replayed,
+decoded and audited by the same code as the multi-user blocks in `protocol`.
 """
 from __future__ import annotations
 
@@ -19,23 +19,27 @@ from itertools import combinations
 from typing import Optional
 
 from .core import QueryBundle, SlotInfo
-from .errors import DemandError, UnresolvablePlanError
-from .gf2 import AnswerSystem
+from .errors import DemandError
 from .params import phi
-from .protocol import SessionTranscript, assemble_bundle
+from .protocol import SessionTranscript, assemble_bundle, decode_user
 
 
 @dataclass(frozen=True)
 class PirQuery:
     """One scheduled query: file -> permutation position, plus peel linkage.
-    Schedules are cached and shared across sessions, hence frozen."""
+
+    A demand-bearing record resolves (fresh_file, fresh_pos) as its answer
+    XOR its `source` answer, when it has a source; other records resolve
+    nothing.  Schedules are cached and shared across sessions, hence frozen.
+    """
 
     db: int
     k: int
-    kind: str          # "seed" | "peel" | "fill"
     refs: tuple        # ((file, pos), ...) sorted by file
     source: Optional[tuple]  # (db, index) of the consumed smaller query
+    fresh_file: Optional[int]  # the demand, or None for non-demand seeds and fills
     fresh_pos: Optional[int]  # demand position resolved by this query
+    old_picks = ()     # no reference is reused within a database
 
     @property
     def files(self) -> tuple:
@@ -49,17 +53,12 @@ def _alg1_schedule(S: int, N: int, d: int):
     if not 1 <= d <= N:
         raise DemandError(f"demand {d} outside [1,{N}]")
     per_db = [[] for _ in range(S)]
-    if N == 1:
-        per_db[0].append(
-            PirQuery(db=1, k=1, kind="seed", refs=((1, 1),), source=None, fresh_pos=1)
-        )
-        return tuple(tuple(db) for db in per_db)
     t = [0] * (N + 1)
     for i in range(1, N + 1):
         t[i] = 1
         per_db[0].append(
-            PirQuery(db=1, k=1, kind="seed", refs=((i, 1),), source=None,
-                     fresh_pos=1 if i == d else None)
+            PirQuery(db=1, k=1, refs=((i, 1),), source=None,
+                     fresh_file=d if i == d else None, fresh_pos=1 if i == d else None)
         )
     for k in range(2, N + 1):
         for j in range(1, S + 1):
@@ -73,9 +72,8 @@ def _alg1_schedule(S: int, N: int, d: int):
                         continue
                     t[d] += 1
                     per_db[j - 1].append(
-                        PirQuery(db=j, k=k, kind="peel",
-                                 refs=tuple(sorted(rec.refs + ((d, t[d]),))),
-                                 source=(i, idx), fresh_pos=t[d])
+                        PirQuery(db=j, k=k, refs=tuple(sorted(rec.refs + ((d, t[d]),))),
+                                 source=(i, idx), fresh_file=d, fresh_pos=t[d])
                     )
                     consumed = True
             if consumed:
@@ -86,8 +84,8 @@ def _alg1_schedule(S: int, N: int, d: int):
                             t[u] += 1
                             refs.append((u, t[u]))
                         per_db[j - 1].append(
-                            PirQuery(db=j, k=k, kind="fill", refs=tuple(refs),
-                                     source=None, fresh_pos=None)
+                            PirQuery(db=j, k=k, refs=tuple(refs), source=None,
+                                     fresh_file=None, fresh_pos=None)
                         )
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
     return tuple(tuple(db) for db in per_db)
@@ -114,40 +112,11 @@ def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,
                   d: int) -> dict:
     """Recover all S^(N-1) subsubfiles of file d from the answer blocks.
 
-    Peels demand references out of the answers, then re-derives every block
-    with a GF(2) solver over the same answers (the equations are read from
-    `bundle`, the session's emitted queries) and checks agreement.
+    The session is one K = 1 block with H = S^(N-1), so `decode_user` with
+    no cache lines peels it and cross-checks every block with the GF(2)
+    oracle.  Returns {x: block}.
     """
     if (d,) != transcript.demand:
         raise DemandError(f"transcript was generated for demand {transcript.demand}")
-    records = transcript.records[1]
-    index = bundle.answer_index()
-    perm_d = transcript.perms[1][d]
-    sub = transcript.S ** (transcript.N - 1)
-    out = {}
-    for db0, db_list in enumerate(records):
-        for local, rec in enumerate(db_list):
-            if rec.fresh_pos is None:
-                continue
-            dbi, pos = index[(1, db0, local)]
-            val = answers[dbi][pos]
-            if rec.source is not None:
-                sdb, sidx = rec.source
-                sdbi, spos = index[(1, sdb - 1, sidx)]
-                val ^= answers[sdbi][spos]
-            x = perm_d(rec.fresh_pos)
-            if x in out:
-                raise UnresolvablePlanError(f"subsubfile {x} resolved twice")
-            out[x] = val
-    if set(out) != set(range(1, sub + 1)):
-        raise UnresolvablePlanError(
-            f"plan resolved {len(out)} of {sub} subsubfiles of the demand"
-        )
-    # independent oracle: one GF(2) solve of the same answers
-    system = AnswerSystem(bundle, answers, K=1, sub=sub)
-    for (_, _, x), val in system.solve([(d, 1, x) for x in range(1, sub + 1)]):
-        if val != out[x]:
-            raise UnresolvablePlanError(
-                f"GF(2) oracle disagrees with peeling at subsubfile {x}"
-            )
-    return out
+    return {x: block for (_, x), block in
+            decode_user(1, transcript, bundle, answers, None).items()}

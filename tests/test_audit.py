@@ -151,6 +151,16 @@ class TestCheckStructure:
             replay_ok = verify_replay(mutated, tr)
             assert not (structure_ok and replay_ok), op
 
+    @pytest.mark.parametrize("S,N", [(3, 3), (2, 3), (4, 3), (3, 4)])
+    def test_structure_alone_rejects_every_single_user_mutation(self, S, N):
+        # no replay check: a drop or duplicate breaks the counts, a swapped
+        # atom leaves some demand subsubfile unexposed by peeling
+        _, art = run_single_session(S, N, 1, seed=11)
+        rng = random.Random(11)
+        for _ in range(300):
+            mutated, op = mutate_bundle(art["bundle"], rng, S ** (N - 1))
+            assert not check_structure(mutated, S, N).ok, op
+
     def test_drop_and_duplicate_always_fail_structure(self):
         _, art = run_mupir_session(2, 2, 3, 1, seed=4)
         bundle = art["bundle"]

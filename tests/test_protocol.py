@@ -18,7 +18,7 @@ from mupir.errors import (
     UnresolvablePlanError,
 )
 from mupir.gf2 import AnswerSystem
-from mupir.harness import run_mupir_session
+from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
     OmegaSpec,
@@ -31,6 +31,7 @@ from mupir.protocol import (
     qset1,
     qset2,
     replay_bundle,
+    resolve_symbols,
 )
 
 
@@ -344,6 +345,17 @@ class TestDecodeDetail:
         assert out[(tr.user_slots[1], 1)] == symbols[key]
         with pytest.raises(UnresolvablePlanError, match="disagree"):
             decode_user(1, tr, bundle, answers, cache, symbols=symbols)
+        # the same for a single-user session, decoded with no cache lines
+        _, art = run_single_session(3, 3, 4, seed=42)
+        tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
+        symbols = resolve_symbols(tr, bundle, answers)
+        key = ("w", tr.demand[0], 1, 1)
+        symbols[key] ^= 0xFFFFFFFF
+        out = decode_user(1, tr, bundle, answers, None, symbols=symbols,
+                          run_oracle=False)
+        assert out[(1, 1)] == symbols[key]
+        with pytest.raises(UnresolvablePlanError, match="disagree"):
+            decode_user(1, tr, bundle, answers, None, symbols=symbols)
 
     def test_shared_system_gives_same_output(self):
         for args in [(3, 3, 5, 7), (2, 3, 3, 2)]:

@@ -11,9 +11,9 @@ from mupir.core import (
     identity_permutation,
     sample_permutation,
 )
-from mupir.errors import DemandError
+from mupir.errors import DemandError, UnresolvablePlanError
 from mupir.params import phi, pir_rate
-from mupir.protocol import replay_bundle
+from mupir.protocol import assemble_bundle, replay_bundle, resolve_symbols
 from mupir.single_user import decode_single, generate_alg1
 
 
@@ -131,6 +131,19 @@ class TestDecoding:
         out = decode_single(transcript, bundle, answers, 1)
         mismatch = any(out[x] != store.block(1, 1, x) for x in range(1, 10))
         assert mismatch
+
+    def test_reference_resolved_twice_raises(self):
+        # database 1 lists the demand seed twice: an error, not an assert
+        _, tr = generate_alg1(2, 3, _random_perms(2, 3, seed=4), 2)
+        db1 = tr.records[1][0]
+        seed = next(rec for rec in db1 if rec.fresh_file is not None)
+        tr.records = {1: (db1 + (seed,),) + tr.records[1][1:]}
+        bundle = assemble_bundle(tr)
+        answers = answer_bundle(build_file_store(3, 1, 2, 1, seed=0), bundle)
+        with pytest.raises(UnresolvablePlanError, match="resolved twice"):
+            resolve_symbols(tr, bundle, answers)
+        with pytest.raises(UnresolvablePlanError, match="resolved twice"):
+            decode_single(tr, bundle, answers, 2)
 
     def test_answer_linearity(self):
         # answers to {a}, {b}, and {a+b} XOR to zero
