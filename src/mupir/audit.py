@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations, product
-from math import comb, factorial
+from math import factorial, prod
 
 from .core import (
     Permutation,
@@ -23,7 +23,7 @@ from .core import (
     QueryBundle,
     canonical_form,
 )
-from .errors import TooLargeInstanceError
+from .errors import RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
 from .protocol import (
     SessionTranscript,
@@ -43,8 +43,6 @@ class AuditReport:
     ok: bool
     failures: list
     type_tables: dict      # (user, db, fileset) -> count
-    file_refs: dict        # (user, db, file) -> reference count
-    total_queries: int
     per_db_counts: tuple
 
 
@@ -53,8 +51,7 @@ def count_rate(bundle: QueryBundle, S: int, N: int, K: int) -> Fraction:
     return Fraction(bundle.total_queries(), K * S ** (N - 1))
 
 
-# Copies of each k-subset type at database s, per generator kind.  File i
-# is then referenced sum_k C(N-1, k-1) * reps(s, k) times at database s.
+# Copies of each k-subset type at database s, per generator kind.
 _REPS = {
     "alg1": lambda S, N, s, k: phi(s, S, k),
     "qset1": lambda S, N, s, k: psi(s, S, N, k),
@@ -99,16 +96,16 @@ def _peel_closure(sums):
     return exposed, pending
 
 
-def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
+def _check_counts(user, per_db, info, S, N, reps, failures, tables):
     """Per database: every reference (file, subsub) touches exactly its
-    block's subfile slots, no sum repeats a file, and each k-subset type and
-    each file occur as often as `reps` prescribes.  Returns each query's
-    (database, frozenset of references)."""
+    block's subfile slots, no sum repeats a file, and each k-subset type
+    occurs as often as `reps` prescribes, with no other type.  So each file
+    is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  Returns each
+    query's (database, frozenset of references)."""
     want_slots = {i: sorted(info.subfiles(i)) for i in range(1, N + 1)}
     types = Counter()
     sums = []
     for db0, queries in enumerate(per_db):
-        per_file = Counter()
         for q in queries:
             groups = {}
             for f, j, x in q.atoms:
@@ -122,17 +119,8 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables, refs):
             files = [f for f, _ in groups]
             if len(set(files)) != len(files):
                 failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
-            per_file.update(files)
             types[(db0 + 1, tuple(sorted(set(files))))] += 1
             sums.append((db0, frozenset(groups)))
-        for i in range(1, N + 1):
-            want = sum(comb(N - 1, k - 1) * reps(db0 + 1, k) for k in range(1, N + 1))
-            refs[(user, db0 + 1, i)] = per_file[i]
-            if per_file[i] != want:
-                failures.append(
-                    f"user {user} db {db0 + 1}: file {i} referenced "
-                    f"{per_file[i]} times, expected {want}"
-                )
     for k in range(1, N + 1):
         for s in range(1, S + 1):
             for fileset in combinations(range(1, N + 1), k):
@@ -187,7 +175,7 @@ def _check_peel_exposure(user, sums, want, failures):
 def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
     """Verify repetition tables, no-repeat/pairing rules and peelability,
     each generator block against the tables for its own kind."""
-    failures, tables, refs = [], {}, {}
+    failures, tables = [], {}
     for user, per_db in sorted(_slot_queries(bundle).items()):
         info = bundle.slots.get(user)
         kind = info.kind if info else None
@@ -195,7 +183,7 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
         reps = partial(_REPS[kind], S, N)
-        sums = _check_counts(user, per_db, info, S, N, reps, failures, tables, refs)
+        sums = _check_counts(user, per_db, info, S, N, reps, failures, tables)
         if kind == "alg1":
             _check_no_repeats(user, sums, failures)
         _check_peel_exposure(user, sums, _wanted_exposure(info, S, N), failures)
@@ -203,8 +191,6 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
         ok=not failures,
         failures=failures,
         type_tables=tables,
-        file_refs=refs,
-        total_queries=bundle.total_queries(),
         per_db_counts=bundle.counts(),
     )
 
@@ -261,13 +247,10 @@ class OracleReport:
     distributions: dict = field(default_factory=dict)  # demand -> per-db Counter
 
 
-def _all_perms(n):
-    return [Permutation(p) for p in permutations(range(1, n + 1))]
-
-
-def _tail_perms(n, H):
+def _perms(n, H):
+    """Every permutation of [n] fixing positions H+1..n (all of them when H = n)."""
     tail = tuple(range(H + 1, n + 1))
-    return [Permutation(tuple(head) + tail) for head in permutations(range(1, H + 1))]
+    return [Permutation(head + tail) for head in permutations(range(1, H + 1))]
 
 
 def _compare_distributions(dists, S):
@@ -322,104 +305,73 @@ def _count_branch(generate, per_user, counters) -> int:
 def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "single",
                                guard: int = 10_000_000) -> OracleReport:
     """Enumerate all admissible randomness and compare, per database, the
-    exact distribution of canonical query keys across demand vectors."""
+    exact distribution of canonical query keys across demand vectors.
+
+    Both schemes take one walk over branches (demands theta, base set, P,
+    rho), each counted by `_count_branch`.  `single` is one base user
+    (K = 1) whose demanded file draws any permutation (H = S^(N-1)), with
+    theta = (d,).  `mupir` walks the covering demand vectors (for N = K the
+    permutations), every base set covering the files, and for N < K every
+    non-base user's `rho_options`.  The exact assignment count is checked
+    against `guard` before any permutation is built.
+    """
     sub = S ** (N - 1)
     if scheme == "single":
-        per_d = factorial(sub) ** N
-        if per_d * N > guard:
-            raise TooLargeInstanceError(
-                f"single oracle needs {per_d * N} assignments (> {guard})"
-            )
-        all_p = _all_perms(sub)
-        dists = {}
-        for d in range(1, N + 1):
-            counters = [Counter() for _ in range(S)]
-            for combo in product(all_p, repeat=N):
-                perms = {i: combo[i - 1] for i in range(1, N + 1)}
-                bundle, _ = generate_alg1(S, N, perms, d)
-                key = canonical_form(bundle)
-                for s in range(S):
-                    counters[s][key[s]] += 1
-            dists[d] = counters
-        equal, mismatch = _compare_distributions(dists, S)
-        return OracleReport(equal=equal, scheme="single", assignments=per_d * N,
-                            mismatch=mismatch, distributions=dists)
-
-    if scheme != "mupir":
+        K, H, n_base = 1, sub, 1
+        thetas = [(d,) for d in range(1, N + 1)]
+    elif scheme != "mupir":
         raise ValueError(f"unknown scheme {scheme!r}")
-    if K is None:
+    elif K is None:
         raise ValueError("mupir oracle needs K")
-    H = h_value(S, N)
-    free = _all_perms(sub)
-    tails = _tail_perms(sub, H)
+    elif N > K:
+        raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
+    else:
+        H, n_base = h_value(S, N), N
+        thetas = [t for t in product(range(1, N + 1), repeat=K)
+                  if set(t) == set(range(1, N + 1))]
+    users = range(1, K + 1)
 
-    def perm_options(theta, c, constrained):
-        """Every per-file permutation tuple user c may draw."""
-        return list(product(*(tails if constrained and i == theta[c - 1] else free
-                              for i in range(1, N + 1))))
+    def branches(theta):
+        """(base set, non-base users, their rho options) per branch of theta."""
+        for base in combinations(users, n_base):
+            if {theta[b - 1] for b in base} == set(theta):
+                nonbase = [c for c in users if c not in base]
+                yield base, nonbase, [rho_options(theta, base, c) for c in nonbase]
 
-    if N == K:
-        thetas = list(permutations(range(1, N + 1)))
-        per_theta = factorial(K) * (factorial(H) * factorial(sub) ** (N - 1)) ** K
-        if per_theta * len(thetas) > guard:
-            raise TooLargeInstanceError(
-                f"mupir oracle needs {per_theta * len(thetas)} assignments (> {guard})"
-            )
-        dists, total = {}, 0
-        for theta in thetas:
-            counters = [Counter() for _ in range(S)]
-            per_user = [perm_options(theta, c, True) for c in range(1, K + 1)]
-            for P in permutations(range(1, K + 1)):
-                generate = partial(generate_alg2, S, N, K, theta, Permutation(P))
-                total += _count_branch(generate, per_user, counters)
-            dists[theta] = counters
-        equal, mismatch = _compare_distributions(dists, S)
-        return OracleReport(equal=equal, scheme="mupir", assignments=total,
-                            mismatch=mismatch, distributions=dists)
+    # every branch: K! slot maps, H! sub!^(N-1) options per base user and
+    # sub!^N per non-base user, times its rho choices
+    rhos = sum(prod(len(opts) for opts in rho_lists)
+               for theta in thetas for _, _, rho_lists in branches(theta))
+    n = (factorial(K) * (factorial(H) * factorial(sub) ** (N - 1)) ** n_base
+         * factorial(sub) ** (N * (K - n_base)) * rhos)
+    if n > guard:
+        raise TooLargeInstanceError(f"{scheme} oracle needs {n} assignments (> {guard})")
 
-    # N < K: branch over base sets and demand alignments as well
-    thetas = [t for t in product(range(1, N + 1), repeat=K)
-              if set(t) == set(range(1, N + 1))]
+    def generator(theta, P, base, rho):
+        if scheme == "single":
+            return lambda perms: generate_alg1(S, N, perms[1], theta[0])
+        if N == K:
+            return partial(generate_alg2, S, N, K, theta, P)
+        return partial(generate_alg3, S, N, K, theta, P, base, rho)
 
-    def valid_bases(theta):
-        out = []
-        for bset in combinations(range(1, K + 1), N):
-            if {theta[b - 1] for b in bset} == set(range(1, N + 1)):
-                out.append(bset)
-        return out
-
-    # exact count before enumerating
-    total_assignments = 0
-    for theta in thetas:
-        for bset in valid_bases(theta):
-            branch = factorial(K)
-            for c in range(1, K + 1):
-                if c in bset:
-                    branch *= factorial(H) * factorial(sub) ** (N - 1)
-                else:
-                    branch *= len(rho_options(theta, bset, c)) * factorial(sub) ** N
-            total_assignments += branch
-    if total_assignments > guard:
-        raise TooLargeInstanceError(
-            f"mupir oracle needs {total_assignments} assignments (> {guard})"
-        )
-    dists = {}
+    free, tails = _perms(sub, sub), _perms(sub, H)
+    dists, total = {}, 0
     for theta in thetas:
         counters = [Counter() for _ in range(S)]
-        for bset in valid_bases(theta):
-            per_user = [perm_options(theta, c, c in bset) for c in range(1, K + 1)]
-            nonbase = [c for c in range(1, K + 1) if c not in bset]
-            rho_lists = [rho_options(theta, bset, c) for c in nonbase]
-            for P in permutations(range(1, K + 1)):
+        for base, nonbase, rho_lists in branches(theta):
+            per_user = [list(product(*(tails if c in base and i == theta[c - 1] else free
+                                       for i in range(1, N + 1))))
+                        for c in users]
+            for P in permutations(users):
                 puser = Permutation(P)
                 for rho_pick in product(*rho_lists):
-                    rho = dict(zip(nonbase, rho_pick))
-                    generate = partial(generate_alg3, S, N, K, theta, puser, bset, rho)
-                    _count_branch(generate, per_user, counters)
-        norm = sum(counters[0].values())
-        dists[theta] = [
-            Counter({k: Fraction(v, norm) for k, v in c.items()}) for c in counters
-        ]
+                    generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
+                    total += _count_branch(generate, per_user, counters)
+        if scheme == "mupir" and N < K:
+            norm = sum(counters[0].values())
+            counters = [Counter({k: Fraction(v, norm) for k, v in c.items()})
+                        for c in counters]
+        dists[theta[0] if scheme == "single" else theta] = counters
     equal, mismatch = _compare_distributions(dists, S)
-    return OracleReport(equal=equal, scheme="mupir", assignments=total_assignments,
+    return OracleReport(equal=equal, scheme=scheme, assignments=total,
                         mismatch=mismatch, distributions=dists)

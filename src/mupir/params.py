@@ -193,15 +193,10 @@ def rate_dominance_check(S: int, N: int, K: int) -> DominanceReport:
     slack = N * S ** (N - 1) - q
     M = cache_fraction(S, N, K)
     R = proposed_rate(S, N, K)
-    A = pir_rate(S, N)
-    chords = []
-    for t in range(1, K + 1):
-        Rt = min(N * (1 - Fraction(t, K)), Fraction(K - t, t + 1) * A)
-        line_at_M = N - Fraction(K, t * N) * (N - Rt) * M
-        chords.append(line_at_M - R)
+    chords = tuple(N - (N - Rt) * M / Mt - R for Mt, Rt in _pd_points(S, N, K)[1:])
     env = pd_rate(S, N, K, M) - R
     return DominanceReport(
-        S=S, N=N, K=K, slack_nsq=slack, chord_margins=tuple(chords), envelope_margin=env
+        S=S, N=N, K=K, slack_nsq=slack, chord_margins=chords, envelope_margin=env
     )
 
 

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from mupir import audit
+from mupir import audit, cli
 from mupir.audit import (
     check_structure,
     count_rate,
@@ -16,7 +16,7 @@ from mupir.audit import (
     verify_replay,
 )
 from mupir.core import Permutation, Query, QueryAtom, canonical_form, identity_permutation
-from mupir.errors import TooLargeInstanceError
+from mupir.errors import RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
 from mupir.protocol import generate_alg2, generate_alg3
@@ -83,6 +83,30 @@ def reference_mupir_oracle(S, N, K):
     mismatch = next(
         (f"database {s + 1}: demand {thetas[0]} vs {d} differ"
          for d in thetas[1:] for s in range(S) if dists[d][s] != dists[thetas[0]][s]),
+        None,
+    )
+    return mismatch is None, total, mismatch, dists
+
+
+def reference_single_oracle(S, N):
+    """The unfactored single-user oracle: run `generate_alg1` and take
+    `canonical_form` for every permutation assignment of every demand.
+    Returns (equal, assignments, mismatch, distributions)."""
+    sub = S ** (N - 1)
+    all_p = [Permutation(p) for p in permutations(range(1, sub + 1))]
+    dists, total = {}, 0
+    for d in range(1, N + 1):
+        counters = [Counter() for _ in range(S)]
+        for combo in product(all_p, repeat=N):
+            perms = {i: combo[i - 1] for i in range(1, N + 1)}
+            bundle, _ = generate_alg1(S, N, perms, d)
+            for counter, key in zip(counters, canonical_form(bundle)):
+                counter[key] += 1
+            total += 1
+        dists[d] = counters
+    mismatch = next(
+        (f"database {s + 1}: demand 1 vs {d} differ"
+         for d in range(2, N + 1) for s in range(S) if dists[d][s] != dists[1][s]),
         None,
     )
     return mismatch is None, total, mismatch, dists
@@ -192,6 +216,19 @@ class TestDistributionOracle:
         assert report.equal
         assert report.assignments == 16
 
+    @pytest.mark.parametrize("S,N", [(2, 2), (3, 2), (4, 2)])
+    def test_single_oracle_matches_reference(self, S, N):
+        report = demand_distribution_oracle(S, N, scheme="single")
+        equal, assignments, mismatch, dists = reference_single_oracle(S, N)
+        assert report.scheme == "single"
+        assert report.equal == equal
+        assert report.assignments == assignments
+        assert report.mismatch == mismatch
+        assert report.distributions == dists
+        assert all(type(d) is int for d in report.distributions)
+        assert all(type(v) is int for counters in report.distributions.values()
+                   for counter in counters for v in counter.values())
+
     @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (2, 2, 3)])
     def test_factored_oracle_matches_reference(self, S, N, K):
         report = demand_distribution_oracle(S, N, K=K, scheme="mupir")
@@ -213,7 +250,8 @@ class TestDistributionOracle:
         assert report.mismatch == "database 1: demand (1, 1, 2) vs (1, 2, 2) differ"
 
     @pytest.mark.parametrize("S,N,K,name", [(2, 2, 2, "generate_alg2"),
-                                            (2, 2, 3, "generate_alg3")])
+                                            (2, 2, 3, "generate_alg3"),
+                                            (2, 2, None, "generate_alg1")])
     def test_branch_cross_check_catches_a_diverging_generator(self, monkeypatch,
                                                               S, N, K, name):
         # a generator whose bundle is not what its records materialise to
@@ -229,11 +267,30 @@ class TestDistributionOracle:
 
         monkeypatch.setattr(audit, name, drop_first_query)
         with pytest.raises(RuntimeError, match="factored oracle key"):
-            demand_distribution_oracle(S, N, K=K, scheme="mupir")
+            demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
 
     def test_guard_trips(self):
         with pytest.raises(TooLargeInstanceError):
             demand_distribution_oracle(3, 3, K=3, scheme="mupir")
+
+    def test_guard_fires_before_any_permutation_is_built(self, monkeypatch):
+        # (2, 5, 5) has 16! permutations per file: building them before the
+        # guard would exhaust memory long before the refusal
+        def no_permutations(*args):
+            raise AssertionError("a permutation was built before the guard")
+
+        monkeypatch.setattr(audit, "Permutation", no_permutations)
+        for S, N, K, scheme in [(3, 3, 3, "mupir"), (2, 5, 5, "mupir"), (3, 3, None, "single")]:
+            with pytest.raises(TooLargeInstanceError, match=f"{scheme} oracle needs"):
+                demand_distribution_oracle(S, N, K=K, scheme=scheme)
+        assert cli.main(["audit", "--mode", "distribution", "--scheme", "mupir",
+                         "-S", "2", "-N", "5", "-K", "5"]) == 2
+
+    def test_more_files_than_users_is_refused(self):
+        with pytest.raises(RegimeError, match="K>=N"):
+            demand_distribution_oracle(2, 3, K=2, scheme="mupir")
+        assert cli.main(["audit", "--mode", "distribution", "--scheme", "mupir",
+                         "-S", "2", "-N", "3", "-K", "2"]) == 2
 
     def test_single_uniform_over_keys(self):
         # each database's view is exactly uniform over its possible keys
