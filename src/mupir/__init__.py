@@ -31,14 +31,11 @@ from .params import (
 from .single_user import decode_single, generate_alg1
 from .protocol import (
     CacheContent,
-    OmegaSpec,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
     generate_alg3,
     placement,
-    qset1,
-    qset2,
 )
 from .audit import (
     AuditReport,

@@ -292,9 +292,10 @@ def _count_branch(generate, per_user, counters) -> int:
         key = tuple(tuple(sorted(chain.from_iterable(view[s] for view in combo)))
                     for s in dbs)
         if count == 0 and key != canonical_form(bundle):
+            slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
             raise RuntimeError(
                 f"factored oracle key differs from the generated bundle's "
-                f"(demand {transcript.demand}, slots {transcript.user_slots})"
+                f"(demand {transcript.demand}, slots {slots})"
             )
         for s in dbs:
             counters[s][key[s]] += 1
@@ -312,8 +313,9 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     (K = 1) whose demanded file draws any permutation (H = S^(N-1)), with
     theta = (d,).  `mupir` walks the covering demand vectors (for N = K the
     permutations), every base set covering the files, and for N < K every
-    non-base user's `rho_options`.  The exact assignment count is checked
-    against `guard` before any permutation is built.
+    non-base user's `rho_options`.  The branches are walked lazily and their
+    assignments summed; the oracle refuses at the first branch that takes the
+    sum past `guard`, before any permutation is built.
     """
     sub = S ** (N - 1)
     if scheme == "single":
@@ -327,25 +329,28 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
     else:
         H, n_base = h_value(S, N), N
-        thetas = [t for t in product(range(1, N + 1), repeat=K)
-                  if set(t) == set(range(1, N + 1))]
+        thetas = (t for t in product(range(1, N + 1), repeat=K)
+                  if set(t) == set(range(1, N + 1)))
     users = range(1, K + 1)
 
-    def branches(theta):
-        """(base set, non-base users, their rho options) per branch of theta."""
-        for base in combinations(users, n_base):
-            if {theta[b - 1] for b in base} == set(theta):
-                nonbase = [c for c in users if c not in base]
-                yield base, nonbase, [rho_options(theta, base, c) for c in nonbase]
+    def branches():
+        """(theta, base set, non-base users, their rho options), lazily."""
+        for theta in thetas:
+            for base in combinations(users, n_base):
+                if {theta[b - 1] for b in base} == set(theta):
+                    nonbase = [c for c in users if c not in base]
+                    yield theta, base, nonbase, [rho_options(theta, base, c) for c in nonbase]
 
     # every branch: K! slot maps, H! sub!^(N-1) options per base user and
     # sub!^N per non-base user, times its rho choices
-    rhos = sum(prod(len(opts) for opts in rho_lists)
-               for theta in thetas for _, _, rho_lists in branches(theta))
-    n = (factorial(K) * (factorial(H) * factorial(sub) ** (N - 1)) ** n_base
-         * factorial(sub) ** (N * (K - n_base)) * rhos)
-    if n > guard:
-        raise TooLargeInstanceError(f"{scheme} oracle needs {n} assignments (> {guard})")
+    per_branch = (factorial(K) * (factorial(H) * factorial(sub) ** (N - 1)) ** n_base
+                  * factorial(sub) ** (N * (K - n_base)))
+    walked, n = [], 0
+    for branch in branches():
+        n += per_branch * prod(len(opts) for opts in branch[3])
+        if n > guard:
+            raise TooLargeInstanceError(f"{scheme} oracle needs more than {guard} assignments")
+        walked.append(branch)
 
     def generator(theta, P, base, rho):
         if scheme == "single":
@@ -356,22 +361,23 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
 
     free, tails = _perms(sub, sub), _perms(sub, H)
     dists, total = {}, 0
-    for theta in thetas:
-        counters = [Counter() for _ in range(S)]
-        for base, nonbase, rho_lists in branches(theta):
-            per_user = [list(product(*(tails if c in base and i == theta[c - 1] else free
-                                       for i in range(1, N + 1))))
-                        for c in users]
-            for P in permutations(users):
-                puser = Permutation(P)
-                for rho_pick in product(*rho_lists):
-                    generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
-                    total += _count_branch(generate, per_user, counters)
-        if scheme == "mupir" and N < K:
+    for theta, base, nonbase, rho_lists in walked:
+        counters = dists.setdefault(theta, [Counter() for _ in range(S)])
+        per_user = [list(product(*(tails if c in base and i == theta[c - 1] else free
+                                   for i in range(1, N + 1))))
+                    for c in users]
+        for P in permutations(users):
+            puser = Permutation(P)
+            for rho_pick in product(*rho_lists):
+                generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
+                total += _count_branch(generate, per_user, counters)
+    if scheme == "single":
+        dists = {theta[0]: counters for theta, counters in dists.items()}
+    elif N < K:
+        for theta, counters in dists.items():
             norm = sum(counters[0].values())
-            counters = [Counter({k: Fraction(v, norm) for k, v in c.items()})
-                        for c in counters]
-        dists[theta[0] if scheme == "single" else theta] = counters
+            dists[theta] = [Counter({k: Fraction(v, norm) for k, v in c.items()})
+                            for c in counters]
     equal, mismatch = _compare_distributions(dists, S)
     return OracleReport(equal=equal, scheme=scheme, assignments=total,
                         mismatch=mismatch, distributions=dists)

@@ -110,8 +110,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def _load_config(args, scheme):
-    if getattr(args, "config", None):
+def _session_config(args, scheme):
+    """The session's config: read from --config, or else built from the
+    flags, so that both paths parse demands in `run_session`."""
+    if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         if cfg["scheme"] != scheme:
@@ -119,29 +121,19 @@ def _load_config(args, scheme):
                 f"config scheme {cfg['scheme']!r} does not match subcommand {scheme!r}"
             )
         return cfg
-    return None
+    cfg = {"scheme": scheme, "S": args.S, "N": args.N,
+           "block_bytes": args.block_bytes, "seed": args.seed}
+    if scheme == "mupir":
+        cfg.update(K=args.K, demands=args.demands)
+    elif args.demand is not None:
+        cfg["demands"] = str(args.demand)
+    return cfg
 
 
 def _dispatch(args) -> int:
-    if args.command == "pir":
-        cfg = _load_config(args, "single")
-        if cfg:
-            report, _ = run_session(cfg)
-        else:
-            report, _ = run_single_session(args.S, args.N, args.block_bytes,
-                                           args.seed, demand=args.demand)
-        return _emit_session(report, args)
-
-    if args.command == "mupir":
-        cfg = _load_config(args, "mupir")
-        if cfg:
-            report, _ = run_session(cfg)
-        else:
-            demands = (None if args.demands == "random-valid"
-                       else tuple(int(x) for x in args.demands.split(",")))
-            report, _ = run_mupir_session(args.S, args.N, args.K,
-                                          args.block_bytes, args.seed,
-                                          demand=demands)
+    if args.command in ("pir", "mupir"):
+        scheme = "single" if args.command == "pir" else "mupir"
+        report, _ = run_session(_session_config(args, scheme))
         return _emit_session(report, args)
 
     if args.command == "rates":

@@ -187,13 +187,20 @@ class Query:
 
 @dataclass(frozen=True)
 class SlotInfo:
-    """Per-generator-block session facts needed for auditing and decoding."""
+    """One user's generator block: the session's one record of that user's
+    slot p_u and, for qset2, of its alignment with the base users' slots.
+    Generation, replay, decoding and the audits all read it."""
 
     user: int
     kind: str
-    subfile: Optional[int] = None        # qset1/alg1: the subfile slot queried
+    subfile: Optional[int] = None        # the user's own subfile slot p_u
     demand: Optional[int] = None         # alg1/qset1: demanded file
-    omega_pairs: Optional[tuple] = None  # qset2: tuple of (file, j1, j2)
+    omega_pairs: Optional[tuple] = None  # qset2: (file, partner slot, own slot) each
+
+    def __post_init__(self):
+        for _, j1, j2 in self.omega_pairs or ():
+            if j1 == j2:
+                raise DemandError(f"omega pair with identical subfiles: {j1}")
 
     def subfiles(self, file: int) -> tuple:
         """The subfile slots each reference to `file` touches: the block's

@@ -1,18 +1,19 @@
 """Multi-user protocol: placement, per-slot query generation, decoding.
 
-The two per-slot generators (`qset1` for base/own slots, `qset2` for
-paired-difference slots) share one engine.  Per database s and sum size k,
-the engine must emit every k-subset of files the same number of times
-(type symmetry), while giving file i a prescribed number of queries whose
-i-reference is fresh (previously unseen position of that file's secret
-permutation); the remaining references reuse positions already exposed in
-earlier rounds, so each query is one XOR away from known material.
+The two per-slot schedules (`qset1_schedule` for base/own slots,
+`qset2_schedule` for paired-difference slots) share one engine.  Per
+database s and sum size k, the engine must emit every k-subset of files the
+same number of times (type symmetry), while giving file i a prescribed
+number of queries whose i-reference is fresh (previously unseen position of
+that file's secret permutation); the remaining references reuse positions
+already exposed in earlier rounds, so each query is one XOR away from known
+material.
 
 The schedule produced by the engine is a pure function of the counting
 parameters; the secret permutations only relabel positions to subsubfile
 indices afterwards.  That keeps generation, replay and exhaustive
 enumeration cheap and exactly reproducible.  Every generator block, the
-single-user one (alg1) included, is a schedule of records with `refs`
+single-user one (alg1) included, is a schedule of `Record`s with `refs`
 ((file, position) pairs); one `materialize` turns records into queries, and
 one `replay_bundle` interleaves the blocks per database in a given emission
 order, which `assemble_bundle` draws at generation time.  One
@@ -50,35 +51,30 @@ from .params import f_rep, h_value, phi, psi
 
 
 @dataclass(frozen=True)
-class SlotQuery:
-    """One scheduled query: a k-subset type, one fresh reference, old picks.
+class Record:
+    """One scheduled query of any generator block: its sum size k, every
+    (file, position) reference, and its peel linkage.
 
-    Positions refer to the (secret) per-file permutations; `fresh_pos` is a
-    position never used before for `fresh_file`, `old_picks` are positions
-    already exposed in earlier rounds, so the fresh reference is the answer
-    XOR the old picks.  Schedules are cached and shared across sessions,
-    hence frozen.
+    Positions refer to the (secret) per-file permutations.  A record with a
+    fresh reference resolves (fresh_file, fresh_pos) as its answer XOR its
+    `old_picks` (positions exposed in earlier rounds) XOR the answer of its
+    `source` ((db, index) of the consumed smaller query), when it has one;
+    a record with no fresh reference resolves nothing.  Schedules are cached
+    and shared across sessions, hence frozen.
     """
 
-    db: int
     k: int
-    type_set: tuple
-    fresh_file: int
-    fresh_pos: int
-    old_picks: tuple
-    source = None  # no answer of another query is consumed
-
-    @property
-    def refs(self) -> tuple:
-        """Every (file, position) reference, the fresh one first."""
-        return ((self.fresh_file, self.fresh_pos),) + self.old_picks
+    refs: tuple
+    fresh_file: Optional[int] = None
+    fresh_pos: Optional[int] = None
+    old_picks: tuple = ()
+    source: Optional[tuple] = None
 
 
 @dataclass
 class _DraftQuery:
     """Mutable query under construction; rebalancing swaps edit it in place."""
 
-    db: int
     k: int
     type_set: tuple
     fresh_file: int
@@ -123,7 +119,7 @@ class _ReusePicker:
 
 
 def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
-    """Generic engine: returns per-database SlotQuery lists and the final
+    """Generic engine: returns per-database Record lists and the final
     per-file fresh-position counters.
 
     multiplicity(s, k): copies of each k-subset type for database s.
@@ -165,7 +161,7 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                             olds.append((u, pos))
                         bump(s, i, t[i], +1)
                         block.append(
-                            _DraftQuery(db=s, k=k, type_set=U, fresh_file=i,
+                            _DraftQuery(k=k, type_set=U, fresh_file=i,
                                         fresh_pos=t[i], old_picks=olds)
                         )
                     else:
@@ -201,7 +197,7 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                             olds.append((u, pos))
                         bump(s, v1, r.fresh_pos, +1)
                         block.append(
-                            _DraftQuery(db=s, k=k, type_set=U, fresh_file=v1,
+                            _DraftQuery(k=k, type_set=U, fresh_file=v1,
                                         fresh_pos=r.fresh_pos, old_picks=olds)
                         )
                         # donor: old i-reference becomes the fresh one, its
@@ -219,14 +215,15 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                         r.fresh_pos = t[i]
             assert not pool, (S, N, s, k)
             per_db[s - 1].extend(block)
-    frozen = [
-        [
-            SlotQuery(db=q.db, k=q.k, type_set=q.type_set, fresh_file=q.fresh_file,
-                      fresh_pos=q.fresh_pos, old_picks=tuple(sorted(q.old_picks)))
-            for q in db_list
-        ]
-        for db_list in per_db
-    ]
+    frozen = []
+    for db_list in per_db:
+        row = []
+        for q in db_list:
+            olds = tuple(sorted(q.old_picks))
+            row.append(Record(k=q.k, refs=((q.fresh_file, q.fresh_pos),) + olds,
+                              fresh_file=q.fresh_file, fresh_pos=q.fresh_pos,
+                              old_picks=olds))
+        frozen.append(row)
     return frozen, t
 
 
@@ -260,24 +257,6 @@ def qset2_schedule(S: int, N: int):
     return tuple(tuple(db) for db in per_db)
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
-    """For each file, the two subfile slots whose XOR difference is queried."""
-
-    pairs: tuple  # tuple of (file, j1, j2), one per file, j1 != j2
-
-    def __post_init__(self):
-        for _, j1, j2 in self.pairs:
-            if j1 == j2:
-                raise DemandError(f"omega pair with identical subfiles: {j1}")
-
-    def for_file(self, i: int) -> tuple:
-        for f, j1, j2 in self.pairs:
-            if f == i:
-                return j1, j2
-        raise KeyError(i)
-
-
 def materialize(records, perms: dict, subfiles) -> list:
     """Per-database query lists of one generator block.
 
@@ -294,16 +273,6 @@ def materialize(records, perms: dict, subfiles) -> list:
             row.append(Query(tuple(sorted(atoms))))
         out.append(row)
     return out
-
-
-def qset1(j: int, perms: dict, d: int, S: int, N: int) -> list:
-    """Per-database query lists for the subfile slot j under demand d."""
-    return materialize(qset1_schedule(S, N, d), perms, lambda f: (j,))
-
-
-def qset2(omega: OmegaSpec, perms: dict, S: int, N: int) -> list:
-    """Per-database query lists recovering every paired difference value."""
-    return materialize(qset2_schedule(S, N), perms, omega.for_file)
 
 
 @dataclass(frozen=True)
@@ -407,12 +376,9 @@ class SessionTranscript:
     K: int
     seed: object
     demand: tuple
-    user_slots: tuple                 # p_1..p_K (slot of each user)
-    base_set: Optional[tuple]
-    rho: Optional[dict]
     perms: dict                       # user -> {file -> Permutation}
-    records: dict                     # user -> per-db tuple of SlotQuery or PirQuery
-    slots: dict                       # user -> SlotInfo
+    records: dict                     # user -> per-db tuple of Record
+    slots: dict                       # user -> SlotInfo: its slot p_u and alignment
     H: int
 
     def record_keys(self, db0: int) -> list:
@@ -459,19 +425,8 @@ def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None
     demands = validate_demands(demands, N, K)
     if N != K:
         raise RegimeError(f"this generator requires N=K, got N={N}, K={K}")
-    H = h_value(S, N)
-    slots, records = {}, {}
-    for c in range(1, K + 1):
-        d = demands[c - 1]
-        _check_tail_constraint(user_perms[c][d], H, c, d)
-        slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
-        records[c] = qset1_schedule(S, N, d)
-    transcript = SessionTranscript(
-        S=S, N=N, K=K, seed=seed, demand=demands,
-        user_slots=tuple(P(u) for u in range(1, K + 1)), base_set=None, rho=None,
-        perms=user_perms, records=records, slots=slots, H=H,
-    )
-    return assemble_bundle(transcript, shuffle_rng), transcript
+    return _generate(S, N, K, demands, P, range(1, K + 1), None, user_perms,
+                     shuffle_rng, seed)
 
 
 def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
@@ -480,33 +435,33 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
     demands = validate_demands(demands, N, K)
     if N == K:
         raise RegimeError("N=K sessions are generated by generate_alg2")
-    H = h_value(S, N)
     base = tuple(sorted(base))
     if len(base) != N or {demands[b - 1] for b in base} != set(range(1, N + 1)):
         raise DemandError(f"base set {base} does not cover all files exactly once")
+    return _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed)
+
+
+def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed):
+    """The session of validated demands: a qset1 block on its own slot P(c)
+    for each base user c, a qset2 block for every other user, whose file i
+    pairs the slot of base user rho[c][i] with P(c)."""
+    H = h_value(S, N)
     slots, records = {}, {}
-    for c in base:
-        d = demands[c - 1]
-        _check_tail_constraint(user_perms[c][d], H, c, d)
-        slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
-        records[c] = qset1_schedule(S, N, d)
     for c in range(1, K + 1):
+        d = demands[c - 1]
         if c in base:
+            _check_tail_constraint(user_perms[c][d], H, c, d)
+            slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
+            records[c] = qset1_schedule(S, N, d)
             continue
         align = rho[c]
-        dc = demands[c - 1]
-        if align[dc] not in base or demands[align[dc] - 1] != dc:
+        if align[d] not in base or demands[align[d] - 1] != d:
             raise DemandError(f"rho for user {c} must pair its demand with a base twin")
-        omega = OmegaSpec(
-            pairs=tuple((i, P(align[i]), P(c)) for i in range(1, N + 1))
-        )
-        slots[c] = SlotInfo(user=c, kind="qset2", subfile=P(c), omega_pairs=omega.pairs)
+        pairs = tuple((i, P(align[i]), P(c)) for i in range(1, N + 1))
+        slots[c] = SlotInfo(user=c, kind="qset2", subfile=P(c), omega_pairs=pairs)
         records[c] = qset2_schedule(S, N)
-    transcript = SessionTranscript(
-        S=S, N=N, K=K, seed=seed, demand=demands,
-        user_slots=tuple(P(u) for u in range(1, K + 1)), base_set=base, rho=rho,
-        perms=user_perms, records=records, slots=slots, H=H,
-    )
+    transcript = SessionTranscript(S=S, N=N, K=K, seed=seed, demand=demands,
+                                   perms=user_perms, records=records, slots=slots, H=H)
     return assemble_bundle(transcript, shuffle_rng), transcript
 
 
@@ -573,29 +528,30 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     sub = S ** (N - 1)
     H = transcript.H
     d = transcript.demand[user - 1]
-    slot_of = {u: transcript.user_slots[u - 1] for u in range(1, K + 1)}
-    base = transcript.base_set if transcript.base_set is not None else tuple(range(1, K + 1))
+    slots = transcript.slots
+    base = [c for c in sorted(slots) if slots[c].omega_pairs is None]
     lines = {} if cache is None else cache.lines
     out = {}
     try:
         # 1. slots generated with qset1: full non-demand exposure, H for demand
         for c in base:
             dc = transcript.demand[c - 1]
-            j = slot_of[c]
+            j = slots[c].subfile
             upto = sub if dc != d else H
             for x in range(1, upto + 1):
                 out[(j, x)] = symbols[("w", d, j, x)]
         # 2. own-slot tail via cache lines
-        ju = slot_of[user]
+        own = slots[user]
+        ju = own.subfile
         own_rest = {}
         for i in range(1, N + 1):
             if i == d:
                 continue
             for tt in range(H + 1, sub + 1):
-                if user in base:
+                if own.omega_pairs is None:
                     own_rest[(i, tt)] = symbols[("w", i, ju, tt)]
                 else:
-                    ref = slot_of[transcript.rho[user][i]]
+                    ref = own.subfiles(i)[0]
                     own_rest[(i, tt)] = (symbols[("om", user, i, tt)]
                                          ^ symbols[("w", i, ref, tt)])
         for tt in range(H + 1, sub + 1):
@@ -605,19 +561,17 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
                     acc ^= own_rest[(i, tt)]
             out[(ju, tt)] = acc
         # 3. split own paired difference against the demand twin's slot
-        if user not in base:
-            twin = min(b for b in base if transcript.demand[b - 1] == d)
-            jt = slot_of[twin]
+        if own.omega_pairs is not None:
+            jt = own.subfiles(d)[0]
             for x in range(1, H + 1):
                 out[(ju, x)] = symbols[("om", user, d, x)] ^ out[(jt, x)]
             for x in range(H + 1, sub + 1):
                 out[(jt, x)] = symbols[("om", user, d, x)] ^ out[(ju, x)]
         # 4. remaining slots via their paired differences
         for v in range(1, K + 1):
-            if v in base or v == user:
+            if slots[v].omega_pairs is None or v == user:
                 continue
-            ref = slot_of[transcript.rho[v][d]]
-            jv = slot_of[v]
+            ref, jv = slots[v].subfiles(d)
             for x in range(1, sub + 1):
                 out[(jv, x)] = symbols[("om", v, d, x)] ^ out[(ref, x)]
     except KeyError as exc:

@@ -13,7 +13,6 @@ decoded and audited by the same code as the multi-user blocks in `protocol`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
@@ -21,35 +20,15 @@ from typing import Optional
 from .core import QueryBundle, SlotInfo
 from .errors import DemandError
 from .params import phi
-from .protocol import SessionTranscript, assemble_bundle, decode_user
-
-
-@dataclass(frozen=True)
-class PirQuery:
-    """One scheduled query: file -> permutation position, plus peel linkage.
-
-    A demand-bearing record resolves (fresh_file, fresh_pos) as its answer
-    XOR its `source` answer, when it has a source; other records resolve
-    nothing.  Schedules are cached and shared across sessions, hence frozen.
-    """
-
-    db: int
-    k: int
-    refs: tuple        # ((file, pos), ...) sorted by file
-    source: Optional[tuple]  # (db, index) of the consumed smaller query
-    fresh_file: Optional[int]  # the demand, or None for non-demand seeds and fills
-    fresh_pos: Optional[int]  # demand position resolved by this query
-    old_picks = ()     # no reference is reused within a database
-
-    @property
-    def files(self) -> tuple:
-        return tuple(f for f, _ in self.refs)
+from .protocol import Record, SessionTranscript, assemble_bundle, decode_user
 
 
 @lru_cache(maxsize=None)
 def _alg1_schedule(S: int, N: int, d: int):
     """Position-level schedule for demand d: per database, a tuple of
-    PirQuery in insertion order."""
+    Records in insertion order.  A demand-bearing record resolves its fresh
+    demand reference as its answer XOR its `source` answer; seeds and fills
+    resolve nothing, and no reference is reused within a database."""
     if not 1 <= d <= N:
         raise DemandError(f"demand {d} outside [1,{N}]")
     per_db = [[] for _ in range(S)]
@@ -57,8 +36,8 @@ def _alg1_schedule(S: int, N: int, d: int):
     for i in range(1, N + 1):
         t[i] = 1
         per_db[0].append(
-            PirQuery(db=1, k=1, refs=((i, 1),), source=None,
-                     fresh_file=d if i == d else None, fresh_pos=1 if i == d else None)
+            Record(k=1, refs=((i, 1),), fresh_file=d if i == d else None,
+                   fresh_pos=1 if i == d else None)
         )
     for k in range(2, N + 1):
         for j in range(1, S + 1):
@@ -68,12 +47,12 @@ def _alg1_schedule(S: int, N: int, d: int):
                 if i == j:
                     continue
                 for idx, rec in enumerate(per_db[i - 1]):
-                    if rec.k != k - 1 or d in rec.files:
+                    if rec.k != k - 1 or any(f == d for f, _ in rec.refs):
                         continue
                     t[d] += 1
                     per_db[j - 1].append(
-                        PirQuery(db=j, k=k, refs=tuple(sorted(rec.refs + ((d, t[d]),))),
-                                 source=(i, idx), fresh_file=d, fresh_pos=t[d])
+                        Record(k=k, refs=tuple(sorted(rec.refs + ((d, t[d]),))),
+                               fresh_file=d, fresh_pos=t[d], source=(i, idx))
                     )
                     consumed = True
             if consumed:
@@ -83,10 +62,7 @@ def _alg1_schedule(S: int, N: int, d: int):
                         for u in fileset:
                             t[u] += 1
                             refs.append((u, t[u]))
-                        per_db[j - 1].append(
-                            PirQuery(db=j, k=k, refs=tuple(refs), source=None,
-                                     fresh_file=None, fresh_pos=None)
-                        )
+                        per_db[j - 1].append(Record(k=k, refs=tuple(refs)))
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
     return tuple(tuple(db) for db in per_db)
 
@@ -100,8 +76,7 @@ def generate_alg1(S: int, N: int, perms: dict, d: int,
     `protocol.replay_bundle` regenerates the bundle from it bit-identically.
     """
     transcript = SessionTranscript(
-        S=S, N=N, K=1, seed=seed, demand=(d,),
-        user_slots=(1,), base_set=None, rho=None, perms={1: dict(perms)},
+        S=S, N=N, K=1, seed=seed, demand=(d,), perms={1: dict(perms)},
         records={1: _alg1_schedule(S, N, d)},
         slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=d)}, H=S ** (N - 1),
     )

@@ -286,6 +286,21 @@ class TestDistributionOracle:
         assert cli.main(["audit", "--mode", "distribution", "--scheme", "mupir",
                          "-S", "2", "-N", "5", "-K", "5"]) == 2
 
+    def test_guard_refuses_at_the_first_branch_past_it(self, monkeypatch):
+        # (2, 3, 8) has 5796 covering demand vectors; listing every branch's
+        # rho options before refusing made 408,240 rho_options calls
+        calls = []
+        real = audit.rho_options
+        monkeypatch.setattr(audit, "rho_options", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(TooLargeInstanceError, match="mupir oracle needs more than"):
+            demand_distribution_oracle(2, 3, K=8, scheme="mupir")
+        assert len(calls) < 100
+
+    def test_guard_message_for_a_count_past_the_int_str_limit(self):
+        # (5, 6, 6): the exact count has more than 4300 digits
+        with pytest.raises(TooLargeInstanceError, match="mupir oracle needs more than"):
+            demand_distribution_oracle(5, 6, K=6, scheme="mupir")
+
     def test_more_files_than_users_is_refused(self):
         with pytest.raises(RegimeError, match="K>=N"):
             demand_distribution_oracle(2, 3, K=2, scheme="mupir")

@@ -193,10 +193,10 @@ class TestCanonicalForm:
         # one demanded-file slot at S=3, N=3: first database sends three
         # singletons and four triple sums
         from mupir.core import identity_permutation
-        from mupir.protocol import qset1
+        from mupir.protocol import materialize, qset1_schedule
 
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        per_db = qset1(1, perms, 2, 3, 3)
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, lambda f: (1,))
         bundle = QueryBundle(S=3, per_db=per_db, emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)
         sizes = sorted(len(q) for q in key[0])

@@ -142,8 +142,11 @@ class TestCli:
         assert rc == 2
 
     def test_bad_demands_exit_code(self, capsys):
-        rc = main(["mupir", "-S", "2", "-N", "2", "-K", "2", "--demands", "1,1"])
-        assert rc == 2
+        for argv in (["mupir", "-S", "2", "-N", "2", "-K", "2", "--demands", "1,1"],
+                     ["mupir", "-S", "2", "-N", "2", "-K", "2", "--demands", "1,x"],
+                     ["pir", "-N", "3", "--demand", "9"]):
+            assert main(argv) == 2, argv
+        assert "field 'demands': cannot parse '1,x'" in capsys.readouterr().err
 
     def test_sweep_csv(self, capsys, tmp_path):
         out_file = tmp_path / "table.csv"

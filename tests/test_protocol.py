@@ -7,6 +7,7 @@ import pytest
 from mupir.audit import check_structure
 from mupir.core import (
     Permutation,
+    SlotInfo,
     build_file_store,
     identity_permutation,
     xor_combine,
@@ -21,15 +22,15 @@ from mupir.gf2 import AnswerSystem
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
-    OmegaSpec,
     _run_symmetric_rounds,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
     generate_alg3,
+    materialize,
     placement,
-    qset1,
-    qset2,
+    qset1_schedule,
+    qset2_schedule,
     replay_bundle,
     resolve_symbols,
 )
@@ -73,7 +74,7 @@ class TestPlacement:
 class TestQset1:
     def test_counts_and_split(self):
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        per_db = qset1(1, perms, 2, 3, 3)
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, lambda f: (1,))
         assert [len(db) for db in per_db] == [7, 8, 8]
         assert sum(len(db) for db in per_db) == q_value(3, 3)
 
@@ -89,7 +90,7 @@ class TestQset1:
 
     def test_small_case_count(self):
         perms = {1: identity_permutation(2), 2: identity_permutation(2)}
-        per_db = qset1(1, perms, 1, 2, 2)
+        per_db = materialize(qset1_schedule(2, 2, 1), perms, lambda f: (1,))
         assert sum(len(db) for db in per_db) == q_value(2, 2) == 3
 
     def test_demand_tail_untouched(self):
@@ -108,14 +109,14 @@ class TestQset1:
 class TestQset2:
     def test_counts(self):
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        omega = OmegaSpec(pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
-        per_db = qset2(omega, perms, 3, 3)
+        omega = SlotInfo(user=1, kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
+        per_db = materialize(qset2_schedule(3, 3), perms, omega.subfiles)
         assert [len(db) for db in per_db] == [9, 9, 9]
 
     def test_atom_pairing(self):
         perms = {i: identity_permutation(2) for i in (1, 2)}
-        omega = OmegaSpec(pairs=((1, 1, 3), (2, 2, 3)))
-        per_db = qset2(omega, perms, 2, 2)
+        omega = SlotInfo(user=1, kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
+        per_db = materialize(qset2_schedule(2, 2), perms, omega.subfiles)
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
         for db in per_db:
             for q in db:
@@ -125,7 +126,7 @@ class TestQset2:
 
     def test_rejects_degenerate_pair(self):
         with pytest.raises(DemandError):
-            OmegaSpec(pairs=((1, 2, 2),))
+            SlotInfo(user=1, kind="qset2", omega_pairs=((1, 2, 2),))
 
 
 class TestSwapRebalancing:
@@ -142,7 +143,7 @@ class TestSwapRebalancing:
         )
         per_db, t = _run_symmetric_rounds(3, 3, self._mult, quota)
         block = [q for q in per_db[0] if q.k == 2]
-        types = Counter(q.type_set for q in block)
+        types = Counter(tuple(sorted(f for f, _ in q.refs)) for q in block)
         assert types == Counter({(1, 2): 1, (1, 3): 1, (2, 3): 1})
         fresh = Counter(q.fresh_file for q in block)
         assert fresh == Counter({1: 1, 2: 2})
@@ -264,6 +265,14 @@ class TestSessions:
         with pytest.raises(DemandError):
             generate_alg2(2, 2, 2, (1, 2), identity_permutation(2), perms)
 
+    def test_rho_pairing_a_file_with_the_users_own_slot_is_rejected(self):
+        # user 4's file 2 aligned with user 4 itself: both halves of the
+        # pair would be its own slot, and the paired difference is zero
+        perms = {c: {i: identity_permutation(4) for i in (1, 2, 3)} for c in (1, 2, 3, 4)}
+        with pytest.raises(DemandError, match="identical subfiles"):
+            generate_alg3(2, 3, 4, (1, 2, 3, 1), identity_permutation(4), (1, 2, 3),
+                          {4: {1: 1, 2: 4, 3: 2}}, perms)
+
     def test_replay_bit_identical(self):
         for demand in [(2, 1, 3), None]:
             report, art = _session(3, 3, 3, seed=5, demand=demand)
@@ -282,7 +291,7 @@ class TestDecodeDetail:
         report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3))
         tr = art["transcript"]
         symbols = art["symbols"]
-        own_slot = tr.user_slots[0]
+        own_slot = tr.slots[1].subfile
         H = tr.H
         exposed_own = sorted(
             x for (tag, f, j, x) in symbols
@@ -290,7 +299,7 @@ class TestDecodeDetail:
         )
         assert exposed_own == list(range(1, H + 1))
         for other in (2, 3):
-            slot = tr.user_slots[other - 1]
+            slot = tr.slots[other].subfile
             exposed = sorted(
                 x for (tag, f, j, x) in symbols
                 if tag == "w" and f == 2 and j == slot
@@ -302,7 +311,7 @@ class TestDecodeDetail:
         # subfile and its own from the paired differences
         report, art = _session(3, 3, 5, seed=7, demand=(2, 3, 2, 1, 3))
         store, tr = art["store"], art["transcript"]
-        assert tr.base_set == (1, 2, 4)
+        assert tuple(u for u, s in sorted(tr.slots.items()) if s.kind == "qset1") == (1, 2, 4)
         got = art["decoded"][3]
         for j in range(1, 6):
             for x in range(1, 10):
@@ -337,12 +346,12 @@ class TestDecodeDetail:
         report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3), block_bytes=4)
         tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
         symbols = dict(art["symbols"])
-        key = ("w", 2, tr.user_slots[1], 1)
+        key = ("w", 2, tr.slots[2].subfile, 1)
         symbols[key] ^= 0xFFFFFFFF  # every bit of the 4-byte block
         cache = art["caches"][1]
         out = decode_user(1, tr, bundle, answers, cache, symbols=symbols,
                           run_oracle=False)
-        assert out[(tr.user_slots[1], 1)] == symbols[key]
+        assert out[(tr.slots[2].subfile, 1)] == symbols[key]
         with pytest.raises(UnresolvablePlanError, match="disagree"):
             decode_user(1, tr, bundle, answers, cache, symbols=symbols)
         # the same for a single-user session, decoded with no cache lines
