@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations, permutations, product
-from math import factorial, prod
+from math import prod
 
 from .core import (
     Permutation,
@@ -263,44 +263,75 @@ def _compare_distributions(dists, S):
     return True, None
 
 
-def _count_branch(generate, per_user, counters) -> int:
+def _count_branch(generate, per_user, counters, views) -> int:
     """Count one branch's assignments into the per-database key counters.
 
-    A branch fixes everything but the users' per-file permutations
-    (`per_user[c - 1]` lists user c's options), and a user's queries depend
-    only on its own permutations.  So each user's per-database canonical
-    lists are materialised once per option, and an assignment's key at a
-    database is the sorted union of its users' lists: the per-database
-    multiset `canonical_form` takes.  `generate(perms)` runs once, on the
-    first assignment, for its validation and its records; the bundle it
-    returns cross-checks that assignment's factored key.  Returns the
-    number of assignments counted.
+    A branch fixes everything but the users' per-file permutations:
+    `per_user[c - 1]` is (t, options), user c's option list, which draws the
+    tails on file t and is free on every other file (all free when t is
+    None).  A user's queries depend only on its own permutations, its slot
+    record and its schedule, so `views` caches, for the whole walk, each
+    user's per-database canonical lists under its `SlotInfo` without the user
+    and t: per database, the distinct lists with their multiplicities, plus
+    the first option's lists.  The oracle compares per-database marginals, so
+    each database is counted on its own: a key is the sorted union of one
+    distinct list per user, weighted by the product of their multiplicities.
+    `generate(perms)` runs once, on the first assignment, for its validation
+    and its records; the bundle it returns cross-checks that assignment's
+    factored key.  Returns the number of assignments counted.
     """
-    first = {c: dict(enumerate(opts[0], start=1)) for c, opts in enumerate(per_user, start=1)}
+    first = {c: dict(enumerate(opts[0], start=1))
+             for c, (_, opts) in enumerate(per_user, start=1)}
     bundle, transcript = generate(first)
-    views = []
-    for c, opts in enumerate(per_user, start=1):
-        records, subfiles = transcript.records[c], transcript.slots[c].subfiles
-        views.append([
-            [sorted(q.canonical() for q in queries)
-             for queries in materialize(records, dict(enumerate(opt, start=1)), subfiles)]
-            for opt in opts
-        ])
+    users = []
+    for c, (t, opts) in enumerate(per_user, start=1):
+        info = transcript.slots[c]
+        view = (replace(info, user=None), t)
+        if view not in views:
+            lists = [[tuple(sorted(q.canonical() for q in queries))
+                      for queries in materialize(transcript.records[c],
+                                                 dict(enumerate(opt, start=1)), info.subfiles)]
+                     for opt in opts]
+            views[view] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
+        users.append(views[view])
     dbs = range(len(counters))
-    count = 0
-    for combo in product(*views):
-        key = tuple(tuple(sorted(chain.from_iterable(view[s] for view in combo)))
-                    for s in dbs)
-        if count == 0 and key != canonical_form(bundle):
-            slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
-            raise RuntimeError(
-                f"factored oracle key differs from the generated bundle's "
-                f"(demand {transcript.demand}, slots {slots})"
-            )
-        for s in dbs:
-            counters[s][key[s]] += 1
-        count += 1
-    return count
+    key = tuple(tuple(sorted(chain.from_iterable(firsts[s] for firsts, _ in users)))
+                for s in dbs)
+    if key != canonical_form(bundle):
+        slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
+        raise RuntimeError(
+            f"factored oracle key differs from the generated bundle's "
+            f"(demand {transcript.demand}, slots {slots})"
+        )
+    for s in dbs:
+        for combo in product(*(distinct[s] for _, distinct in users)):
+            key = tuple(sorted(chain.from_iterable(lst for lst, _ in combo)))
+            counters[s][key] += prod(n for _, n in combo)
+    return prod(len(opts) for _, opts in per_user)
+
+
+def _capped_factorial(n: int, guard: int) -> int:
+    """n!, or guard + 1 once the product passes guard, so comparisons with
+    guard stay exact without building a huge n!."""
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+        if out > guard:
+            return guard + 1
+    return out
+
+
+def _covering_demands(N: int, K: int, prefix=()):
+    """Every demand vector in [N]^K naming each file, in lexicographic order;
+    a prefix is dropped as soon as its remaining users cannot cover the files
+    it misses."""
+    if len(prefix) == K:
+        yield prefix
+        return
+    for f in range(1, N + 1):
+        t = prefix + (f,)
+        if N - len(set(t)) <= K - len(t):
+            yield from _covering_demands(N, K, t)
 
 
 def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "single",
@@ -329,8 +360,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
     else:
         H, n_base = h_value(S, N), N
-        thetas = (t for t in product(range(1, N + 1), repeat=K)
-                  if set(t) == set(range(1, N + 1)))
+        thetas = _covering_demands(N, K)
     users = range(1, K + 1)
 
     def branches():
@@ -343,8 +373,9 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
 
     # every branch: K! slot maps, H! sub!^(N-1) options per base user and
     # sub!^N per non-base user, times its rho choices
-    per_branch = (factorial(K) * (factorial(H) * factorial(sub) ** (N - 1)) ** n_base
-                  * factorial(sub) ** (N * (K - n_base)))
+    fact = partial(_capped_factorial, guard=guard)
+    per_branch = (fact(K) * (fact(H) * fact(sub) ** (N - 1)) ** n_base
+                  * fact(sub) ** (N * (K - n_base)))
     walked, n = [], 0
     for branch in branches():
         n += per_branch * prod(len(opts) for opts in branch[3])
@@ -360,17 +391,20 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         return partial(generate_alg3, S, N, K, theta, P, base, rho)
 
     free, tails = _perms(sub, sub), _perms(sub, H)
-    dists, total = {}, 0
+
+    @cache
+    def options(t):
+        return t, list(product(*(tails if i == t else free for i in range(1, N + 1))))
+
+    dists, views, total = {}, {}, 0
     for theta, base, nonbase, rho_lists in walked:
         counters = dists.setdefault(theta, [Counter() for _ in range(S)])
-        per_user = [list(product(*(tails if c in base and i == theta[c - 1] else free
-                                   for i in range(1, N + 1))))
-                    for c in users]
+        per_user = [options(theta[c - 1] if c in base else None) for c in users]
         for P in permutations(users):
             puser = Permutation(P)
             for rho_pick in product(*rho_lists):
                 generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
-                total += _count_branch(generate, per_user, counters)
+                total += _count_branch(generate, per_user, counters, views)
     if scheme == "single":
         dists = {theta[0]: counters for theta, counters in dists.items()}
     elif N < K:

@@ -1,9 +1,14 @@
 """Audits: structure tables, mutation detection, distribution oracles."""
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +115,28 @@ def reference_single_oracle(S, N):
         None,
     )
     return mismatch is None, total, mismatch, dists
+
+
+def distributions_digest(dists):
+    """sha256 of every (demand, database, key, value) row, sorted, with the
+    keys' atoms as plain tuples and the values as strings."""
+    rows = sorted((theta, s, tuple(tuple(map(tuple, q)) for q in key), str(v))
+                  for theta, counters in dists.items()
+                  for s, counter in enumerate(counters) for key, v in counter.items())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def run_distribution_cli(S, N, K, timeout=20):
+    """`mupir audit --mode distribution` in a child process, killed (and the
+    test failed) if it runs past `timeout` seconds."""
+    src = str(Path(audit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "mupir.cli", "audit", "--mode", "distribution",
+         "--scheme", "mupir", "-S", str(S), "-N", str(N), "-K", str(K)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 class TestCheckStructure:
@@ -241,6 +268,23 @@ class TestDistributionOracle:
         assert all(type(v) is value_type for counters in report.distributions.values()
                    for counter in counters for v in counter.values())
 
+    @pytest.mark.parametrize("S,N,K,assignments,mismatch,digest", [
+        (2, 2, 4, 73728, "database 1: demand (1, 1, 1, 2) vs (1, 1, 2, 2) differ",
+         "778803efd33517c2e9a7df99f1b6a621c865aeb063be2d6a6ba39c7ff6c714d7"),
+        (3, 2, 3, 93312, "database 1: demand (1, 1, 2) vs (1, 2, 2) differ",
+         "1b8a9eab42dfb7ab084b5c47cf0a242b2ad5bb750f7ebc7526b2872369064509"),
+    ], ids=["2-2-4", "3-2-3"])
+    def test_oracle_pinned_beyond_the_reference_loops(self, S, N, K, assignments,
+                                                      mismatch, digest):
+        # too large for reference_mupir_oracle in a test run; pinned from the
+        # per-assignment factored oracle, which matched the reference wherever
+        # that ran
+        report = demand_distribution_oracle(S, N, K=K, scheme="mupir")
+        assert report.equal is False
+        assert report.assignments == assignments
+        assert report.mismatch == mismatch
+        assert distributions_digest(report.distributions) == digest
+
     def test_mupir_two_two_three_leaks(self):
         # N = 2 < K: non-base users pair both files with their demand twin
         # (see README), which the per-database distributions reveal
@@ -300,6 +344,30 @@ class TestDistributionOracle:
         # (5, 6, 6): the exact count has more than 4300 digits
         with pytest.raises(TooLargeInstanceError, match="mupir oracle needs more than"):
             demand_distribution_oracle(5, 6, K=6, scheme="mupir")
+
+    def test_capped_factorial(self):
+        for n in range(12):
+            assert audit._capped_factorial(n, 10**9) == factorial(n)
+        assert audit._capped_factorial(13, factorial(13)) == factorial(13)
+        assert audit._capped_factorial(14, factorial(13)) == factorial(13) + 1
+        # 10^8! would take gigabytes; the cap stops after a dozen products
+        assert audit._capped_factorial(10**8, 10**7) == 10**7 + 1
+
+    @pytest.mark.parametrize("S,N,K", [(7, 7, 7), (10, 9, 9)])
+    def test_large_instances_are_refused_at_once(self, S, N, K):
+        # (7, 7, 7) once spent 91 s on the exact (7^6)! before refusing, and
+        # (10, 9, 9) scanned ~6e6 non-covering demand vectors to reach its
+        # first branch
+        proc = run_distribution_cli(S, N, K)
+        assert proc.returncode == 2, proc.stderr
+        assert "mupir oracle needs more than 10000000 assignments" in proc.stderr
+
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_covering_demands_match_the_filtered_product(self, N):
+        for K in range(N, 6):
+            want = [t for t in product(range(1, N + 1), repeat=K)
+                    if set(t) == set(range(1, N + 1))]
+            assert list(audit._covering_demands(N, K)) == want
 
     def test_more_files_than_users_is_refused(self):
         with pytest.raises(RegimeError, match="K>=N"):

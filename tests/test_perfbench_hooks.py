@@ -4,10 +4,13 @@
 harness module looks up (`SESSION_STAGES`, `SESSION_RUNS`, `decode_user`),
 and the privacy workload by rebinding `generate_alg3` and `canonical_form`
 in the audit module.  A rename or fold that drops one of them breaks the
-traced run; this pins them without running the benchmark.
+traced run; this pins them without running the benchmark.  The privacy
+hooks are also pinned to one call per oracle branch, the work the traced
+`protocol.generate_s` and `core.canonical_form_s` are read as.
 """
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 from mupir import audit, harness
@@ -33,3 +36,23 @@ def test_traced_session_names_exist_in_harness(monkeypatch):
 def test_traced_privacy_names_exist_in_audit():
     for name in ("generate_alg3", "canonical_form", "demand_distribution_oracle"):
         assert callable(getattr(audit, name, None)), name
+
+
+def test_traced_privacy_hooks_run_once_per_branch(monkeypatch):
+    # (2, 2, 3) has 72 branches (demands, base set, P); the traced run times
+    # one generate_alg3 and one canonical_form call per branch
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(audit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("generate_alg3", "canonical_form"):
+        monkeypatch.setattr(audit, name, counted(name))
+    report = audit.demand_distribution_oracle(2, 2, K=3, scheme="mupir")
+    assert report.assignments == 1152
+    assert calls == {"generate_alg3": 72, "canonical_form": 72}
