@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, permutations, product
@@ -263,51 +263,62 @@ def _compare_distributions(dists, S):
     return True, None
 
 
-def _count_branch(generate, per_user, counters, views) -> int:
-    """Count one branch's assignments into the per-database key counters.
+def _count_branch(generate, per_user, views) -> tuple:
+    """One branch's multiset of user views, cross-checked against its bundle.
 
     A branch fixes everything but the users' per-file permutations:
     `per_user[c - 1]` is (t, options), user c's option list, which draws the
     tails on file t and is free on every other file (all free when t is
     None).  A user's queries depend only on its own permutations, its slot
-    record and its schedule, so `views` caches, for the whole walk, each
-    user's per-database canonical lists under its `SlotInfo` without the user
-    and t: per database, the distinct lists with their multiplicities, plus
-    the first option's lists.  The oracle compares per-database marginals, so
-    each database is counted on its own: a key is the sorted union of one
-    distinct list per user, weighted by the product of their multiplicities.
+    record and its schedule, so its view is labelled by the plain tuple
+    (kind, subfile, demand, omega_pairs, t), and `views` caches, for the
+    whole walk, each label's per-database canonical lists: per database, the
+    distinct lists with their multiplicities, plus the first option's lists.
     `generate(perms)` runs once, on the first assignment, for its validation
     and its records; the bundle it returns cross-checks that assignment's
-    factored key.  Returns the number of assignments counted.
+    factored key.  Nothing is expanded here: the branch's distribution is a
+    function of its labels alone, which `_expand_views` turns into keys once
+    per distinct multiset.  Returns the sorted tuple of the users' labels.
     """
     first = {c: dict(enumerate(opts[0], start=1))
              for c, (_, opts) in enumerate(per_user, start=1)}
     bundle, transcript = generate(first)
-    users = []
+    labels = []
     for c, (t, opts) in enumerate(per_user, start=1):
         info = transcript.slots[c]
-        view = (replace(info, user=None), t)
-        if view not in views:
+        label = (info.kind, info.subfile, info.demand, info.omega_pairs, t)
+        if label not in views:
             lists = [[tuple(sorted(q.canonical() for q in queries))
                       for queries in materialize(transcript.records[c],
                                                  dict(enumerate(opt, start=1)), info.subfiles)]
                      for opt in opts]
-            views[view] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
-        users.append(views[view])
-    dbs = range(len(counters))
-    key = tuple(tuple(sorted(chain.from_iterable(firsts[s] for firsts, _ in users)))
-                for s in dbs)
+            views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
+        labels.append(label)
+    key = tuple(tuple(sorted(chain.from_iterable(views[label][0][s] for label in labels)))
+                for s in range(transcript.S))
     if key != canonical_form(bundle):
         slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
         raise RuntimeError(
             f"factored oracle key differs from the generated bundle's "
             f"(demand {transcript.demand}, slots {slots})"
         )
-    for s in dbs:
-        for combo in product(*(distinct[s] for _, distinct in users)):
+    # labels of one kind leave the same fields None, so they sort
+    return tuple(sorted(labels))
+
+
+def _expand_views(multiset, views, S) -> list:
+    """Per database, the key Counter of one multiset of user labels over all
+    its assignments.  The oracle compares per-database marginals, so each
+    database is counted on its own: a key is the sorted union of one distinct
+    list per user, weighted by the product of their multiplicities."""
+    counters = []
+    for s in range(S):
+        counter = Counter()
+        for combo in product(*(views[label][1][s] for label in multiset)):
             key = tuple(sorted(chain.from_iterable(lst for lst, _ in combo)))
-            counters[s][key] += prod(n for _, n in combo)
-    return prod(len(opts) for _, opts in per_user)
+            counter[key] += prod(n for _, n in combo)
+        counters.append(counter)
+    return counters
 
 
 def _capped_factorial(n: int, guard: int) -> int:
@@ -340,13 +351,17 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     exact distribution of canonical query keys across demand vectors.
 
     Both schemes take one walk over branches (demands theta, base set, P,
-    rho), each counted by `_count_branch`.  `single` is one base user
-    (K = 1) whose demanded file draws any permutation (H = S^(N-1)), with
-    theta = (d,).  `mupir` walks the covering demand vectors (for N = K the
-    permutations), every base set covering the files, and for N < K every
-    non-base user's `rho_options`.  The branches are walked lazily and their
-    assignments summed; the oracle refuses at the first branch that takes the
-    sum past `guard`, before any permutation is built.
+    rho).  `single` is one base user (K = 1) whose demanded file draws any
+    permutation (H = S^(N-1)), with theta = (d,).  `mupir` walks the covering
+    demand vectors (for N = K the permutations), every base set covering the
+    files, and for N < K every non-base user's `rho_options`.  The branches
+    are walked lazily and their assignments summed; the oracle refuses at the
+    first branch that takes the sum past `guard`, before any permutation is
+    built.  `_count_branch` reduces each branch to its multiset of user view
+    labels, which each theta weighs by its number of branches; after the walk
+    `_expand_views` expands each distinct multiset once, across branches and
+    thetas, and each theta's distribution is the weighted sum of its
+    multisets' expansions.
     """
     sub = S ** (N - 1)
     if scheme == "single":
@@ -396,15 +411,25 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     def options(t):
         return t, list(product(*(tails if i == t else free for i in range(1, N + 1))))
 
-    dists, views, total = {}, {}, 0
+    dists, drawn, views, total = {}, {}, {}, 0
     for theta, base, nonbase, rho_lists in walked:
-        counters = dists.setdefault(theta, [Counter() for _ in range(S)])
+        dists.setdefault(theta, [Counter() for _ in range(S)])
         per_user = [options(theta[c - 1] if c in base else None) for c in users]
+        count = prod(len(opts) for _, opts in per_user)
         for P in permutations(users):
             puser = Permutation(P)
             for rho_pick in product(*rho_lists):
                 generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
-                total += _count_branch(generate, per_user, counters, views)
+                drawn.setdefault(_count_branch(generate, per_user, views), Counter())[theta] += 1
+                total += count
+    # each distinct multiset is expanded once, then added to every theta
+    # drawing it, weighted by its number of branches there
+    for multiset, weights in drawn.items():
+        for s, part in enumerate(_expand_views(multiset, views, S)):
+            for theta, w in weights.items():
+                counter = dists[theta][s]
+                for key, m in part.items():
+                    counter[key] += w * m
     if scheme == "single":
         dists = {theta[0]: counters for theta, counters in dists.items()}
     elif N < K:

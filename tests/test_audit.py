@@ -256,7 +256,7 @@ class TestDistributionOracle:
         assert all(type(v) is int for counters in report.distributions.values()
                    for counter in counters for v in counter.values())
 
-    @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
     def test_factored_oracle_matches_reference(self, S, N, K):
         report = demand_distribution_oracle(S, N, K=K, scheme="mupir")
         equal, assignments, mismatch, dists = reference_mupir_oracle(S, N, K)
@@ -284,6 +284,21 @@ class TestDistributionOracle:
         assert report.assignments == assignments
         assert report.mismatch == mismatch
         assert distributions_digest(report.distributions) == digest
+
+    @pytest.mark.parametrize("S,N,K,multisets", [(2, 2, 3, 12), (2, 2, 4, 48), (3, 2, 3, 12)])
+    def test_each_view_multiset_is_expanded_once(self, monkeypatch, S, N, K, multisets):
+        # (2, 2, 3) has 72 branches, (2, 2, 4) 1152 and (3, 2, 3) 72; they
+        # share this many multisets of user views, across demand vectors
+        expanded = []
+        real = audit._expand_views
+
+        def counted(multiset, *args):
+            expanded.append(multiset)
+            return real(multiset, *args)
+
+        monkeypatch.setattr(audit, "_expand_views", counted)
+        demand_distribution_oracle(S, N, K=K, scheme="mupir")
+        assert len(expanded) == len(set(expanded)) == multisets
 
     def test_mupir_two_two_three_leaks(self):
         # N = 2 < K: non-base users pair both files with their demand twin
@@ -381,6 +396,73 @@ class TestDistributionOracle:
         for d, counters in report.distributions.items():
             for counter in counters:
                 assert len(set(counter.values())) == 1
+
+
+def guess_from_one_database(queries, S, N):
+    """Guess non-base users' demands from one database's queries alone.
+
+    1. Label the base slots: a base user's demanded file draws its tail
+       fixed, so at the user's slot it never shows a subsubfile index past
+       H.  A slot whose one-slot queries show an index past H for every file
+       but one is labelled with that file.
+    2. Read each non-base slot's partner map (file -> base slot) from its
+       paired references.
+    3. A non-base user's demanded file pairs with its twin's slot and every
+       other file with a slot not demanding it, so the one file i with
+       label(partner(i)) = i is its demand.
+    Returns {non-base slot: guessed file} for the slots where step 3 finds
+    exactly one such file.
+    """
+    H = h_value(S, N)
+    high = {}  # base slot -> files showing an index past H there
+    for q in queries:
+        slots = {a.subfile for a in q.atoms}
+        if len(slots) == 1:
+            high.setdefault(slots.pop(), set()).update(a.file for a in q.atoms if a.subsub > H)
+    labels = {}
+    for slot, files in high.items():
+        rest = set(range(1, N + 1)) - files
+        if len(rest) == 1:
+            labels[slot] = rest.pop()
+    partner = {}  # non-base slot -> {file: base slot}
+    for q in queries:
+        pairs = {}
+        for a in q.atoms:
+            pairs.setdefault((a.file, a.subsub), set()).add(a.subfile)
+        for (f, _), slots in pairs.items():
+            if len(slots) == 2:
+                # only base slots carry one-slot (qset1) queries
+                (own,), (base,) = slots - high.keys(), slots & high.keys()
+                partner.setdefault(own, {})[f] = base
+    guesses = {}
+    for own, f in partner.items():
+        matches = [i for i, base in f.items() if labels.get(base) == i]
+        if len(matches) == 1:
+            guesses[own] = matches[0]
+    return guesses
+
+
+class TestSingleDatabaseLeak:
+    @pytest.mark.parametrize("S,N,demand,min_right", [
+        (3, 3, (1, 2, 3, 1), 40),
+        (3, 3, (2, 1, 3, 3), 40),
+        (2, 3, (1, 2, 3, 1), 25),
+        (2, 3, (1, 2, 3, 1, 2), 44),
+    ], ids=["3-3-1231", "3-3-2133", "2-3-1231", "2-3-12312"])
+    def test_database_one_guesses_non_base_demands(self, S, N, demand, min_right):
+        # every N < K session measured tells database 1 the non-base users'
+        # demands: the guess is never wrong, and made in most sessions
+        right = wrong = 0
+        for seed in range(40):
+            _, art = run_mupir_session(S, N, len(demand), 1, seed=seed, demand=demand)
+            bundle = art["bundle"]
+            truth = {info.subfile: demand[c - 1]
+                     for c, info in bundle.slots.items() if info.kind == "qset2"}
+            for slot, guess in guess_from_one_database(bundle.per_db[0], S, N).items():
+                right += guess == truth[slot]
+                wrong += guess != truth[slot]
+        assert wrong == 0
+        assert right >= min_right
 
 
 class TestReplayVerification:
