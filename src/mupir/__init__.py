@@ -5,7 +5,6 @@ from .core import (
     FileStore,
     Permutation,
     Query,
-    QueryAtom,
     QueryBundle,
     answer_bundle,
     build_file_store,

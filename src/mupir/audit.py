@@ -19,7 +19,6 @@ from math import prod
 from .core import (
     Permutation,
     Query,
-    QueryAtom,
     QueryBundle,
     canonical_form,
 )
@@ -102,24 +101,27 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables):
     occurs as often as `reps` prescribes, with no other type.  So each file
     is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  Returns each
     query's (database, frozenset of references)."""
-    want_slots = {i: sorted(info.subfiles(i)) for i in range(1, N + 1)}
+    want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
     types = Counter()
     sums = []
     for db0, queries in enumerate(per_db):
         for q in queries:
             groups = {}
             for f, j, x in q.atoms:
-                groups.setdefault((f, x), []).append(j)
+                key = (f, x)
+                groups[key] = groups.get(key, ()) + (j,)
             for (f, _), subfiles in groups.items():
-                if sorted(subfiles) != want_slots.get(f):
+                if len(subfiles) > 1:
+                    subfiles = tuple(sorted(subfiles))
+                if subfiles != want_slots.get(f):
                     failures.append(
                         f"user {user} db {db0 + 1}: reference to file {f} "
-                        f"uses slots {sorted(subfiles)}"
+                        f"uses slots {list(subfiles)}"
                     )
-            files = [f for f, _ in groups]
-            if len(set(files)) != len(files):
+            files = {f for f, _ in groups}
+            if len(files) != len(groups):
                 failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
-            types[(db0 + 1, tuple(sorted(set(files))))] += 1
+            types[(db0 + 1, tuple(sorted(files)))] += 1
             sums.append((db0, frozenset(groups)))
     for k in range(1, N + 1):
         for s in range(1, S + 1):
@@ -224,12 +226,12 @@ def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
     else:
         q = per_db[db0][pos]
         ai = rng.randrange(len(q.atoms))
-        atom = q.atoms[ai]
+        f, j, x = q.atoms[ai]
         new_sub = rng.randrange(1, sub)
-        if new_sub >= atom.subsub:
+        if new_sub >= x:
             new_sub += 1
         atoms = list(q.atoms)
-        atoms[ai] = QueryAtom(atom.file, atom.subfile, new_sub)
+        atoms[ai] = (f, j, new_sub)
         per_db[db0][pos] = Query(tuple(sorted(atoms)))
     mutated = QueryBundle(S=bundle.S, per_db=per_db, emission=emission,
                           slots=dict(bundle.slots))

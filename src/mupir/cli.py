@@ -44,13 +44,24 @@ def _emit(text: str, out):
         sys.stdout.write(text)
 
 
-def _session_rows(report):
-    flat = {"scheme": report["scheme"], "seed": report["seed"],
-            "demand": " ".join(str(d) for d in report["demand"]),
-            "rate_exact": report["rate_exact"], "rate_dec": report["rate_dec"],
-            "decode_ok": report["decode_ok"], "audit_ok": report["audit_ok"]}
-    flat.update({k: v for k, v in report["params"].items()})
-    return [flat]
+def _emit_record(record, args, row=None):
+    """The record as JSON or, with --format csv, as one CSV row: `row` when
+    given, else the record; a `params` dict is flattened in after the rest."""
+    if args.format == "csv":
+        row = dict(row or record)
+        row.update(row.pop("params", {}))
+        _emit(rows_to_csv([row], columns=list(row)), args.out)
+    else:
+        _emit(to_json(record), args.out)
+
+
+def _exit_code(report) -> int:
+    """A session's exit code: a decode failure outranks an audit failure."""
+    if not report["decode_ok"]:
+        return EXIT_DECODE
+    if not report["audit_ok"]:
+        return EXIT_AUDIT
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -134,14 +145,14 @@ def _dispatch(args) -> int:
     if args.command in ("pir", "mupir"):
         scheme = "single" if args.command == "pir" else "mupir"
         report, _ = run_session(_session_config(args, scheme))
-        return _emit_session(report, args)
+        row = {k: report[k] for k in ("scheme", "seed", "demand", "rate_exact", "rate_dec",
+                                      "decode_ok", "audit_ok", "params")}
+        row["demand"] = " ".join(str(d) for d in report["demand"])
+        _emit_record(report, args, row)
+        return _exit_code(report)
 
     if args.command == "rates":
-        report = rates_report(args.S, args.N, args.K)
-        if args.format == "csv":
-            _emit(rows_to_csv([report], columns=list(report)), args.out)
-        else:
-            _emit(to_json(report), args.out)
+        _emit_record(rates_report(args.S, args.N, args.K), args)
         return EXIT_OK
 
     if args.command == "sweep":
@@ -167,7 +178,7 @@ def _dispatch(args) -> int:
                 "assignments": report.assignments,
                 "equal": report.equal, "mismatch": report.mismatch,
             }
-            _emit(to_json(payload), args.out)
+            _emit_record(payload, args)
             return EXIT_OK if report.equal else EXIT_AUDIT
         if args.scheme == "single":
             report, _ = run_single_session(args.S, args.N, args.block_bytes, args.seed)
@@ -179,23 +190,10 @@ def _dispatch(args) -> int:
             "params": report["params"],
             "audit_ok": report["audit_ok"], "decode_ok": report["decode_ok"],
         }
-        _emit(to_json(payload), args.out)
-        return EXIT_OK if report["audit_ok"] else EXIT_AUDIT
+        _emit_record(payload, args)
+        return _exit_code(payload)
 
     raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
-
-
-def _emit_session(report, args) -> int:
-    if args.format == "csv":
-        rows = _session_rows(report)
-        _emit(rows_to_csv(rows, columns=list(rows[0])), args.out)
-    else:
-        _emit(to_json(report), args.out)
-    if not report["decode_ok"]:
-        return EXIT_DECODE
-    if not report["audit_ok"]:
-        return EXIT_AUDIT
-    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

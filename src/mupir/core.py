@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DemandError, InvalidDimensionError
 
@@ -163,18 +163,10 @@ def validate_demands(demands, N: int, K: int) -> tuple:
     return demands
 
 
-class QueryAtom(NamedTuple):
-    """One subsubfile reference W_{file,subfile}^subsub inside a query.  A
-    plain tuple underneath, so atoms sort, compare and hash as tuples."""
-
-    file: int
-    subfile: int
-    subsub: int
-
-
 @dataclass(frozen=True)
 class Query:
-    """A multiset of atoms XORed into one transmitted sum."""
+    """A multiset of atoms XORed into one transmitted sum.  An atom is the
+    plain int triple (file, subfile, subsub), naming W_{file,subfile}^subsub."""
 
     atoms: tuple
 
@@ -249,11 +241,18 @@ def canonical_form(bundle: QueryBundle) -> tuple:
 
 
 def answer_bundle(store: FileStore, bundle: QueryBundle) -> list:
-    """One block per query: XOR of the referenced subsubfiles, order-aligned."""
+    """One block per query: XOR of the referenced subsubfiles, order-aligned.
+    A one-atom query's answer is the store's own block, not a copy."""
+    data = store.data
     out = []
     for queries in bundle.per_db:
         row = []
         for q in queries:
-            row.append(xor_combine([store.block(a.file, a.subfile, a.subsub) for a in q.atoms]))
+            atoms = iter(q.atoms)
+            f, j, x = next(atoms)
+            acc = data[f - 1][j - 1][x - 1]
+            for f, j, x in atoms:
+                acc ^= data[f - 1][j - 1][x - 1]
+            row.append(acc)
         out.append(row)
     return out

@@ -14,22 +14,17 @@ from functools import cached_property
 from .errors import UnresolvablePlanError
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _reduce(mask: int, comb: int, rows: dict, pivots: int):
     """Clear from mask every pivot of `pivots` it has set, XORing in the
     reduced row at that pivot; rows hold no other row's pivot, so one pass
-    suffices."""
-    for p in _bits(mask & pivots):
-        row = rows[p]
+    over the set bits, lowest first, suffices."""
+    hit = mask & pivots
+    while hit:
+        low = hit & -hit
+        row = rows[low.bit_length() - 1]
         mask ^= row[0]
         comb ^= row[1]
+        hit ^= low
     return mask, comb
 
 
@@ -110,12 +105,13 @@ class AnswerSystem:
 
     @cached_property
     def reduction(self) -> Reduction:
+        K, sub = self.K, self.sub
         masks = []
         for queries in self.bundle.per_db:
             for q in queries:
                 mask = 0
-                for a in q.atoms:
-                    mask ^= 1 << self.column(a.file, a.subfile, a.subsub)
+                for i, j, x in q.atoms:
+                    mask ^= 1 << (((i - 1) * K + j - 1) * sub + x - 1)  # column(i, j, x)
                 masks.append(mask)
         return Reduction(masks)
 
@@ -136,6 +132,8 @@ class AnswerSystem:
         blocks = [b for row in self.answers for b in row] + [b for _, b in extra]
         for t, comb in zip(targets, combs):
             acc = 0
-            for e in _bits(comb):
-                acc ^= blocks[e]
+            while comb:
+                low = comb & -comb
+                acc ^= blocks[low.bit_length() - 1]
+                comb ^= low
             yield t, acc

@@ -34,7 +34,6 @@ from .core import (
     FileStore,
     Permutation,
     Query,
-    QueryAtom,
     QueryBundle,
     SlotInfo,
     validate_demands,
@@ -265,14 +264,11 @@ def materialize(records, perms: dict, subfiles) -> list:
     file's omega pair for qset2.
     """
     slots = {f: subfiles(f) for f in perms}
-    out = []
-    for db_list in records:
-        row = []
-        for rec in db_list:
-            atoms = [QueryAtom(f, j, perms[f](pos)) for f, pos in rec.refs for j in slots[f]]
-            row.append(Query(tuple(sorted(atoms))))
-        out.append(row)
-    return out
+    images = {f: p.images for f, p in perms.items()}
+    return [[Query(tuple(sorted([(f, j, images[f][pos - 1])
+                                 for f, pos in rec.refs for j in slots[f]])))
+             for rec in db_list]
+            for db_list in records]
 
 
 @dataclass(frozen=True)
@@ -478,7 +474,7 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     values = {}
 
     def sym_for(user, info, file, pos):
-        x = transcript.perms[user][file](pos)
+        x = transcript.perms[user][file].images[pos - 1]
         if info.omega_pairs is None:
             return ("w", file, info.subfile, x)
         return ("om", user, file, x)

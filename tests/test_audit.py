@@ -20,7 +20,7 @@ from mupir.audit import (
     mutate_bundle,
     verify_replay,
 )
-from mupir.core import Permutation, Query, QueryAtom, canonical_form, identity_permutation
+from mupir.core import Permutation, Query, canonical_form, identity_permutation
 from mupir.errors import RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
@@ -170,9 +170,9 @@ class TestCheckStructure:
             [[a(6), b(1)], [a(7), c(1)], [b(4), c(4)],
              [a(15), b(2), c(2)], [a(16), b(3), c(3)]],
         ]
-        from mupir.core import Query, QueryBundle, QueryAtom, SlotInfo
+        from mupir.core import Query, QueryBundle, SlotInfo
 
-        per_db = [[Query(tuple(QueryAtom(*t) for t in q)) for q in db] for db in dbs]
+        per_db = [[Query(tuple(q)) for q in db] for db in dbs]
         emission = [[(1, i) for i in range(len(db))] for db in per_db]
         bundle = QueryBundle(
             S=4, per_db=per_db, emission=emission,
@@ -416,9 +416,9 @@ def guess_from_one_database(queries, S, N):
     H = h_value(S, N)
     high = {}  # base slot -> files showing an index past H there
     for q in queries:
-        slots = {a.subfile for a in q.atoms}
+        slots = {j for _, j, _ in q.atoms}
         if len(slots) == 1:
-            high.setdefault(slots.pop(), set()).update(a.file for a in q.atoms if a.subsub > H)
+            high.setdefault(slots.pop(), set()).update(f for f, _, x in q.atoms if x > H)
     labels = {}
     for slot, files in high.items():
         rest = set(range(1, N + 1)) - files
@@ -427,8 +427,8 @@ def guess_from_one_database(queries, S, N):
     partner = {}  # non-base slot -> {file: base slot}
     for q in queries:
         pairs = {}
-        for a in q.atoms:
-            pairs.setdefault((a.file, a.subsub), set()).add(a.subfile)
+        for f, j, x in q.atoms:
+            pairs.setdefault((f, x), set()).add(j)
         for (f, _), slots in pairs.items():
             if len(slots) == 2:
                 # only base slots carry one-slot (qset1) queries
@@ -492,6 +492,7 @@ class TestReplayVerification:
         bundle = art["bundle"]
         q = bundle.per_db[0][0]
         atoms = list(q.atoms)
-        atoms[0] = QueryAtom(atoms[0].file, atoms[0].subfile, 3 - atoms[0].subsub)
+        f, j, x = atoms[0]
+        atoms[0] = (f, j, 3 - x)
         bundle.per_db[0][0] = Query(tuple(atoms))
         assert not verify_replay(bundle, art["transcript"])

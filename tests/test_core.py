@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mupir.core import (
     Permutation,
     Query,
-    QueryAtom,
     QueryBundle,
+    answer_bundle,
     build_file_store,
     canonical_form,
     file_store_from_bytes,
@@ -159,7 +159,7 @@ class TestDemands:
 
 
 def _bundle_of(queries_per_db):
-    per_db = [[Query(tuple(QueryAtom(*a) for a in q)) for q in db] for db in queries_per_db]
+    per_db = [[Query(tuple(q)) for q in db] for db in queries_per_db]
     emission = [[None] * len(db) for db in per_db]
     return QueryBundle(S=len(per_db), per_db=per_db, emission=emission)
 
@@ -202,3 +202,17 @@ class TestCanonicalForm:
         sizes = sorted(len(q) for q in key[0])
         assert sizes == [1, 1, 1, 3, 3, 3, 3]
         assert sorted(len(q) for q in key[1]) == [2, 2, 2, 2, 2, 2, 3, 3]
+
+
+def test_answer_bundle_matches_per_atom_reference(block_session):
+    _, art = block_session
+    store, bundle = art["store"], art["bundle"]
+    want = [[xor_combine([store.block(f, j, x) for f, j, x in q.atoms]) for q in queries]
+            for queries in bundle.per_db]
+    got = answer_bundle(store, bundle)
+    assert got == want
+    # a one-atom answer is the store's own block, never a copy
+    singles = [(q.atoms[0], a) for queries, row in zip(bundle.per_db, got)
+               for q, a in zip(queries, row) if len(q.atoms) == 1]
+    assert singles
+    assert all(a is store.block(*atom) for atom, a in singles)

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from mupir.core import Query, QueryAtom, QueryBundle
+from mupir import gf2
+from mupir.core import Query, QueryBundle
 from mupir.errors import UnresolvablePlanError
 from mupir.gf2 import AnswerSystem, Reduction
 
@@ -69,7 +70,7 @@ def test_target_fixed_only_by_sum_of_two_extra_rows():
 
 def _bundle(queries):
     """One database, one query per atom list over file i, subfile 1."""
-    per_db = [[Query(tuple(QueryAtom(i, 1, x) for i, x in atoms)) for atoms in queries]]
+    per_db = [[Query(tuple((i, 1, x) for i, x in atoms)) for atoms in queries]]
     return QueryBundle(S=1, per_db=per_db, emission=[[None] * len(queries)])
 
 
@@ -97,3 +98,20 @@ def test_answer_system_solves_with_cache_rows():
     assert dict(system.solve([(2, 1, 2)])) == {(2, 1, 2): blocks[(2, 2)]}
     with pytest.raises(UnresolvablePlanError, match="undetermined"):
         dict(system.solve([(1, 1, 1)]))
+
+
+def test_reduction_masks_match_column_reference(block_session, monkeypatch):
+    _, art = block_session
+    system = AnswerSystem(art["bundle"], art["answers"], art["transcript"].K,
+                          art["store"].subpackets)
+    want = []
+    for queries in art["bundle"].per_db:
+        for q in queries:
+            mask = 0
+            for f, j, x in q.atoms:
+                mask ^= 1 << system.column(f, j, x)
+            want.append(mask)
+    seen = []
+    monkeypatch.setattr(gf2, "Reduction", lambda masks: seen.append(masks) or Reduction(masks))
+    system.reduction
+    assert seen == [want]

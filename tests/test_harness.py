@@ -1,9 +1,12 @@
 """Harness: config parsing, sessions, sweeps, serialization, CLI."""
+import csv
+import io
 import json
 
 import pytest
 
-from mupir.cli import EXIT_AUDIT, main
+from mupir import cli
+from mupir.cli import EXIT_AUDIT, EXIT_DECODE, main
 from mupir.errors import ConfigError
 from mupir.harness import (
     dec,
@@ -12,6 +15,7 @@ from mupir.harness import (
     parse_frac,
     reverify_sweep_rows,
     rows_to_csv,
+    run_mupir_session,
     run_session,
     sweep,
     to_json,
@@ -96,11 +100,7 @@ class TestSweep:
         rows = sweep([3, 2], [3, 2], 4)
         keys = [(r["S"], r["N"], r["K"]) for r in rows]
         assert keys == sorted(keys)
-        csv_text = rows_to_csv(rows)
-        import csv as _csv
-        import io
-
-        parsed = list(_csv.DictReader(io.StringIO(csv_text)))
+        parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
         assert reverify_sweep_rows(parsed)
 
 
@@ -177,6 +177,38 @@ class TestCli:
         rc = main(["audit", "--mode", "structure", "--scheme", "mupir",
                    "-S", "2", "-N", "2", "-K", "3"])
         assert rc == 0
+
+    def test_audit_structure_decode_failure_exit(self, capsys, monkeypatch):
+        # a session that fails to decode exits 3 even when its audit passes
+        def failing(*args, **kwargs):
+            report, art = run_mupir_session(*args, **kwargs)
+            return {**report, "decode_ok": False}, art
+
+        monkeypatch.setattr(cli, "run_mupir_session", failing)
+        rc = main(["audit", "--mode", "structure", "--scheme", "mupir",
+                   "-S", "2", "-N", "2", "-K", "3"])
+        assert rc == EXIT_DECODE
+        out = json.loads(capsys.readouterr().out)
+        assert out["decode_ok"] is False and out["audit_ok"] is True
+
+    def test_audit_csv(self, capsys):
+        # one CSV row per audit, the session's params flattened in last
+        rc = main(["audit", "--mode", "structure", "--scheme", "mupir",
+                   "-S", "2", "-N", "2", "-K", "3", "--format", "csv"])
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1
+        assert list(rows[0]) == ["mode", "scheme", "audit_ok", "decode_ok", "S", "N", "K",
+                                 "block_bytes", "q", "H", "M_exact", "M_dec",
+                                 "R_exact", "R_dec"]
+        assert rows[0]["mode"] == "structure" and rows[0]["R_exact"] == "5/3"
+        rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",
+                   "-S", "2", "-N", "2", "-K", "3", "--format", "csv"])
+        assert rc == EXIT_AUDIT
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [{"mode": "distribution", "scheme": "mupir", "S": "2", "N": "2",
+                         "K": "3", "assignments": "1152", "equal": "False",
+                         "mismatch": "database 1: demand (1, 1, 2) vs (1, 2, 2) differ"}]
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "session.cfg"

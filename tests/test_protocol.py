@@ -7,6 +7,7 @@ import pytest
 from mupir.audit import check_structure
 from mupir.core import (
     Permutation,
+    Query,
     SlotInfo,
     build_file_store,
     identity_permutation,
@@ -120,13 +121,43 @@ class TestQset2:
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
         for db in per_db:
             for q in db:
-                groups = Counter((a.file, a.subsub) for a in q.atoms)
+                groups = Counter((f, x) for f, _, x in q.atoms)
                 assert all(c == 2 for c in groups.values())
                 assert len(q.atoms) == 2 * len(groups)
 
     def test_rejects_degenerate_pair(self):
         with pytest.raises(DemandError):
             SlotInfo(user=1, kind="qset2", omega_pairs=((1, 2, 2),))
+
+
+def reference_materialize(records, perms, subfiles):
+    """The per-atom reference for `materialize`: every reference's
+    subsubfile through the permutation's call, one atom at a time."""
+    out = []
+    for db_list in records:
+        row = []
+        for rec in db_list:
+            atoms = []
+            for f, pos in rec.refs:
+                for j in subfiles(f):
+                    atoms.append((f, j, perms[f](pos)))
+            row.append(Query(tuple(sorted(atoms))))
+        out.append(row)
+    return out
+
+
+def test_materialize_matches_per_atom_reference(block_session):
+    kind, art = block_session
+    tr = art["transcript"]
+    kinds = set()
+    for user, records in tr.records.items():
+        info = tr.slots[user]
+        kinds.add(info.kind)
+        if info.kind == "qset2":
+            assert all(len(info.subfiles(f)) == 2 for f in range(1, tr.N + 1))
+        want = reference_materialize(records, tr.perms[user], info.subfiles)
+        assert materialize(records, tr.perms[user], info.subfiles) == want
+    assert kind in kinds
 
 
 class TestSwapRebalancing:

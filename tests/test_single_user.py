@@ -80,7 +80,7 @@ class TestStructuralProperties:
         perms = _random_perms(S, N, seed=5)
         bundle, _ = generate_alg1(S, N, perms, 1)
         for db0, queries in enumerate(bundle.per_db):
-            by_type = Counter(tuple(sorted({a.file for a in q.atoms})) for q in queries)
+            by_type = Counter(tuple(sorted({f for f, _, _ in q.atoms})) for q in queries)
             for t, cnt in by_type.items():
                 assert cnt == phi(db0 + 1, S, len(t))
 
@@ -94,7 +94,7 @@ class TestStructuralProperties:
                 per_db = []
                 for queries in bundle.per_db:
                     by_type = Counter(
-                        tuple(sorted({a.file for a in q.atoms})) for q in queries
+                        tuple(sorted({f for f, _, _ in q.atoms})) for q in queries
                     )
                     per_db.append(sorted(
                         (len(t), c) for t, c in by_type.items()
