@@ -59,8 +59,10 @@ _REPS = {
 
 
 def _slot_queries(bundle: QueryBundle):
-    """Group queries by originating generator block, preserving order."""
-    by_user = {}
+    """Group queries by originating generator block, preserving order.  Every
+    user of `bundle.slots` has a block, empty when none of its queries was
+    emitted, so that a missing block fails its count tables."""
+    by_user = {user: [[] for _ in range(bundle.S)] for user in bundle.slots}
     for db0, (queries, order) in enumerate(zip(bundle.per_db, bundle.emission)):
         for q, (user, _) in zip(queries, order):
             by_user.setdefault(user, [[] for _ in range(bundle.S)])[db0].append(q)

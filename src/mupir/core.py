@@ -170,9 +170,6 @@ class Query:
 
     atoms: tuple
 
-    def __len__(self):
-        return len(self.atoms)
-
     def canonical(self) -> tuple:
         return tuple(sorted(self.atoms))
 

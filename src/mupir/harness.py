@@ -50,7 +50,7 @@ _CONFIG_KEYS = {
     "seed": int,
     "demands": str,
 }
-_DEFAULTS = {"K": 1, "block_bytes": 1, "seed": 0, "demands": "random-valid"}
+_DEFAULTS = {"block_bytes": 1, "seed": 0, "demands": "random-valid"}
 
 
 def parse_config(text: str) -> dict:
@@ -264,26 +264,14 @@ SWEEP_COLUMNS = ["S", "N", "K", "q", "H", "M_exact", "M_dec", "R_exact", "R_dec"
 
 
 def sweep(S_values, N_values, K_max) -> list:
-    """One row per (S, N, K) with N <= K <= K_max, deterministic order."""
+    """One row per (S, N, K) with N <= K <= K_max, deterministic order: the
+    SWEEP_COLUMNS of that triple's `rates_report`."""
     rows = []
     for S in sorted(S_values):
         for N in sorted(N_values):
             for K in range(N, K_max + 1):
-                q = q_value(S, N)
-                H = h_value(S, N)
-                M = cache_fraction(S, N, K)
-                R = proposed_rate(S, N, K)
-                rpd = pd_rate(S, N, K, M)
-                dom = rate_dominance_check(S, N, K)
-                rows.append({
-                    "S": S, "N": N, "K": K, "q": q, "H": H,
-                    "M_exact": frac_str(M), "M_dec": dec(M),
-                    "R_exact": frac_str(R), "R_dec": dec(R),
-                    "RPD_dec": dec(rpd),
-                    "margin_dec": dec(dom.envelope_margin),
-                    "lemma41": dom.slack_nsq > 0,
-                    "lemma43": dom.envelope_margin > 0,
-                })
+                report = rates_report(S, N, K)
+                rows.append({c: report[c] for c in SWEEP_COLUMNS})
     return rows
 
 

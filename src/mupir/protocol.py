@@ -74,7 +74,6 @@ class Record:
 class _DraftQuery:
     """Mutable query under construction; rebalancing swaps edit it in place."""
 
-    k: int
     type_set: tuple
     fresh_file: int
     fresh_pos: int
@@ -83,42 +82,36 @@ class _DraftQuery:
 
 class _ReusePicker:
     """Least-reused exposed position for one (database, file) pair, ties to
-    the smallest position.  Lazy count-bucket heaps keep picks near O(1)."""
+    the smallest position.  One lazy min-heap of (count, position) entries:
+    an entry whose count is no longer the position's is dropped when it
+    reaches the top."""
 
-    __slots__ = ("cnt", "buckets", "merged")
+    __slots__ = ("cnt", "heap", "merged")
 
     def __init__(self):
         self.cnt = {}       # pos -> reference count at this database
-        self.buckets = {}   # count -> heap of candidate positions (lazy)
+        self.heap = []
         self.merged = 0     # positions 1..merged are pickable
-
-    def _push(self, pos, c):
-        heappush(self.buckets.setdefault(c, []), pos)
 
     def bump(self, pos, delta):
         c = self.cnt.get(pos, 0) + delta
         self.cnt[pos] = c
         if pos <= self.merged:
-            self._push(pos, c)
+            heappush(self.heap, (c, pos))
 
     def pick(self, limit):
         assert limit >= 1, "no exposed positions to reuse"
+        cnt, heap = self.cnt, self.heap
         while self.merged < limit:
             self.merged += 1
-            self._push(self.merged, self.cnt.get(self.merged, 0))
-        c = 0
-        while True:
-            heap = self.buckets.get(c)
-            while heap:
-                pos = heap[0]
-                if self.cnt.get(pos, 0) == c:
-                    return pos
-                heappop(heap)  # stale: position moved to another count
-            c += 1
+            heappush(heap, (cnt.get(self.merged, 0), self.merged))
+        while cnt.get(heap[0][1], 0) != heap[0][0]:
+            heappop(heap)
+        return heap[0][1]
 
 
 def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
-    """Generic engine: returns per-database Record lists and the final
+    """Generic engine: returns per-database tuples of Records and the final
     per-file fresh-position counters.
 
     multiplicity(s, k): copies of each k-subset type for database s.
@@ -126,14 +119,7 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
     """
     t = [0] * (N + 1)
     per_db = [[] for _ in range(S)]
-    pickers = [[_ReusePicker() for _ in range(N + 1)] for _ in range(S + 1)]
-
-    def bump(s, u, pos, delta):
-        pickers[s][u].bump(pos, delta)
-
-    def pick_old(s, u, limit):
-        return pickers[s][u].pick(limit)
-
+    pickers = [[_ReusePicker() for _ in range(N + 1)] for _ in range(S)]
     for k in range(1, N + 1):
         T = t.copy()
         for s in range(1, S + 1):
@@ -144,86 +130,57 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                 continue
             pool = [U for U in combinations(range(1, N + 1), k) for _ in range(m)]
             assert sum(quotas) == len(pool), (S, N, s, k, quotas, len(pool))
+            picker = pickers[s - 1]
             block = []
+
+            def reuse(u):
+                pos = picker[u].pick(T[u])
+                picker[u].bump(pos, +1)
+                return (u, pos)
+
+            def emit(U, fresh_file, fresh_pos):
+                olds = [reuse(u) for u in U if u != fresh_file]
+                picker[fresh_file].bump(fresh_pos, +1)
+                block.append(_DraftQuery(U, fresh_file, fresh_pos, olds))
+
             for i in range(1, N + 1):
                 for _ in range(quotas[i - 1]):
                     idx = next((n_ for n_, U in enumerate(pool) if i in U), None)
                     if idx is not None:
-                        U = pool.pop(idx)
                         t[i] += 1
-                        olds = []
-                        for u in U:
-                            if u == i:
-                                continue
-                            pos = pick_old(s, u, T[u])
-                            bump(s, u, pos, +1)
-                            olds.append((u, pos))
-                        bump(s, i, t[i], +1)
-                        block.append(
-                            _DraftQuery(k=k, type_set=U, fresh_file=i,
-                                        fresh_pos=t[i], old_picks=olds)
+                        emit(pool.pop(idx), i, t[i])
+                        continue
+                    # No remaining type contains i: hand i's fresh slot to an
+                    # earlier query of this block that references i, and emit
+                    # the leftover type using that query's fresh reference
+                    # instead.
+                    chosen = next(((n_, r) for n_, U in enumerate(pool) for r in block
+                                   if i in r.type_set and r.fresh_file != i
+                                   and r.fresh_file in U), None)
+                    if chosen is None:
+                        raise InfeasibleSwapError(
+                            f"no rebalancing swap for file {i} at db {s}, k={k}"
                         )
-                    else:
-                        # No remaining type contains i: hand i's fresh slot to
-                        # an earlier query of this block that references i, and
-                        # emit the leftover type using that query's fresh
-                        # reference instead.
-                        chosen = None
-                        for n_, U in enumerate(pool):
-                            for r in block:
-                                if (
-                                    i in r.type_set
-                                    and r.fresh_file != i
-                                    and r.fresh_file in U
-                                ):
-                                    chosen = (n_, U, r)
-                                    break
-                            if chosen:
-                                break
-                        if chosen is None:
-                            raise InfeasibleSwapError(
-                                f"no rebalancing swap for file {i} at db {s}, k={k}"
-                            )
-                        n_, U, r = chosen
-                        pool.pop(n_)
-                        v1 = r.fresh_file
-                        olds = []
-                        for u in U:
-                            if u == v1:
-                                continue
-                            pos = pick_old(s, u, T[u])
-                            bump(s, u, pos, +1)
-                            olds.append((u, pos))
-                        bump(s, v1, r.fresh_pos, +1)
-                        block.append(
-                            _DraftQuery(k=k, type_set=U, fresh_file=v1,
-                                        fresh_pos=r.fresh_pos, old_picks=olds)
-                        )
-                        # donor: old i-reference becomes the fresh one, its
-                        # fresh v1-reference downgrades to an old pick
-                        old_i = next(p for p in r.old_picks if p[0] == i)
-                        r.old_picks.remove(old_i)
-                        bump(s, i, old_i[1], -1)
-                        bump(s, v1, r.fresh_pos, -1)
-                        t[i] += 1
-                        bump(s, i, t[i], +1)
-                        vpos = pick_old(s, v1, T[v1])
-                        bump(s, v1, vpos, +1)
-                        r.old_picks.append((v1, vpos))
-                        r.fresh_file = i
-                        r.fresh_pos = t[i]
+                    n_, r = chosen
+                    v1 = r.fresh_file
+                    emit(pool.pop(n_), v1, r.fresh_pos)
+                    # donor: old i-reference becomes the fresh one, its
+                    # fresh v1-reference downgrades to an old pick
+                    old_i = next(p for p in r.old_picks if p[0] == i)
+                    r.old_picks.remove(old_i)
+                    picker[i].bump(old_i[1], -1)
+                    picker[v1].bump(r.fresh_pos, -1)
+                    t[i] += 1
+                    picker[i].bump(t[i], +1)
+                    r.old_picks.append(reuse(v1))
+                    r.fresh_file, r.fresh_pos = i, t[i]
             assert not pool, (S, N, s, k)
-            per_db[s - 1].extend(block)
-    frozen = []
-    for db_list in per_db:
-        row = []
-        for q in db_list:
-            olds = tuple(sorted(q.old_picks))
-            row.append(Record(k=q.k, refs=((q.fresh_file, q.fresh_pos),) + olds,
-                              fresh_file=q.fresh_file, fresh_pos=q.fresh_pos,
-                              old_picks=olds))
-        frozen.append(row)
-    return frozen, t
+            for q in block:
+                olds = tuple(sorted(q.old_picks))
+                per_db[s - 1].append(Record(
+                    k=k, refs=((q.fresh_file, q.fresh_pos),) + olds,
+                    fresh_file=q.fresh_file, fresh_pos=q.fresh_pos, old_picks=olds))
+    return tuple(map(tuple, per_db)), t
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +196,7 @@ def qset1_schedule(S: int, N: int, d: int):
     H = h_value(S, N)
     assert all(t[i] == sub for i in range(1, N + 1) if i != d)
     assert t[d] == H
-    return tuple(tuple(db) for db in per_db)
+    return per_db
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +210,7 @@ def qset2_schedule(S: int, N: int):
     )
     sub = S ** (N - 1)
     assert all(t[i] == sub for i in range(1, N + 1))
-    return tuple(tuple(db) for db in per_db)
+    return per_db
 
 
 def materialize(records, perms: dict, subfiles) -> list:
@@ -486,12 +443,18 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     work.sort(key=lambda w: w[3].k)  # old picks were exposed in earlier rounds
     for user, db0, local, rec in work:
         info = transcript.slots[user]
-        dbi, pos = index[(user, db0, local)]
-        acc = answers[dbi][pos]
-        if rec.source is not None:
-            sdb, sidx = rec.source
-            sdbi, spos = index[(user, sdb - 1, sidx)]
-            acc ^= answers[sdbi][spos]
+        try:
+            dbi, pos = index[(user, db0, local)]
+            acc = answers[dbi][pos]
+            if rec.source is not None:
+                sdb, sidx = rec.source
+                sdbi, spos = index[(user, sdb - 1, sidx)]
+                acc ^= answers[sdbi][spos]
+        except KeyError:
+            what = "source answer" if (user, db0, local) in index else "answer"
+            raise UnresolvablePlanError(
+                f"{what} of record (user {user}, db {db0 + 1}, local {local}) is missing"
+            ) from None
         try:
             for u, p in rec.old_picks:
                 acc ^= values[sym_for(user, info, u, p)]
@@ -539,22 +502,16 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
         # 2. own-slot tail via cache lines
         own = slots[user]
         ju = own.subfile
-        own_rest = {}
-        for i in range(1, N + 1):
-            if i == d:
-                continue
-            for tt in range(H + 1, sub + 1):
-                if own.omega_pairs is None:
-                    own_rest[(i, tt)] = symbols[("w", i, ju, tt)]
-                else:
-                    ref = own.subfiles(i)[0]
-                    own_rest[(i, tt)] = (symbols[("om", user, i, tt)]
-                                         ^ symbols[("w", i, ref, tt)])
         for tt in range(H + 1, sub + 1):
             acc = lines[tt]
             for i in range(1, N + 1):
-                if i != d:
-                    acc ^= own_rest[(i, tt)]
+                if i == d:
+                    continue
+                if own.omega_pairs is None:
+                    acc ^= symbols[("w", i, ju, tt)]
+                else:
+                    acc ^= (symbols[("om", user, i, tt)]
+                            ^ symbols[("w", i, own.subfiles(i)[0], tt)])
             out[(ju, tt)] = acc
         # 3. split own paired difference against the demand twin's slot
         if own.omega_pairs is not None:

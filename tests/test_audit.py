@@ -20,7 +20,13 @@ from mupir.audit import (
     mutate_bundle,
     verify_replay,
 )
-from mupir.core import Permutation, Query, canonical_form, identity_permutation
+from mupir.core import (
+    Permutation,
+    Query,
+    QueryBundle,
+    canonical_form,
+    identity_permutation,
+)
 from mupir.errors import RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
@@ -190,6 +196,20 @@ class TestCheckStructure:
         bundle.emission[0].pop(0)
         report = check_structure(bundle, 3, 3)
         assert not report.ok
+
+    def test_missing_block_fails(self):
+        # every query of user 2 dropped: its block is empty, not absent
+        _, art = run_mupir_session(2, 2, 3, 1, 0)
+        bundle = art["bundle"]
+        kept = [[(q, e) for q, e in zip(queries, order) if e[0] != 2]
+                for queries, order in zip(bundle.per_db, bundle.emission)]
+        stripped = QueryBundle(S=2, per_db=[[q for q, _ in db] for db in kept],
+                               emission=[[e for _, e in db] for db in kept],
+                               slots=dict(bundle.slots))
+        report = check_structure(stripped, 2, 2)
+        assert not report.ok
+        assert all(f.startswith("user 2:") for f in report.failures)
+        assert "user 2: db 1 holds 0 sums of type (1,), expected 1" in report.failures
 
     def test_mutations_detected(self):
         _, art = run_mupir_session(3, 3, 4, 1, seed=11)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mupir import cli
+from mupir import cli, harness
 from mupir.cli import EXIT_AUDIT, EXIT_DECODE, main
 from mupir.errors import ConfigError
 from mupir.harness import (
@@ -218,6 +218,37 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rate_exact"] == "23/9"
+
+    def test_config_without_k_runs_k_equal_n(self, capsys, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("scheme = mupir\nS = 2\nN = 3\n")
+        assert "K" not in parse_config(cfg.read_text())
+        rc = main(["mupir", "--config", str(cfg)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["params"]["K"] == 3 and len(out["demand"]) == 3
+
+    def test_audit_structure_single(self, capsys):
+        rc = main(["audit", "--mode", "structure", "--scheme", "single",
+                   "-S", "3", "-N", "3"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["scheme"] == "single" and out["params"]["K"] == 1
+        assert out["audit_ok"] is True and out["decode_ok"] is True
+
+    def test_sweep_json(self, capsys):
+        rc = main(["sweep", "--S-values", "3", "--N-values", "3", "--K-max", "4",
+                   "--format", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == sweep([3], [3], 4)
+
+    def test_audit_failure_exit(self, capsys, monkeypatch):
+        # a session that decodes but fails its audit exits 4
+        monkeypatch.setattr(harness, "verify_replay", lambda bundle, transcript: False)
+        rc = main(["mupir", "-S", "2", "-N", "2", "-K", "2"])
+        assert rc == EXIT_AUDIT
+        out = json.loads(capsys.readouterr().out)
+        assert out["decode_ok"] is True and out["audit_ok"] is False
 
     def test_config_error_exit(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

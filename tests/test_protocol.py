@@ -1,4 +1,5 @@
 """Multi-user protocol: placement, slot generators, sessions, decoding."""
+import hashlib
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from mupir.audit import check_structure
 from mupir.core import (
     Permutation,
     Query,
+    QueryBundle,
     SlotInfo,
     build_file_store,
     identity_permutation,
@@ -158,6 +160,36 @@ def test_materialize_matches_per_atom_reference(block_session):
         want = reference_materialize(records, tr.perms[user], info.subfiles)
         assert materialize(records, tr.perms[user], info.subfiles) == want
     assert kind in kinds
+
+
+# sha256 over every record's (k, refs, fresh_file, fresh_pos, old_picks,
+# source), taken over qset1_schedule(S, N, d) for d = 1..N and then
+# qset2_schedule(S, N); recorded from the engine before its emit path and
+# reuse picker were rewritten.  (2, 8) is a pair where the swap fires.
+SCHEDULE_DIGESTS = {
+    (2, 2): "a60c2097c68ff64ed75faa6ee469c46ace94ef5615ae78d82a47a393af25af05",
+    (2, 3): "c9080573c57b9a941d92d21c5807c28aeaadd09420c120c2465d17181ac6a9fc",
+    (2, 4): "5b39ba2b3bf242adf9010f1df56592a6ca88309c68ff95c7f3c1feea297fd5eb",
+    (3, 2): "b60edf5c053fe1f0441a2ecccb23b841112fe6aa7af58fda003fedeb79153513",
+    (3, 3): "76813e38a87637177c69ed885844dd60e1fb3ab830f89696850ae472c3528e25",
+    (3, 4): "a068ab35e4318516dfbcbe7acd191c635a32210b6c79b847eb74501bf4fe2a3b",
+    (4, 2): "2df6f29fb72654f6428816f015091eacc4a36c8430fff7b55f1f5cf3b3cc5686",
+    (4, 3): "93f1e35498c611051223488c5bdcc5cbbefd83a05a5aa3581b74082754054fb3",
+    (4, 4): "ce68c3685afe45fde4b3ecf466a39e50e6335be6524324d235ed00af65bc96c2",
+    (2, 8): "576d88c70461d9ce990a49c0467c9d20819eee02a024c7672f73844f103745f5",
+}
+
+
+@pytest.mark.parametrize("S,N", sorted(SCHEDULE_DIGESTS))
+def test_schedule_digest(S, N):
+    h = hashlib.sha256()
+    blocks = [qset1_schedule(S, N, d) for d in range(1, N + 1)] + [qset2_schedule(S, N)]
+    for per_db in blocks:
+        for db_list in per_db:
+            for r in db_list:
+                fields = (r.k, r.refs, r.fresh_file, r.fresh_pos, r.old_picks, r.source)
+                h.update(repr(fields).encode())
+    assert h.hexdigest() == SCHEDULE_DIGESTS[(S, N)]
 
 
 class TestSwapRebalancing:
@@ -396,6 +428,27 @@ class TestDecodeDetail:
         assert out[(1, 1)] == symbols[key]
         with pytest.raises(UnresolvablePlanError, match="disagree"):
             decode_user(1, tr, bundle, answers, None, symbols=symbols)
+
+    @pytest.mark.parametrize("session,message", [
+        (lambda: run_single_session(2, 3, 1, seed=0),
+         r"source answer of record \(user 1, db 1, local 3\) is missing"),
+        (lambda: run_mupir_session(2, 3, 3, 1, seed=0),
+         r"^answer of record \(user 1, db 2, local 1\) is missing"),
+    ], ids=["single", "mupir"])
+    def test_missing_answer_names_its_record(self, session, message):
+        # the first query of database 2 dropped: the record that needs its
+        # answer, directly or as its source, is named
+        _, art = session()
+        bundle = art["bundle"]
+        per_db = [list(db) for db in bundle.per_db]
+        emission = [list(order) for order in bundle.emission]
+        answers = [list(row) for row in art["answers"]]
+        for rows in (per_db, emission, answers):
+            rows[1].pop(0)
+        dropped = QueryBundle(S=bundle.S, per_db=per_db, emission=emission,
+                              slots=dict(bundle.slots))
+        with pytest.raises(UnresolvablePlanError, match=message):
+            resolve_symbols(art["transcript"], dropped, answers)
 
     def test_shared_system_gives_same_output(self):
         for args in [(3, 3, 5, 7), (2, 3, 3, 2)]:
