@@ -246,6 +246,7 @@ class OracleReport:
 
     equal: bool
     scheme: str
+    K: int
     assignments: int
     mismatch: str = None
     distributions: dict = field(default_factory=dict)  # demand -> per-db Counter
@@ -349,10 +350,14 @@ def _covering_demands(N: int, K: int, prefix=()):
             yield from _covering_demands(N, K, t)
 
 
+ORACLE_GUARD = 10_000_000
+
+
 def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "single",
-                               guard: int = 10_000_000) -> OracleReport:
+                               guard: int = ORACLE_GUARD) -> OracleReport:
     """Enumerate all admissible randomness and compare, per database, the
     exact distribution of canonical query keys across demand vectors.
+    K defaults to N for `mupir`; `single` always has K = 1.
 
     Both schemes take one walk over branches (demands theta, base set, P,
     rho).  `single` is one base user (K = 1) whose demanded file draws any
@@ -373,11 +378,10 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         thetas = [(d,) for d in range(1, N + 1)]
     elif scheme != "mupir":
         raise ValueError(f"unknown scheme {scheme!r}")
-    elif K is None:
-        raise ValueError("mupir oracle needs K")
-    elif N > K:
-        raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
     else:
+        K = N if K is None else K
+        if N > K:
+            raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
         H, n_base = h_value(S, N), N
         thetas = _covering_demands(N, K)
     users = range(1, K + 1)
@@ -442,5 +446,5 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             dists[theta] = [Counter({k: Fraction(v, norm) for k, v in c.items()})
                             for c in counters]
     equal, mismatch = _compare_distributions(dists, S)
-    return OracleReport(equal=equal, scheme=scheme, assignments=total,
+    return OracleReport(equal=equal, scheme=scheme, K=K, assignments=total,
                         mismatch=mismatch, distributions=dists)

@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .audit import demand_distribution_oracle
+from .audit import ORACLE_GUARD, demand_distribution_oracle
 from .errors import ConfigError, TooLargeInstanceError
 from .harness import (
+    CONFIG_KEYS,
     parse_config,
     rates_report,
     rows_to_csv,
-    run_mupir_session,
     run_session,
-    run_single_session,
     sweep,
     to_json,
 )
@@ -31,9 +30,21 @@ EXIT_AUDIT = 4
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="write output to this file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _add_session(p, users=True):
+    """The flags that fix a session, named as its config fields.  Every flag
+    but -S and -N is None when unset and left out of the config, so that
+    `run_session` gives it the default a config file gets (K takes N)."""
+    p.add_argument("-S", type=int, default=2)
+    p.add_argument("-N", type=int, default=2)
+    if users:
+        p.add_argument("-K", type=int, help="number of users (default: N)")
+    p.add_argument("--block-bytes", type=int)
+    p.add_argument("--seed", type=int)
+    _add_common(p)
 
 
 def _emit(text: str, out):
@@ -73,21 +84,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("pir", help="run one single-user session")
     p.add_argument("--config", type=str, default=None)
-    p.add_argument("-S", type=int, default=2)
-    p.add_argument("-N", type=int, default=2)
-    p.add_argument("--block-bytes", type=int, default=1)
-    p.add_argument("--demand", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--demand", dest="demands", help="the demanded file index")
+    _add_session(p, users=False)
 
     p = sub.add_parser("mupir", help="run one multi-user session")
     p.add_argument("--config", type=str, default=None)
-    p.add_argument("-S", type=int, default=2)
-    p.add_argument("-N", type=int, default=2)
-    p.add_argument("-K", type=int, default=2)
-    p.add_argument("--block-bytes", type=int, default=1)
-    p.add_argument("--demands", type=str, default="random-valid",
-                   help="comma-separated file indices or 'random-valid'")
-    _add_common(p)
+    p.add_argument("--demands", help="comma-separated file indices or 'random-valid'")
+    _add_session(p)
 
     p = sub.add_parser("rates", help="closed-form quantities for one triple")
     p.add_argument("-S", type=int, required=True)
@@ -104,12 +107,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("audit", help="structure audit or distribution oracle")
     p.add_argument("--mode", choices=["structure", "distribution"], default="structure")
     p.add_argument("--scheme", choices=["single", "mupir"], default="mupir")
-    p.add_argument("-S", type=int, default=2)
-    p.add_argument("-N", type=int, default=2)
-    p.add_argument("-K", type=int, default=2)
-    p.add_argument("--block-bytes", type=int, default=1)
-    p.add_argument("--guard", type=int, default=10_000_000)
-    _add_common(p)
+    p.add_argument("--guard", type=int, default=ORACLE_GUARD)
+    _add_session(p)
 
     args = parser.parse_args(argv)
     try:
@@ -122,23 +121,19 @@ def main(argv=None) -> int:
 
 
 def _session_config(args, scheme):
-    """The session's config: read from --config, or else built from the
-    flags, so that both paths parse demands in `run_session`."""
-    if args.config:
-        with open(args.config) as fh:
+    """The session's config: read from --config, or else made of the flags
+    the user set, so that `run_session` fills in the rest either way."""
+    flags = vars(args)
+    if flags.get("config"):
+        with open(flags["config"]) as fh:
             cfg = parse_config(fh.read())
         if cfg["scheme"] != scheme:
             raise ConfigError(
                 f"config scheme {cfg['scheme']!r} does not match subcommand {scheme!r}"
             )
         return cfg
-    cfg = {"scheme": scheme, "S": args.S, "N": args.N,
-           "block_bytes": args.block_bytes, "seed": args.seed}
-    if scheme == "mupir":
-        cfg.update(K=args.K, demands=args.demands)
-    elif args.demand is not None:
-        cfg["demands"] = str(args.demand)
-    return cfg
+    return {**{k: flags[k] for k in CONFIG_KEYS if flags.get(k) is not None},
+            "scheme": scheme}
 
 
 def _dispatch(args) -> int:
@@ -167,24 +162,17 @@ def _dispatch(args) -> int:
 
     if args.command == "audit":
         if args.mode == "distribution":
-            report = demand_distribution_oracle(
-                args.S, args.N, K=args.K if args.scheme == "mupir" else None,
-                scheme=args.scheme, guard=args.guard,
-            )
+            report = demand_distribution_oracle(args.S, args.N, K=args.K,
+                                                scheme=args.scheme, guard=args.guard)
             payload = {
                 "mode": "distribution", "scheme": report.scheme,
-                "S": args.S, "N": args.N,
-                "K": args.K if report.scheme == "mupir" else 1,
+                "S": args.S, "N": args.N, "K": report.K,
                 "assignments": report.assignments,
                 "equal": report.equal, "mismatch": report.mismatch,
             }
             _emit_record(payload, args)
             return EXIT_OK if report.equal else EXIT_AUDIT
-        if args.scheme == "single":
-            report, _ = run_single_session(args.S, args.N, args.block_bytes, args.seed)
-        else:
-            report, _ = run_mupir_session(args.S, args.N, args.K, args.block_bytes,
-                                          args.seed)
+        report, _ = run_session(_session_config(args, args.scheme))
         payload = {
             "mode": "structure", "scheme": report["scheme"],
             "params": report["params"],

@@ -221,12 +221,10 @@ class QueryBundle:
         return tuple(len(q) for q in self.per_db)
 
     def answer_index(self) -> dict:
-        """(user, db, local_index) -> (db, emitted position)."""
-        out = {}
-        for db0, order in enumerate(self.emission):
-            for pos, (user, local) in enumerate(order):
-                out[(user, db0, local)] = (db0, pos)
-        return out
+        """(user, db, local_index) -> the query's emitted position in db."""
+        return {(user, db0, local): pos
+                for db0, order in enumerate(self.emission)
+                for pos, (user, local) in enumerate(order)}
 
 
 def canonical_form(bundle: QueryBundle) -> tuple:

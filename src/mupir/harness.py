@@ -41,7 +41,7 @@ from .protocol import (
 )
 from .single_user import decode_single, generate_alg1
 
-_CONFIG_KEYS = {
+CONFIG_KEYS = {
     "scheme": str,
     "S": int,
     "N": int,
@@ -54,8 +54,9 @@ _DEFAULTS = {"block_bytes": 1, "seed": 0, "demands": "random-valid"}
 
 
 def parse_config(text: str) -> dict:
-    """Parse a plain-text key=value config with line-level diagnostics."""
-    cfg = dict(_DEFAULTS)
+    """Parse a plain-text key=value config with line-level diagnostics; the
+    result holds only the fields the text sets."""
+    cfg = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,12 +66,12 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate field {key!r}")
         seen.add(key)
-        caster = _CONFIG_KEYS[key]
+        caster = CONFIG_KEYS[key]
         try:
             cfg[key] = caster(value)
         except ValueError:
@@ -80,21 +81,17 @@ def parse_config(text: str) -> dict:
     for required in ("scheme", "S", "N"):
         if required not in cfg:
             raise ConfigError(f"missing required field {required!r}")
-    if cfg["scheme"] not in ("single", "mupir"):
-        raise ConfigError(f"field 'scheme' must be single or mupir, got {cfg['scheme']!r}")
     return cfg
 
 
 def _parse_demands(spec, scheme, N, K):
-    """The config's demands: a valid vector of K files for the multi-user
-    scheme, exactly one file index in [1, N] for the single-user one."""
-    if isinstance(spec, (list, tuple)):
-        demands = tuple(spec)
-    else:
-        try:
-            demands = tuple(int(part) for part in str(spec).split(","))
-        except ValueError:
-            raise ConfigError(f"field 'demands': cannot parse {spec!r}") from None
+    """The config's demands, a string of comma-separated file indices: a
+    valid vector of K files for the multi-user scheme, exactly one file
+    index in [1, N] for the single-user one."""
+    try:
+        demands = tuple(int(part) for part in spec.split(","))
+    except (AttributeError, ValueError):
+        raise ConfigError(f"field 'demands': cannot parse {spec!r}") from None
     if scheme == "mupir":
         return validate_demands(demands, N, K)
     if len(demands) != 1 or not 1 <= demands[0] <= N:
@@ -245,18 +242,20 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
 
 
 def run_session(config: dict):
-    """Drive one session from a parsed config; returns (report, artifacts)."""
-    scheme = config["scheme"]
-    S, N = config["S"], config["N"]
-    K = 1 if scheme == "single" else config.get("K", N)
-    block_bytes = config.get("block_bytes", 1)
-    seed = config.get("seed", 0)
-    spec = config.get("demands", "random-valid")
+    """Drive one session from a config, parsed or built by hand; returns
+    (report, artifacts).  Every session starts here, and this is where
+    defaults apply: a field the config leaves out takes its `_DEFAULTS`
+    value, and K takes N (a single-user session always has K = 1)."""
+    cfg = {**_DEFAULTS, **config}
+    scheme, S, N, spec = cfg["scheme"], cfg["S"], cfg["N"], cfg["demands"]
+    if scheme not in ("single", "mupir"):
+        raise ConfigError(f"field 'scheme' must be single or mupir, got {scheme!r}")
+    K = 1 if scheme == "single" else cfg.get("K", N)
     demands = None if spec == "random-valid" else _parse_demands(spec, scheme, N, K)
     if scheme == "single":
         demand = None if demands is None else demands[0]
-        return run_single_session(S, N, block_bytes, seed, demand=demand)
-    return run_mupir_session(S, N, K, block_bytes, seed, demand=demands)
+        return run_single_session(S, N, cfg["block_bytes"], cfg["seed"], demand=demand)
+    return run_mupir_session(S, N, K, cfg["block_bytes"], cfg["seed"], demand=demands)
 
 
 SWEEP_COLUMNS = ["S", "N", "K", "q", "H", "M_exact", "M_dec", "R_exact", "R_dec",

@@ -232,7 +232,6 @@ def materialize(records, perms: dict, subfiles) -> list:
 class CacheContent:
     """One user's cache: XOR lines over all files of its subfile slot."""
 
-    owner: int
     subfile: int
     block_bytes: int
     lines: dict  # t -> Block
@@ -265,7 +264,7 @@ def placement(store: FileStore, P: Permutation):
             broadcast.append(((j, tt), line))
         lines_by_subfile[j] = lines
     caches = {
-        u: CacheContent(owner=u, subfile=P(u), block_bytes=store.block_bytes,
+        u: CacheContent(subfile=P(u), block_bytes=store.block_bytes,
                         lines=dict(lines_by_subfile[P(u)]))
         for u in range(1, K + 1)
     }
@@ -278,8 +277,11 @@ def rho_options(demands, base, c) -> list:
     it (its twin), every other file with a base user not demanding that file.
 
     For N >= 3 such an alignment always exists.  For N = 2 none does, so the
-    one option aligns both files with the twin; this keeps every user
-    decodable at the cost of revealing which base slot the twin occupies.
+    one option aligns both files with the twin, which keeps every user
+    decodable.  At any N the rule is visible to one database: the twin is the
+    one partner slot whose base user demands the file it is paired with, so
+    database 1 alone guesses the non-base users' demands, never wrongly, at
+    every N < K instance tried (`tests/test_audit.py::TestSingleDatabaseLeak`).
     """
     N = len(base)
     dc = demands[c - 1]
@@ -444,12 +446,10 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     for user, db0, local, rec in work:
         info = transcript.slots[user]
         try:
-            dbi, pos = index[(user, db0, local)]
-            acc = answers[dbi][pos]
+            acc = answers[db0][index[(user, db0, local)]]
             if rec.source is not None:
                 sdb, sidx = rec.source
-                sdbi, spos = index[(user, sdb - 1, sidx)]
-                acc ^= answers[sdbi][spos]
+                acc ^= answers[sdb - 1][index[(user, sdb - 1, sidx)]]
         except KeyError:
             what = "source answer" if (user, db0, local) in index else "answer"
             raise UnresolvablePlanError(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mupir import cli, harness
+from mupir import harness
 from mupir.cli import EXIT_AUDIT, EXIT_DECODE, main
 from mupir.errors import ConfigError
 from mupir.harness import (
@@ -68,6 +68,25 @@ class TestRunSession:
         for demands in ("9", "2,3"):
             with pytest.raises(ConfigError):
                 run_session({"scheme": "single", "S": 4, "N": 3, "demands": demands})
+
+    def test_unknown_scheme_is_refused(self):
+        with pytest.raises(ConfigError, match="must be single or mupir, got 'foo'"):
+            run_session({"scheme": "foo", "S": 2, "N": 2, "K": 2})
+
+    def test_demands_must_be_a_string(self):
+        for demands in ([1, 2], (1, 2), 2):
+            with pytest.raises(ConfigError, match="field 'demands': cannot parse"):
+                run_session({"scheme": "mupir", "S": 2, "N": 2, "demands": demands})
+
+    def test_defaults_apply_once(self):
+        # a config's missing fields take the defaults table, and K takes N
+        assert parse_config("scheme = mupir\nS = 2\nN = 3\n") == {
+            "scheme": "mupir", "S": 2, "N": 3}
+        bare, _ = run_session({"scheme": "mupir", "S": 2, "N": 3})
+        full, _ = run_session({"scheme": "mupir", "S": 2, "N": 3, "K": 3,
+                               "block_bytes": 1, "seed": 0, "demands": "random-valid"})
+        assert to_json(bare) == to_json(full)
+        assert bare["params"]["K"] == 3
 
     def test_random_valid_demands(self):
         report, _ = run_session({
@@ -184,7 +203,7 @@ class TestCli:
             report, art = run_mupir_session(*args, **kwargs)
             return {**report, "decode_ok": False}, art
 
-        monkeypatch.setattr(cli, "run_mupir_session", failing)
+        monkeypatch.setattr(harness, "run_mupir_session", failing)
         rc = main(["audit", "--mode", "structure", "--scheme", "mupir",
                    "-S", "2", "-N", "2", "-K", "3"])
         assert rc == EXIT_DECODE
@@ -266,3 +285,47 @@ class TestCli:
         rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",
                    "-S", "3", "-N", "3", "-K", "3"])
         assert rc == 2
+
+
+class TestFrontDoor:
+    """Flags, config files and Python callers all start sessions through
+    `run_session`, with the same defaults."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mupir", "-S", "2", "-N", "3"],
+        ["audit", "--mode", "structure", "-S", "2", "-N", "3"],
+    ])
+    def test_k_defaults_to_n(self, capsys, argv):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["K"] == 3
+
+    @pytest.mark.parametrize("argv,text", [
+        (["pir", "-S", "4", "-N", "3", "--demand", "2", "--seed", "5"],
+         "scheme = single\nS = 4\nN = 3\ndemands = 2\nseed = 5\n"),
+        (["mupir", "-S", "3", "-N", "3", "-K", "5", "--block-bytes", "2",
+          "--demands", "2,3,2,1,3", "--seed", "42"],
+         "scheme = mupir\nS = 3\nN = 3\nK = 5\nblock_bytes = 2\n"
+         "demands = 2,3,2,1,3\nseed = 42\n"),
+    ], ids=["pir", "mupir"])
+    def test_flags_and_config_file_print_the_same(self, capsys, tmp_path, argv, text):
+        assert main(argv) == 0
+        from_flags = capsys.readouterr().out
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(text)
+        assert main([argv[0], "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == from_flags
+
+    @pytest.mark.parametrize("argv", [["rates", "-S", "3", "-N", "3", "-K", "3"],
+                                      ["sweep"]], ids=["rates", "sweep"])
+    def test_seed_only_on_session_commands(self, capsys, argv):
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_distribution_oracle_k_defaults_to_n(self, capsys):
+        argv = ["audit", "--mode", "distribution", "--scheme", "mupir", "-S", "2", "-N", "2"]
+        assert main(argv) == 0
+        without_k = capsys.readouterr().out
+        assert main(argv + ["-K", "2"]) == 0
+        assert capsys.readouterr().out == without_k
