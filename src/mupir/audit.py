@@ -357,23 +357,28 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
                                guard: int = ORACLE_GUARD) -> OracleReport:
     """Enumerate all admissible randomness and compare, per database, the
     exact distribution of canonical query keys across demand vectors.
-    K defaults to N for `mupir`; `single` always has K = 1.
+    K defaults to N for `mupir`; `single` has K = 1 and refuses any other.
 
     Both schemes take one walk over branches (demands theta, base set, P,
     rho).  `single` is one base user (K = 1) whose demanded file draws any
     permutation (H = S^(N-1)), with theta = (d,).  `mupir` walks the covering
     demand vectors (for N = K the permutations), every base set covering the
-    files, and for N < K every non-base user's `rho_options`.  The branches
-    are walked lazily and their assignments summed; the oracle refuses at the
-    first branch that takes the sum past `guard`, before any permutation is
-    built.  `_count_branch` reduces each branch to its multiset of user view
-    labels, which each theta weighs by its number of branches; after the walk
-    `_expand_views` expands each distinct multiset once, across branches and
-    thetas, and each theta's distribution is the weighted sum of its
-    multisets' expansions.
+    files, and for N < K every non-base user's `rho_options`.  Sessions draw
+    only the lowest-index user per file as the base set
+    (`choose_base_and_rho`), so an N < K verdict describes a variant of the
+    scheme whose base set is uniform over the covering ones.  The branches
+    are walked lazily and their assignments summed, into the report's
+    `assignments`; the oracle refuses at the first branch that takes the sum
+    past `guard`, before any permutation is built.  `_count_branch` reduces
+    each branch to its multiset of user view labels, which each theta weighs
+    by its number of branches; after the walk `_expand_views` expands each
+    distinct multiset once, across branches and thetas, and each theta's
+    distribution is the weighted sum of its multisets' expansions.
     """
     sub = S ** (N - 1)
     if scheme == "single":
+        if K not in (None, 1):
+            raise RegimeError(f"the single-user oracle has K = 1, got {K}")
         K, H, n_base = 1, sub, 1
         thetas = [(d,) for d in range(1, N + 1)]
     elif scheme != "mupir":
@@ -419,17 +424,15 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     def options(t):
         return t, list(product(*(tails if i == t else free for i in range(1, N + 1))))
 
-    dists, drawn, views, total = {}, {}, {}, 0
+    dists, drawn, views = {}, {}, {}
     for theta, base, nonbase, rho_lists in walked:
         dists.setdefault(theta, [Counter() for _ in range(S)])
         per_user = [options(theta[c - 1] if c in base else None) for c in users]
-        count = prod(len(opts) for _, opts in per_user)
         for P in permutations(users):
             puser = Permutation(P)
             for rho_pick in product(*rho_lists):
                 generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
                 drawn.setdefault(_count_branch(generate, per_user, views), Counter())[theta] += 1
-                total += count
     # each distinct multiset is expanded once, then added to every theta
     # drawing it, weighted by its number of branches there
     for multiset, weights in drawn.items():
@@ -446,5 +449,5 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             dists[theta] = [Counter({k: Fraction(v, norm) for k, v in c.items()})
                             for c in counters]
     equal, mismatch = _compare_distributions(dists, S)
-    return OracleReport(equal=equal, scheme=scheme, K=K, assignments=total,
+    return OracleReport(equal=equal, scheme=scheme, K=K, assignments=n,
                         mismatch=mismatch, distributions=dists)

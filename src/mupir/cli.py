@@ -35,11 +35,11 @@ def _add_common(p):
 
 
 def _add_session(p, users=True):
-    """The flags that fix a session, named as its config fields.  Every flag
-    but -S and -N is None when unset and left out of the config, so that
-    `run_session` gives it the default a config file gets (K takes N)."""
-    p.add_argument("-S", type=int, default=2)
-    p.add_argument("-N", type=int, default=2)
+    """The flags that fix a session, named as its config fields.  Each is
+    None when unset, so that a typed one can be told apart; -S and -N then
+    take 2, and every other takes the default a config file gets (K takes N)."""
+    p.add_argument("-S", type=int, help="number of databases (default: 2)")
+    p.add_argument("-N", type=int, help="number of files (default: 2)")
     if users:
         p.add_argument("-K", type=int, help="number of users (default: N)")
     p.add_argument("--block-bytes", type=int)
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("audit", help="structure audit or distribution oracle")
     p.add_argument("--mode", choices=["structure", "distribution"], default="structure")
     p.add_argument("--scheme", choices=["single", "mupir"], default="mupir")
-    p.add_argument("--guard", type=int, default=ORACLE_GUARD)
+    p.add_argument("--guard", type=int, help=f"oracle assignment limit (default: {ORACLE_GUARD})")
     _add_session(p)
 
     args = parser.parse_args(argv)
@@ -120,20 +120,39 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+_SESSION_FLAGS = tuple(k for k in CONFIG_KEYS if k != "scheme")
+
+
+def _typed(args, keys) -> dict:
+    """The flags among `keys` the user typed: an unset flag is None."""
+    return {k: v for k in keys if (v := getattr(args, k, None)) is not None}
+
+
+def _refuse_typed(args, keys, why):
+    """Exit 2, naming each flag among `keys` the user typed, if any."""
+    typed = _typed(args, keys)
+    if typed:
+        # pir spells the demands field --demand
+        names = ["--demand" if k == "demands" and args.command == "pir"
+                 else ("-" if len(k) == 1 else "--") + k.replace("_", "-") for k in typed]
+        raise ConfigError(f"{why}: {', '.join(names)}")
+
+
 def _session_config(args, scheme):
     """The session's config: read from --config, or else made of the flags
-    the user set, so that `run_session` fills in the rest either way."""
-    flags = vars(args)
-    if flags.get("config"):
-        with open(flags["config"]) as fh:
+    the user set, so that `run_session` fills in the rest either way.  A
+    config file fixes the whole session, so a session flag typed next to it
+    is refused, not dropped."""
+    if getattr(args, "config", None):
+        _refuse_typed(args, _SESSION_FLAGS, "--config sets the whole session; remove")
+        with open(args.config) as fh:
             cfg = parse_config(fh.read())
         if cfg["scheme"] != scheme:
             raise ConfigError(
                 f"config scheme {cfg['scheme']!r} does not match subcommand {scheme!r}"
             )
         return cfg
-    return {**{k: flags[k] for k in CONFIG_KEYS if flags.get(k) is not None},
-            "scheme": scheme}
+    return {"S": 2, "N": 2, **_typed(args, _SESSION_FLAGS), "scheme": scheme}
 
 
 def _dispatch(args) -> int:
@@ -161,18 +180,23 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "audit":
+        # each mode refuses the flags it does not read
+        cfg = _session_config(args, args.scheme)
         if args.mode == "distribution":
-            report = demand_distribution_oracle(args.S, args.N, K=args.K,
-                                                scheme=args.scheme, guard=args.guard)
+            _refuse_typed(args, ("block_bytes", "seed"), "audit --mode distribution does not read")
+            guard = ORACLE_GUARD if args.guard is None else args.guard
+            report = demand_distribution_oracle(cfg["S"], cfg["N"], K=cfg.get("K"),
+                                                scheme=args.scheme, guard=guard)
             payload = {
                 "mode": "distribution", "scheme": report.scheme,
-                "S": args.S, "N": args.N, "K": report.K,
+                "S": cfg["S"], "N": cfg["N"], "K": report.K,
                 "assignments": report.assignments,
                 "equal": report.equal, "mismatch": report.mismatch,
             }
             _emit_record(payload, args)
             return EXIT_OK if report.equal else EXIT_AUDIT
-        report, _ = run_session(_session_config(args, args.scheme))
+        _refuse_typed(args, ("guard",), "audit --mode structure does not read")
+        report, _ = run_session(cfg)
         payload = {
             "mode": "structure", "scheme": report["scheme"],
             "params": report["params"],

@@ -131,12 +131,9 @@ def identity_permutation(n: int) -> Permutation:
 
 def sample_permutation(n: int, rng: random.Random, tail_fixed: Optional[int] = None) -> Permutation:
     """Uniform permutation of [n]; with tail_fixed=H, positions H+1..n map to
-    themselves and positions 1..H carry a uniform permutation of [H]."""
-    if tail_fixed is None:
-        vals = list(range(1, n + 1))
-        rng.shuffle(vals)
-        return Permutation(tuple(vals))
-    H = tail_fixed
+    themselves and positions 1..H carry a uniform permutation of [H].  No
+    tail_fixed is H = n: one shuffle of [n], the free draw."""
+    H = n if tail_fixed is None else tail_fixed
     if not 0 <= H <= n:
         raise InvalidDimensionError(f"tail_fixed H={H} outside 0..{n}")
     head = list(range(1, H + 1))

@@ -21,16 +21,7 @@ from .core import (
 )
 from .errors import ConfigError, RegimeError
 from .gf2 import AnswerSystem
-from .params import (
-    SchemeParams,
-    cache_fraction,
-    h_value,
-    pd_rate,
-    pir_rate,
-    proposed_rate,
-    q_value,
-    rate_dominance_check,
-)
+from .params import SchemeParams, h_value, pir_rate
 from .protocol import (
     choose_base_and_rho,
     decode_user,
@@ -178,10 +169,10 @@ def run_single_session(S, N, block_bytes, seed, demand=None):
     decoded = decode_single(transcript, bundle, answers, d)
     decode_ok = all(decoded[x] == store.block(d, 1, x)
                     for x in range(1, store.subpackets + 1))
+    R_pir = pir_rate(S, N)
     params = {
         "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
-        "subpackets": store.subpackets,
-        "R_pir": frac_str(pir_rate(S, N)), "R_pir_dec": dec(pir_rate(S, N)),
+        "subpackets": store.subpackets, "R_pir": frac_str(R_pir), "R_pir_dec": dec(R_pir),
     }
     return _audit_and_report("single", params, bundle, transcript, decode_ok,
                              {"store": store, "answers": answers, "decoded": decoded})
@@ -245,11 +236,14 @@ def run_session(config: dict):
     """Drive one session from a config, parsed or built by hand; returns
     (report, artifacts).  Every session starts here, and this is where
     defaults apply: a field the config leaves out takes its `_DEFAULTS`
-    value, and K takes N (a single-user session always has K = 1)."""
+    value, and K takes N (a single-user session has K = 1, and refuses any
+    other)."""
     cfg = {**_DEFAULTS, **config}
     scheme, S, N, spec = cfg["scheme"], cfg["S"], cfg["N"], cfg["demands"]
     if scheme not in ("single", "mupir"):
         raise ConfigError(f"field 'scheme' must be single or mupir, got {scheme!r}")
+    if scheme == "single" and cfg.get("K", 1) != 1:
+        raise ConfigError(f"field 'K': a single-user session has K = 1, got {cfg['K']!r}")
     K = 1 if scheme == "single" else cfg.get("K", N)
     demands = None if spec == "random-valid" else _parse_demands(spec, scheme, N, K)
     if scheme == "single":
@@ -277,19 +271,16 @@ def sweep(S_values, N_values, K_max) -> list:
 def rates_report(S, N, K) -> dict:
     """Closed-form quantities for one parameter triple."""
     p = SchemeParams.compute(S, N, K)
-    dom = rate_dominance_check(S, N, K)
-    rpd = pd_rate(S, N, K, p.M)
     return {
         "S": S, "N": N, "K": K, "q": p.q, "H": p.H,
         "M_exact": frac_str(p.M), "M_dec": dec(p.M),
         "R_exact": frac_str(p.R_proposed), "R_dec": dec(p.R_proposed),
         "R_pir_exact": frac_str(p.R_pir), "R_pir_dec": dec(p.R_pir),
-        "RPD_exact": frac_str(rpd), "RPD_dec": dec(rpd),
-        "margin_exact": frac_str(dom.envelope_margin),
-        "margin_dec": dec(dom.envelope_margin),
-        "lemma41": dom.slack_nsq > 0,
-        "lemma42": all(m > 0 for m in dom.chord_margins),
-        "lemma43": dom.envelope_margin > 0,
+        "RPD_exact": frac_str(p.R_pd), "RPD_dec": dec(p.R_pd),
+        "margin_exact": frac_str(p.envelope_margin), "margin_dec": dec(p.envelope_margin),
+        "lemma41": p.slack_nsq > 0,
+        "lemma42": all(m > 0 for m in p.chord_margins),
+        "lemma43": p.envelope_margin > 0,
     }
 
 
@@ -308,13 +299,11 @@ def rows_to_csv(rows, columns=None) -> str:
 
 
 def reverify_sweep_rows(rows) -> bool:
-    """Round-trip check: exact fields of each row re-verify on load."""
+    """Round-trip check: exact fields of each row re-verify on load against
+    the triple's `SchemeParams`."""
     for row in rows:
-        S, N, K = int(row["S"]), int(row["N"]), int(row["K"])
-        if int(row["q"]) != q_value(S, N) or int(row["H"]) != h_value(S, N):
-            return False
-        if parse_frac(row["M_exact"]) != cache_fraction(S, N, K):
-            return False
-        if parse_frac(row["R_exact"]) != proposed_rate(S, N, K):
+        p = SchemeParams.compute(int(row["S"]), int(row["N"]), int(row["K"]))
+        if ((int(row["q"]), int(row["H"]), parse_frac(row["M_exact"]),
+             parse_frac(row["R_exact"])) != (p.q, p.H, p.M, p.R_proposed)):
             return False
     return True

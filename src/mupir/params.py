@@ -71,8 +71,10 @@ def f_rep(s: int, i: int, d: int, k: int, S: int, N: int) -> int:
     return val
 
 
+@lru_cache(maxsize=None)
 def q_value(S: int, N: int) -> int:
-    """Total queries one qset1 block sends across all S databases."""
+    """Total queries one qset1 block sends across all S databases.  Memoised:
+    `SchemeParams.compute` reads it three times."""
     if S < 2 or N < 2:
         raise InvalidDimensionError(f"q_value needs S>=2, N>=2, got S={S}, N={N}")
     return sum(
@@ -164,45 +166,10 @@ def pd_rate(S: int, N: int, K: int, M) -> Rational:
 
 
 @dataclass(frozen=True)
-class DominanceReport:
-    """Exact margins for the three rate-dominance checks."""
-
-    S: int
-    N: int
-    K: int
-    slack_nsq: int                 # N*S^(N-1) - q, must be > 0
-    chord_margins: tuple           # per t in [K]: chord(M) - R, all must be > 0
-    envelope_margin: Rational      # R_PD(M) - R(M), must be > 0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.slack_nsq > 0
-            and all(m > 0 for m in self.chord_margins)
-            and self.envelope_margin > 0
-        )
-
-
-def rate_dominance_check(S: int, N: int, K: int) -> DominanceReport:
-    """Verify, in exact arithmetic, that the scheme's (M, R) point beats the
-    product-design baseline: positive memory slack, strictly below every
-    chord from (0, N) to a baseline corner point, and below the envelope."""
-    if N > K:
-        raise RegimeError(f"needs N<=K, got N={N}, K={K}")
-    q = q_value(S, N)
-    slack = N * S ** (N - 1) - q
-    M = cache_fraction(S, N, K)
-    R = proposed_rate(S, N, K)
-    chords = tuple(N - (N - Rt) * M / Mt - R for Mt, Rt in _pd_points(S, N, K)[1:])
-    env = pd_rate(S, N, K, M) - R
-    return DominanceReport(
-        S=S, N=N, K=K, slack_nsq=slack, chord_margins=chords, envelope_margin=env
-    )
-
-
-@dataclass(frozen=True)
 class SchemeParams:
-    """All derived quantities for one (S, N, K) triple, exact."""
+    """All derived quantities for one (S, N, K) triple, exact, with the
+    margins of the three rate-dominance checks against the product design
+    at the scheme's cache size M."""
 
     S: int
     N: int
@@ -212,16 +179,39 @@ class SchemeParams:
     M: Rational
     R_proposed: Rational
     R_pir: Rational
+    R_pd: Rational                 # product-design rate at M
+    slack_nsq: int                 # N*S^(N-1) - q, must be > 0
+    chord_margins: tuple           # per t in [K]: chord(M) - R, all must be > 0
+
+    @property
+    def envelope_margin(self) -> Rational:
+        """R_PD(M) - R(M), must be > 0."""
+        return self.R_pd - self.R_proposed
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.slack_nsq > 0
+            and all(m > 0 for m in self.chord_margins)
+            and self.envelope_margin > 0
+        )
 
     @classmethod
     def compute(cls, S: int, N: int, K: int) -> "SchemeParams":
+        """The triple's record; N > K fails first in `cache_fraction`."""
+        q, H, M = q_value(S, N), h_value(S, N), cache_fraction(S, N, K)
+        R = proposed_rate(S, N, K)
         return cls(
-            S=S,
-            N=N,
-            K=K,
-            q=q_value(S, N),
-            H=h_value(S, N),
-            M=cache_fraction(S, N, K),
-            R_proposed=proposed_rate(S, N, K),
-            R_pir=pir_rate(S, N),
+            S=S, N=N, K=K, q=q, H=H, M=M, R_proposed=R, R_pir=pir_rate(S, N),
+            R_pd=pd_rate(S, N, K, M), slack_nsq=N * S ** (N - 1) - q,
+            chord_margins=tuple(N - (N - Rt) * M / Mt - R
+                                for Mt, Rt in _pd_points(S, N, K)[1:]),
         )
+
+
+def rate_dominance_check(S: int, N: int, K: int) -> SchemeParams:
+    """Verify, in exact arithmetic, that the scheme's (M, R) point beats the
+    product-design baseline: positive memory slack, strictly below every
+    chord from (0, N) to a baseline corner point, and below the envelope.
+    The margins are the triple's `SchemeParams`; `ok` is the verdict."""
+    return SchemeParams.compute(S, N, K)

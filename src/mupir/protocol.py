@@ -230,9 +230,9 @@ def materialize(records, perms: dict, subfiles) -> list:
 
 @dataclass(frozen=True)
 class CacheContent:
-    """One user's cache: XOR lines over all files of its subfile slot."""
+    """One user's cache: XOR lines over all files of its subfile slot, which
+    the user's `SlotInfo` records."""
 
-    subfile: int
     block_bytes: int
     lines: dict  # t -> Block
 
@@ -264,8 +264,7 @@ def placement(store: FileStore, P: Permutation):
             broadcast.append(((j, tt), line))
         lines_by_subfile[j] = lines
     caches = {
-        u: CacheContent(subfile=P(u), block_bytes=store.block_bytes,
-                        lines=dict(lines_by_subfile[P(u)]))
+        u: CacheContent(block_bytes=store.block_bytes, lines=dict(lines_by_subfile[P(u)]))
         for u in range(1, K + 1)
     }
     return broadcast, caches
@@ -368,13 +367,6 @@ def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None) -> QueryBun
     return replay_bundle(transcript, emission)
 
 
-def _check_tail_constraint(perm: Permutation, H: int, user: int, file: int):
-    if not perm.tail_fixed_from(H):
-        raise DemandError(
-            f"permutation for user {user}, file {file} must fix positions > {H}"
-        )
-
-
 def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None, seed=None):
     """All-distinct-demands session: one qset1 block per user."""
     demands = validate_demands(demands, N, K)
@@ -405,7 +397,8 @@ def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed):
     for c in range(1, K + 1):
         d = demands[c - 1]
         if c in base:
-            _check_tail_constraint(user_perms[c][d], H, c, d)
+            if not user_perms[c][d].tail_fixed_from(H):
+                raise DemandError(f"permutation for user {c}, file {d} must fix positions > {H}")
             slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
             records[c] = qset1_schedule(S, N, d)
             continue
@@ -538,7 +531,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
         for tt, line in lines.items():
             mask = 0
             for i in range(1, N + 1):
-                mask |= 1 << system.column(i, cache.subfile, tt)
+                mask |= 1 << system.column(i, ju, tt)
             cache_rows.append((mask, line))
         for (i, j, x), val in system.solve(targets, cache_rows):
             if out[(j, x)] != val:

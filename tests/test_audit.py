@@ -352,6 +352,21 @@ class TestDistributionOracle:
         with pytest.raises(TooLargeInstanceError):
             demand_distribution_oracle(3, 3, K=3, scheme="mupir")
 
+    @pytest.mark.parametrize("S,N,K,scheme", [(2, 2, None, "single"), (3, 2, None, "single"),
+                                              (2, 2, 2, "mupir"), (2, 2, 3, "mupir")])
+    def test_guard_is_exact_at_the_reported_count(self, S, N, K, scheme):
+        # the count the guard sums is the one reported: a guard of exactly
+        # that many passes, one fewer refuses
+        n = demand_distribution_oracle(S, N, K=K, scheme=scheme).assignments
+        assert demand_distribution_oracle(S, N, K=K, scheme=scheme, guard=n).assignments == n
+        with pytest.raises(TooLargeInstanceError):
+            demand_distribution_oracle(S, N, K=K, scheme=scheme, guard=n - 1)
+
+    def test_single_refuses_a_user_count_but_one(self):
+        assert demand_distribution_oracle(2, 2, K=1, scheme="single").assignments == 8
+        with pytest.raises(RegimeError, match="single-user oracle has K = 1, got 3"):
+            demand_distribution_oracle(2, 2, K=3, scheme="single")
+
     def test_guard_fires_before_any_permutation_is_built(self, monkeypatch):
         # (2, 5, 5) has 16! permutations per file: building them before the
         # guard would exhaust memory long before the refusal

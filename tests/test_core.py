@@ -114,6 +114,19 @@ class TestPermutation:
             assert p(t) == t
         assert sorted(p(t) for t in range(1, 6)) == [1, 2, 3, 4, 5]
 
+    def test_free_draw_is_the_whole_head(self):
+        # no tail_fixed is tail_fixed = n, and both are one shuffle of [n]:
+        # the same draw, leaving the generator in the same state
+        for n in range(40):
+            for seed in range(30):
+                free, fixed, plain = (random.Random(seed) for _ in range(3))
+                vals = list(range(1, n + 1))
+                plain.shuffle(vals)
+                p = sample_permutation(n, free)
+                assert p == sample_permutation(n, fixed, tail_fixed=n)
+                assert p.images == tuple(vals)
+                assert free.getstate() == fixed.getstate() == plain.getstate()
+
     @given(st.integers(2, 10), st.integers(0, 10), st.integers(0, 2 ** 30))
     def test_tail_never_moved(self, n, H, seed):
         H = min(H, n)

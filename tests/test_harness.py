@@ -329,3 +329,64 @@ class TestFrontDoor:
         without_k = capsys.readouterr().out
         assert main(argv + ["-K", "2"]) == 0
         assert capsys.readouterr().out == without_k
+
+
+class TestRefusals:
+    """A flag the command would not read is refused with exit 2 and named,
+    never silently dropped."""
+
+    SESSION = "scheme = mupir\nS = 3\nN = 3\nK = 5\nseed = 42\ndemands = 2,3,2,1,3\n"
+
+    @pytest.mark.parametrize("command,text,flags,names", [
+        ("mupir", SESSION, ["--seed", "9", "-K", "7"], "-K, --seed"),
+        ("mupir", SESSION, ["-S", "2", "-N", "2", "--block-bytes", "4",
+                            "--demands", "1,2"], "-S, -N, --block-bytes, --demands"),
+        ("pir", "scheme = single\nS = 4\nN = 3\n", ["--demand", "2"], "--demand"),
+    ], ids=["mupir-seed-k", "mupir-all", "pir-demand"])
+    def test_session_flags_next_to_config(self, capsys, tmp_path, command, text, flags,
+                                          names):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --config sets the whole session; remove: {names}\n"
+
+    def test_format_and_out_still_combine_with_config(self, capsys, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(self.SESSION)
+        out = tmp_path / "report.csv"
+        assert main(["mupir", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().startswith("scheme,seed,demand,rate_exact")
+
+    @pytest.mark.parametrize("mode,flags,names", [
+        ("distribution", ["--seed", "9"], "--seed"),
+        ("distribution", ["--seed", "9", "--block-bytes", "4"], "--block-bytes, --seed"),
+        ("structure", ["--guard", "5"], "--guard"),
+    ], ids=["distribution-seed", "distribution-both", "structure-guard"])
+    def test_audit_mode_refuses_flags_it_does_not_read(self, capsys, mode, flags, names):
+        argv = ["audit", "--mode", mode, "-S", "2", "-N", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == (
+            f"config error: audit --mode {mode} does not read: {names}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--mode", "structure", "--scheme", "single", "-S", "2", "-N", "2", "-K", "3"],
+        ["audit", "--mode", "distribution", "--scheme", "single", "-S", "2", "-N", "2",
+         "-K", "3"],
+    ], ids=["structure", "distribution"])
+    def test_single_scheme_refuses_k_but_one(self, capsys, argv):
+        assert main(argv) == 2
+        assert "has K = 1, got 3\n" in capsys.readouterr().err
+        argv[-1] = "1"
+        assert main(argv) == 0
+
+    def test_single_session_refuses_k_but_one(self, capsys, tmp_path):
+        base = {"scheme": "single", "S": 2, "N": 2, "seed": 3}
+        assert run_session({**base, "K": 1})[0] == run_session(base)[0]
+        with pytest.raises(ConfigError, match="single-user session has K = 1, got 2"):
+            run_session({**base, "K": 2})
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text("scheme = single\nS = 2\nN = 2\nK = 3\n")
+        assert main(["pir", "--config", str(cfg)]) == 2

@@ -215,3 +215,32 @@ def test_scheme_params_container():
     assert p.M == Fraction(4, 45)
     assert p.R_proposed == Fraction(41, 15)
     assert p.R_pir == Fraction(13, 9)
+
+
+class TestSchemeParamsRecord:
+    """`SchemeParams` is the one record of a triple's exact analysis, the
+    rate-dominance margins included."""
+
+    def test_matches_explicit_formulas(self):
+        for S in range(2, 7):
+            for N in range(2, 7):
+                A = pir_rate(S, N)
+                for K in range(N, 9):
+                    p = SchemeParams.compute(S, N, K)
+                    M, R = cache_fraction(S, N, K), proposed_rate(S, N, K)
+                    assert (p.q, p.H, p.M, p.R_proposed, p.R_pir) == (
+                        q_value(S, N), h_value(S, N), M, R, A)
+                    assert p.R_pd == pd_rate(S, N, K, M)
+                    assert p.envelope_margin == p.R_pd - R
+                    assert p.slack_nsq == N * S ** (N - 1) - q_value(S, N)
+                    corners = [(Fraction(t * N, K),
+                                min(N * (1 - Fraction(t, K)), Fraction(K - t, t + 1) * A))
+                               for t in range(1, K + 1)]
+                    assert p.chord_margins == tuple(N - (N - Rt) * M / Mt - R
+                                                    for Mt, Rt in corners)
+                    assert rate_dominance_check(S, N, K) == p
+
+    def test_more_files_than_users_fails_in_cache_fraction(self):
+        for compute in (SchemeParams.compute, rate_dominance_check):
+            with pytest.raises(RegimeError, match="cache_fraction needs K>=N"):
+                compute(2, 3, 2)

@@ -2,6 +2,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -25,6 +26,7 @@ from mupir.gf2 import AnswerSystem
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
+    CacheContent,
     _run_symmetric_rounds,
     choose_base_and_rho,
     decode_user,
@@ -67,6 +69,20 @@ class TestPlacement:
         line = caches[2].lines[7]
         rest = xor_combine([store.block(i, 2, 7) for i in (1, 2)])
         assert line ^ rest == store.block(3, 2, 7)
+
+    @pytest.mark.parametrize("demand", [(2, 1, 3), (1, 2, 3, 1)])
+    def test_cache_slot_is_the_one_slot_info_records(self, demand):
+        # a cache holds its lines only; the slot they cover is the user's
+        # SlotInfo.subfile, which decoding's GF(2) cache rows read too
+        assert [f.name for f in fields(CacheContent)] == ["block_bytes", "lines"]
+        report, art = _session(3, 3, len(demand), seed=4, demand=demand)
+        assert report["decode_ok"]
+        store, tr = art["store"], art["transcript"]
+        for u, cache in art["caches"].items():
+            j = tr.slots[u].subfile
+            assert cache.lines == {
+                tt: xor_combine([store.block(i, j, tt) for i in (1, 2, 3)])
+                for tt in range(tr.H + 1, 10)}
 
     def test_regime_error(self):
         store = build_file_store(3, 2, 3, 1, seed=0)
