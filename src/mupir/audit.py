@@ -65,22 +65,25 @@ def _slot_queries(bundle: QueryBundle):
     by_user = {user: [[] for _ in range(bundle.S)] for user in bundle.slots}
     for db0, (queries, order) in enumerate(zip(bundle.per_db, bundle.emission)):
         for q, (user, _) in zip(queries, order):
-            by_user.setdefault(user, [[] for _ in range(bundle.S)])[db0].append(q)
+            if user not in by_user:  # a user with no slot fails as an unknown kind
+                by_user[user] = [[] for _ in range(bundle.S)]
+            by_user[user][db0].append(q)
     return by_user
 
 
 def _peel_closure(sums):
     """References resolvable from the sums, (db, frozenset of references).
 
-    Source rule, applied once: a sum resolves a reference whose removal
-    leaves a sum sent whole by another database.  Then, to a fixpoint: a
-    sum with exactly one unknown reference resolves it.  Returns (exposed,
-    the unknown references of each sum left unresolved).
+    A one-reference sum resolves its reference.  Source rule, applied once:
+    a sum resolves a reference whose removal leaves a sum sent whole by
+    another database.  Then, to a fixpoint: a sum with exactly one unknown
+    reference resolves it.  Returns (exposed, each unresolved sum's unknowns).
     """
     sent = {}  # sum -> the database sending it, or -1 when several do
     for db, refs in sums:
         sent[refs] = db if sent.get(refs, db) == db else -1
-    exposed = {r for db, refs in sums for r in refs if sent.get(refs - {r}, db) != db}
+    exposed = {r for db, refs in sums for r in refs
+               if len(refs) == 1 or sent.get(refs - {r}, db) != db}
     pending = [refs for _, refs in sums]
     changed = True
     while changed:
@@ -102,17 +105,20 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables):
     block's subfile slots, no sum repeats a file, and each k-subset type
     occurs as often as `reps` prescribes, with no other type.  So each file
     is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  Returns each
-    query's (database, frozenset of references)."""
+    query's (database, frozenset of references) and each database's references."""
     want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
-    types = Counter()
-    sums = []
+    keys, sums, tally = [], [], []
     for db0, queries in enumerate(per_db):
+        seen = []
+        tally.append(seen)
         for q in queries:
             groups = {}
             for f, j, x in q.atoms:
                 key = (f, x)
                 groups[key] = groups.get(key, ()) + (j,)
+            files = []
             for (f, _), subfiles in groups.items():
+                files.append(f)
                 if len(subfiles) > 1:
                     subfiles = tuple(sorted(subfiles))
                 if subfiles != want_slots.get(f):
@@ -120,34 +126,36 @@ def _check_counts(user, per_db, info, S, N, reps, failures, tables):
                         f"user {user} db {db0 + 1}: reference to file {f} "
                         f"uses slots {list(subfiles)}"
                     )
-            files = {f for f, _ in groups}
-            if len(files) != len(groups):
+            distinct = set(files)
+            if len(distinct) != len(files):
                 failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
-            types[(db0 + 1, tuple(sorted(files)))] += 1
-            sums.append((db0, frozenset(groups)))
+            keys.append((db0 + 1, tuple(sorted(distinct))))
+            refs = frozenset(groups)
+            sums.append((db0, refs))
+            seen += refs
+    types = Counter(keys)
     for k in range(1, N + 1):
         for s in range(1, S + 1):
+            want = reps(s, k)
             for fileset in combinations(range(1, N + 1), k):
                 have = types.pop((s, fileset), 0)
                 tables[(user, s, fileset)] = have
-                if have != reps(s, k):
+                if have != want:
                     failures.append(
                         f"user {user}: db {s} holds {have} sums of type {fileset}, "
-                        f"expected {reps(s, k)}"
+                        f"expected {want}"
                     )
     for key in types:
         failures.append(f"user {user}: unexpected sum type at {key}")
-    return sums
+    return sums, tally
 
 
-def _check_no_repeats(user, sums, failures):
+def _check_no_repeats(user, tally, failures):
     """Single-user privacy: no reference repeats within a database."""
-    by_db = {}
-    for db0, refs in sums:
-        by_db.setdefault(db0, []).extend(refs)
-    for db0, refs in sorted(by_db.items()):
-        failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
-                        for r, n in Counter(refs).items() if n > 1)
+    for db0, refs in enumerate(tally):
+        if len(set(refs)) < len(refs):
+            failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
+                            for r, n in Counter(refs).items() if n > 1)
 
 
 def _wanted_exposure(info, S, N) -> dict:
@@ -165,14 +173,18 @@ def _check_peel_exposure(user, sums, want, failures):
     """Peeling: every sum with a reference to a file of `want` resolves it,
     and each such file exposes exactly its wanted subsubfiles."""
     exposed, unknowns = _peel_closure(sums)
-    unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
-    if unresolved:
+    # one pass first: most unresolved sums (alg1's side sums) touch no wanted file
+    if not want.keys().isdisjoint(f for unknown in unknowns for f, _ in unknown):
+        unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
         failures.append(f"user {user}: {unresolved} sums cannot be peeled")
+    got = {i: set() for i in want}
+    for f, x in exposed:
+        if f in got:
+            got[f].add(x)
     for i, wanted in sorted(want.items()):
-        got = {x for (f, x) in exposed if f == i}
-        if got != wanted:
+        if got[i] != wanted:
             failures.append(
-                f"user {user}: file {i} exposes {sorted(got)}, expected {sorted(wanted)}"
+                f"user {user}: file {i} exposes {sorted(got[i])}, expected {sorted(wanted)}"
             )
 
 
@@ -187,9 +199,9 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
         reps = partial(_REPS[kind], S, N)
-        sums = _check_counts(user, per_db, info, S, N, reps, failures, tables)
+        sums, tally = _check_counts(user, per_db, info, S, N, reps, failures, tables)
         if kind == "alg1":
-            _check_no_repeats(user, sums, failures)
+            _check_no_repeats(user, tally, failures)
         _check_peel_exposure(user, sums, _wanted_exposure(info, S, N), failures)
     return AuditReport(
         ok=not failures,

@@ -3,9 +3,10 @@
 Equations are XOR constraints over unknown blocks: a row is a bitmask over
 unknown indices.  Elimination is value-free: instead of a block, each row
 carries the bitmask of the equations it is the XOR of.  A session's answer
-rows are reduced once; each user then reduces only its own few cache rows
-against them.  Blocks are touched only at the end: a determined unknown's
-value is the XOR of the blocks its combination names.
+rows are brought to forward echelon form once; each user then inserts only
+its own few cache rows into a copy of it.  Blocks are touched only at the
+end: a determined unknown's value is the XOR of the blocks its combination
+names.
 """
 from __future__ import annotations
 
@@ -14,50 +15,36 @@ from functools import cached_property
 from .errors import UnresolvablePlanError
 
 
-def _reduce(mask: int, comb: int, rows: dict, pivots: int):
-    """Clear from mask every pivot of `pivots` it has set, XORing in the
-    reduced row at that pivot; rows hold no other row's pivot, so one pass
-    over the set bits, lowest first, suffices."""
-    hit = mask & pivots
-    while hit:
-        low = hit & -hit
-        row = rows[low.bit_length() - 1]
+def _insert(echelon: dict, mask: int, comb: int) -> None:
+    """Add a (mask, combination) row to a forward echelon {top bit: row},
+    whose rows have distinct top bits: cancel its top bit against the row
+    there until a free top bit takes it.  A dependent row reduces to zero
+    and is dropped."""
+    while mask:
+        top = mask.bit_length() - 1
+        row = echelon.get(top)
+        if row is None:
+            echelon[top] = (mask, comb)
+            return
         mask ^= row[0]
         comb ^= row[1]
-        hit ^= low
-    return mask, comb
 
 
-def _rref(rows):
-    """Reduced echelon form of (mask, combination) rows.
-
-    Returns ({pivot: row}, mask of the pivots).  Each pivot is its row's
-    highest bit, and no row has another row's pivot set.  Zero rows
-    (dependent equations) are dropped.
-    """
-    echelon = {}
-    for mask, comb in rows:
-        while mask:
-            top = mask.bit_length() - 1
-            row = echelon.get(top)
-            if row is None:
-                echelon[top] = (mask, comb)
-                break
-            mask ^= row[0]
-            comb ^= row[1]
-    pivots = 0
-    for p in echelon:
-        pivots |= 1 << p
-    reduced = {}
-    # a row's other pivots are all below its own, and rows with lower
-    # pivots are reduced first
-    for p in sorted(echelon):
-        reduced[p] = _reduce(*echelon[p], reduced, pivots & ~(1 << p))
-    return reduced, pivots
+def _express(echelon: dict, mask: int):
+    """The combination of rows XORing to `mask`, or None when `mask` is not
+    in their span: greedy reduction by top bit is exact in echelon form."""
+    comb = 0
+    while mask:
+        row = echelon.get(mask.bit_length() - 1)
+        if row is None:
+            return None
+        mask ^= row[0]
+        comb ^= row[1]
+    return comb
 
 
 class Reduction:
-    """Value-free reduced echelon form of a list of XOR equations.
+    """Value-free forward echelon form of a list of XOR equations.
 
     Equation e is `masks[e]`; a combination is a bitmask over equation
     indices, and the XOR of the named equations' values is the value of the
@@ -66,34 +53,34 @@ class Reduction:
 
     def __init__(self, masks):
         self.size = len(masks)
-        self._rows, self._pivots = _rref((m, 1 << e) for e, m in enumerate(masks))
+        self._rows = {}
+        # sparsest first: least fill-in, so each target's reduction chain is short
+        for e in sorted(range(self.size), key=lambda e: masks[e].bit_count()):
+            _insert(self._rows, masks[e], 1 << e)
 
     def combinations(self, targets, extra=()) -> list:
         """For each target unknown, the combination of equations equal to it,
         or None when the equations do not determine it.
 
         `extra` masks are further equations numbered from `size` on.  They
-        are reduced against the shared rows, which leaves them on free
-        columns only, and then among themselves.  A target is determined
-        exactly when its unit vector reduces to zero against both, so a
-        target fixed only by a sum of several extra rows is found too.
+        go into a shallow copy of the shared rows, so the shared rows are
+        left as they were.  A target is determined exactly when its unit
+        vector lies in the span of both, so a target fixed only by a sum of
+        several extra rows is found too.
         """
-        shared, pivots = self._rows, self._pivots
-        small, small_pivots = _rref(
-            _reduce(mask, 1 << (self.size + n), shared, pivots)
-            for n, mask in enumerate(extra))
-        out = []
-        for t in targets:
-            mask, comb = _reduce(*_reduce(1 << t, 0, shared, pivots), small, small_pivots)
-            out.append(None if mask else comb)
-        return out
+        rows = self._rows
+        if extra:
+            rows = dict(rows)
+            for n, mask in enumerate(extra, self.size):
+                _insert(rows, mask, 1 << n)
+        return [_express(rows, 1 << t) for t in targets]
 
 
 class AnswerSystem:
     """One session's answers as XOR equations over its subsubfiles.
 
-    Nothing is computed when it is made.  The first `solve` reduces the
-    answer rows; every later call, one per user, reuses that reduction.
+    Nothing is computed when it is made.  The first `solve` brings the
+    answer rows to echelon form; every later call, one per user, reuses it.
     """
 
     def __init__(self, bundle, answers, K: int, sub: int):
@@ -131,7 +118,9 @@ class AnswerSystem:
                     f"oracle: subsubfile ({i},{j},{x}) undetermined from answers+cache")
         blocks = [b for row in self.answers for b in row] + [b for _, b in extra]
         for t, comb in zip(targets, combs):
-            acc = 0
+            low = comb & -comb  # a combination names at least one block
+            acc = blocks[low.bit_length() - 1]
+            comb ^= low
             while comb:
                 low = comb & -comb
                 acc ^= blocks[low.bit_length() - 1]

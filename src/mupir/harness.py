@@ -299,11 +299,10 @@ def rows_to_csv(rows, columns=None) -> str:
 
 
 def reverify_sweep_rows(rows) -> bool:
-    """Round-trip check: exact fields of each row re-verify on load against
-    the triple's `SchemeParams`."""
+    """Round-trip check: every SWEEP_COLUMNS field of each row, as it reads
+    in memory or after a CSV round trip, equals the triple's `rates_report`."""
     for row in rows:
-        p = SchemeParams.compute(int(row["S"]), int(row["N"]), int(row["K"]))
-        if ((int(row["q"]), int(row["H"]), parse_frac(row["M_exact"]),
-             parse_frac(row["R_exact"])) != (p.q, p.H, p.M, p.R_proposed)):
+        report = rates_report(int(row["S"]), int(row["N"]), int(row["K"]))
+        if any(str(row[c]) != str(report[c]) for c in SWEEP_COLUMNS):
             return False
     return True

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from functools import partial
 from math import factorial
 from pathlib import Path
 
@@ -123,6 +124,95 @@ def reference_single_oracle(S, N):
     return mismatch is None, total, mismatch, dists
 
 
+def _reference_peel_closure(sums):
+    """The peel closure as first written: the source rule on every sum."""
+    sent = {}
+    for db, refs in sums:
+        sent[refs] = db if sent.get(refs, db) == db else -1
+    exposed = {r for db, refs in sums for r in refs if sent.get(refs - {r}, db) != db}
+    pending = [refs for _, refs in sums]
+    changed = True
+    while changed:
+        changed = False
+        rest = []
+        for unknown in pending:
+            unknown = unknown - exposed
+            if len(unknown) == 1:
+                exposed |= unknown
+                changed = True
+            elif unknown:
+                rest.append(unknown)
+        pending = rest
+    return exposed, pending
+
+
+def _reference_check_counts(user, per_db, info, S, N, reps, failures, tables):
+    want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
+    types = Counter()
+    sums = []
+    for db0, queries in enumerate(per_db):
+        for q in queries:
+            groups = {}
+            for f, j, x in q.atoms:
+                key = (f, x)
+                groups[key] = groups.get(key, ()) + (j,)
+            for (f, _), subfiles in groups.items():
+                if len(subfiles) > 1:
+                    subfiles = tuple(sorted(subfiles))
+                if subfiles != want_slots.get(f):
+                    failures.append(f"user {user} db {db0 + 1}: reference to file {f} "
+                                    f"uses slots {list(subfiles)}")
+            files = {f for f, _ in groups}
+            if len(files) != len(groups):
+                failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
+            types[(db0 + 1, tuple(sorted(files)))] += 1
+            sums.append((db0, frozenset(groups)))
+    for k in range(1, N + 1):
+        for s in range(1, S + 1):
+            for fileset in combinations(range(1, N + 1), k):
+                have = types.pop((s, fileset), 0)
+                tables[(user, s, fileset)] = have
+                if have != reps(s, k):
+                    failures.append(f"user {user}: db {s} holds {have} sums of type "
+                                    f"{fileset}, expected {reps(s, k)}")
+    for key in types:
+        failures.append(f"user {user}: unexpected sum type at {key}")
+    return sums
+
+
+def reference_check_structure(bundle, S, N):
+    """The structure audit as first written, with a regrouping pass for the
+    no-repeat rule and one scan of the exposed set per file."""
+    failures, tables = [], {}
+    for user, per_db in sorted(audit._slot_queries(bundle).items()):
+        info = bundle.slots.get(user)
+        kind = info.kind if info else None
+        if kind not in audit._REPS:
+            failures.append(f"user {user}: unknown generator kind {kind!r}")
+            continue
+        reps = partial(audit._REPS[kind], S, N)
+        sums = _reference_check_counts(user, per_db, info, S, N, reps, failures, tables)
+        if kind == "alg1":
+            by_db = {}
+            for db0, refs in sums:
+                by_db.setdefault(db0, []).extend(refs)
+            for db0, refs in sorted(by_db.items()):
+                failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
+                                for r, n in Counter(refs).items() if n > 1)
+        want = audit._wanted_exposure(info, S, N)
+        exposed, unknowns = _reference_peel_closure(sums)
+        unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
+        if unresolved:
+            failures.append(f"user {user}: {unresolved} sums cannot be peeled")
+        for i, wanted in sorted(want.items()):
+            got = {x for (f, x) in exposed if f == i}
+            if got != wanted:
+                failures.append(f"user {user}: file {i} exposes {sorted(got)}, "
+                                f"expected {sorted(wanted)}")
+    return audit.AuditReport(ok=not failures, failures=failures, type_tables=tables,
+                             per_db_counts=bundle.counts())
+
+
 def distributions_digest(dists):
     """sha256 of every (demand, database, key, value) row, sorted, with the
     keys' atoms as plain tuples and the values as strings."""
@@ -231,6 +321,27 @@ class TestCheckStructure:
         for _ in range(300):
             mutated, op = mutate_bundle(art["bundle"], rng, S ** (N - 1))
             assert not check_structure(mutated, S, N).ok, op
+
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 3), (2, 3, 5), (3, 4, 4)],
+                             ids=lambda d: "-".join(map(str, d)))
+    def test_matches_reference_on_mutated_bundles(self, dims):
+        if len(dims) == 2:
+            _, art = run_single_session(*dims, 1, seed=13)
+        else:
+            _, art = run_mupir_session(*dims, 1, seed=13)
+        S, N = dims[:2]
+        rng = random.Random(13)
+        bundles = [art["bundle"]] + [mutate_bundle(art["bundle"], rng, S ** (N - 1))[0]
+                                     for _ in range(150)]
+        failing = 0
+        for bundle in bundles:
+            got, want = check_structure(bundle, S, N), reference_check_structure(bundle, S, N)
+            assert (got.ok, got.type_tables, got.per_db_counts) == (
+                want.ok, want.type_tables, want.per_db_counts)
+            assert sorted(got.failures) == sorted(want.failures)
+            failing += not got.ok
+        assert bundles[0] is art["bundle"] and check_structure(bundles[0], S, N).ok
+        assert failing > len(bundles) // 2
 
     def test_drop_and_duplicate_always_fail_structure(self):
         _, art = run_mupir_session(2, 2, 3, 1, seed=4)

@@ -177,6 +177,21 @@ def _bundle_of(queries_per_db):
     return QueryBundle(S=len(per_db), per_db=per_db, emission=emission)
 
 
+def test_query_repr_equality_hash_and_canonical():
+    # reports, canonical keys and replay compare queries by these; the hash
+    # is that of the one-field tuple (atoms,)
+    atoms = ((2, 1, 3), (1, 2, 1), (1, 1, 2))
+    q = Query(atoms)
+    assert repr(q) == "Query(atoms=((2, 1, 3), (1, 2, 1), (1, 1, 2)))"
+    assert q == Query(atoms=atoms) and q != Query(atoms[:2])
+    assert hash(q) == hash(Query(atoms)) == hash((atoms,))
+    assert len({q, Query(atoms), Query(atoms[:2])}) == 2
+    assert q.canonical() == ((1, 1, 2), (1, 2, 1), (2, 1, 3))
+    assert q.atoms is atoms
+    with pytest.raises(AttributeError):
+        q.atoms = ()
+
+
 class TestCanonicalForm:
     def test_order_invariant(self):
         a = _bundle_of([[((1, 1, 1),), ((2, 1, 2),)], []])

@@ -33,23 +33,42 @@ def _brute_force(n, masks, secret):
     return [s.pop() if len(s) == 1 else None for s in seen]
 
 
+def _check_against_brute_force(n, masks, extra, secret):
+    combs = Reduction(masks).combinations(range(n), extra)
+    rows = masks + extra
+    values = [_parity(m & secret) for m in rows]
+    for t, (comb, want) in enumerate(zip(combs, _brute_force(n, rows, secret))):
+        if want is None:
+            assert comb is None, (n, rows, t)
+        else:
+            assert comb is not None, (n, rows, t)
+            assert _xor_named(comb, rows) == 1 << t
+            assert _xor_named(comb, values) == want
+
+
 def test_random_systems_match_brute_force():
     rng = random.Random(2212)
     for _ in range(300):
         n = rng.randint(1, 10)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
         extra = [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
-        secret = rng.getrandbits(n)
-        combs = Reduction(masks).combinations(range(n), extra)
-        rows = masks + extra
-        values = [_parity(m & secret) for m in rows]
-        for t, (comb, want) in enumerate(zip(combs, _brute_force(n, rows, secret))):
-            if want is None:
-                assert comb is None, (n, rows, t)
-            else:
-                assert comb is not None, (n, rows, t)
-                assert _xor_named(comb, rows) == 1 << t
-                assert _xor_named(comb, values) == want
+        _check_against_brute_force(n, masks, extra, rng.getrandbits(n))
+    # more equations than unknowns, so rows are dependent: a target may have
+    # several combinations, and any one that names it is right
+    rng = random.Random(2213)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(n + 1, 2 * n + 3))]
+        masks += [masks[rng.randrange(len(masks))] ^ masks[rng.randrange(len(masks))]]
+        extra = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
+        extra += [masks[0] ^ extra[0]]
+        _check_against_brute_force(n, masks, extra, rng.getrandbits(n))
+
+
+def test_extra_rows_leave_the_shared_rows_unchanged():
+    red = Reduction([0b100])
+    assert red.combinations([0], [0b011, 0b110]) == [0b111]
+    assert red.combinations([0, 2]) == [None, 0b1]
 
 
 def test_undetermined_unknown_returns_none():

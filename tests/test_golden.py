@@ -27,6 +27,8 @@ GOLDEN = {
         "26835467ca03cd3519ae628a6017d98e51e1509733b26afa1b85565652a48b7a",
     ("single", 3, 3):
         "7b2139ad5186472b35b9d6e1af1375cd41a4fa5145a32f86bf0bb5a08157f684",
+    ("single", 4, 5):
+        "43742c38c5242b48224348f4fdfc636555d19e03aec6abcc1da8b2130595b582",
 }
 BLOCK_BYTES = 2
 SEED = 0

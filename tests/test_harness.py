@@ -122,6 +122,19 @@ class TestSweep:
         parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
         assert reverify_sweep_rows(parsed)
 
+    @pytest.mark.parametrize("column,value", [
+        ("lemma43", False), ("margin_dec", -1.0), ("RPD_dec", 0)])
+    def test_roundtrip_rejects_an_edited_dominance_column(self, column, value):
+        rows = sweep([3], [3], 4)
+        assert reverify_sweep_rows(rows)
+        parsed = list(csv.DictReader(io.StringIO(rows_to_csv(rows))))
+        assert reverify_sweep_rows(parsed)
+        for edited in (rows, parsed):
+            edited[0] = {**edited[0], column: value}
+            assert not reverify_sweep_rows(edited)
+            edited[0] = {**edited[0], column: str(value)}
+            assert not reverify_sweep_rows(edited)
+
 
 class TestSerialization:
     def test_frac_round_trip(self):
