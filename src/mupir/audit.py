@@ -21,6 +21,7 @@ from .core import (
     Query,
     QueryBundle,
     canonical_form,
+    canonical_view,
 )
 from .errors import RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
@@ -271,16 +272,20 @@ def _perms(n, H):
 
 
 def _compare_distributions(dists, S):
+    """(True, None) when every demand's per-database counters equal the
+    first demand's, else False and the first database that differs.  The
+    counters are compared as dicts, at C level: none holds a count <= 0, so
+    Counter's equality (a missing key counts as 0) is dict equality."""
     demands = sorted(dists)
     ref = dists[demands[0]]
     for d in demands[1:]:
         for s in range(S):
-            if dists[d][s] != ref[s]:
+            if not dict.__eq__(dists[d][s], ref[s]):
                 return False, f"database {s + 1}: demand {demands[0]} vs {d} differ"
     return True, None
 
 
-def _count_branch(generate, per_user, views) -> tuple:
+def _count_branch(generate, per_user, first, views) -> tuple:
     """One branch's multiset of user views, cross-checked against its bundle.
 
     A branch fixes everything but the users' per-file permutations:
@@ -291,28 +296,26 @@ def _count_branch(generate, per_user, views) -> tuple:
     (kind, subfile, demand, omega_pairs, t), and `views` caches, for the
     whole walk, each label's per-database canonical lists: per database, the
     distinct lists with their multiplicities, plus the first option's lists.
-    `generate(perms)` runs once, on the first assignment, for its validation
-    and its records; the bundle it returns cross-checks that assignment's
-    factored key.  Nothing is expanded here: the branch's distribution is a
-    function of its labels alone, which `_expand_views` turns into keys once
-    per distinct multiset.  Returns the sorted tuple of the users' labels.
+    `generate(first)` runs once, on the first assignment (every user's first
+    option), for its validation and its records; the bundle it returns
+    cross-checks that assignment's factored key.  Nothing is expanded here:
+    the branch's distribution is a function of its labels alone, which
+    `_expand_views` turns into keys once per distinct multiset.  Returns the
+    sorted tuple of the users' labels.
     """
-    first = {c: dict(enumerate(opts[0], start=1))
-             for c, (_, opts) in enumerate(per_user, start=1)}
     bundle, transcript = generate(first)
     labels = []
     for c, (t, opts) in enumerate(per_user, start=1):
         info = transcript.slots[c]
         label = (info.kind, info.subfile, info.demand, info.omega_pairs, t)
         if label not in views:
-            lists = [[tuple(sorted(q.canonical() for q in queries))
-                      for queries in materialize(transcript.records[c],
-                                                 dict(enumerate(opt, start=1)), info.subfiles)]
+            lists = [list(map(canonical_view, materialize(
+                         transcript.records[c], dict(enumerate(opt, start=1)), info.subfiles)))
                      for opt in opts]
             views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
         labels.append(label)
-    key = tuple(tuple(sorted(chain.from_iterable(views[label][0][s] for label in labels)))
-                for s in range(transcript.S))
+    key = tuple(tuple(sorted(chain.from_iterable(lists)))
+                for lists in zip(*(views[label][0] for label in labels)))
     if key != canonical_form(bundle):
         slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
         raise RuntimeError(
@@ -323,17 +326,23 @@ def _count_branch(generate, per_user, views) -> tuple:
     return tuple(sorted(labels))
 
 
-def _expand_views(multiset, views, S) -> list:
-    """Per database, the key Counter of one multiset of user labels over all
+def _expand_views(multiset, views, S, index) -> list:
+    """Per database, the key counts of one multiset of user labels over all
     its assignments.  The oracle compares per-database marginals, so each
     database is counted on its own: a key is the sorted union of one distinct
-    list per user, weighted by the product of their multiplicities."""
+    list per user, weighted by the product of their multiplicities.
+
+    A key is a nested tuple, whose hash CPython recomputes on every dict
+    operation, so each is hashed once here: `index` numbers the distinct
+    keys of the whole walk, and the counts are keyed by those numbers."""
     counters = []
     for s in range(S):
-        counter = Counter()
+        counter = {}
+        get = counter.get
         for combo in product(*(views[label][1][s] for label in multiset)):
-            key = tuple(sorted(chain.from_iterable(lst for lst, _ in combo)))
-            counter[key] += prod(n for _, n in combo)
+            lists, counts = zip(*combo)
+            i = index.setdefault(tuple(sorted(chain.from_iterable(lists))), len(index))
+            counter[i] = get(i, 0) + prod(counts)
         counters.append(counter)
     return counters
 
@@ -430,7 +439,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             return partial(generate_alg2, S, N, K, theta, P)
         return partial(generate_alg3, S, N, K, theta, P, base, rho)
 
-    free, tails = _perms(sub, sub), _perms(sub, H)
+    free, tails, slot_maps = _perms(sub, sub), _perms(sub, H), _perms(K, K)
 
     @cache
     def options(t):
@@ -438,28 +447,45 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
 
     dists, drawn, views = {}, {}, {}
     for theta, base, nonbase, rho_lists in walked:
-        dists.setdefault(theta, [Counter() for _ in range(S)])
+        if theta not in dists:
+            dists[theta] = [{} for _ in range(S)]
         per_user = [options(theta[c - 1] if c in base else None) for c in users]
-        for P in permutations(users):
-            puser = Permutation(P)
+        first = {c: dict(enumerate(opts[0], start=1))
+                 for c, (_, opts) in enumerate(per_user, start=1)}
+        for P in slot_maps:
             for rho_pick in product(*rho_lists):
-                generate = generator(theta, puser, base, dict(zip(nonbase, rho_pick)))
-                drawn.setdefault(_count_branch(generate, per_user, views), Counter())[theta] += 1
+                generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))
+                multiset = _count_branch(generate, per_user, first, views)
+                weights = drawn.get(multiset)
+                if weights is None:
+                    weights = drawn[multiset] = {}
+                weights[theta] = weights.get(theta, 0) + 1
     # each distinct multiset is expanded once, then added to every theta
     # drawing it, weighted by its number of branches there
+    index = {}
     for multiset, weights in drawn.items():
-        for s, part in enumerate(_expand_views(multiset, views, S)):
+        for s, part in enumerate(_expand_views(multiset, views, S, index)):
             for theta, w in weights.items():
                 counter = dists[theta][s]
-                for key, m in part.items():
-                    counter[key] += w * m
+                get = counter.get
+                for i, m in part.items():
+                    counter[i] = get(i, 0) + w * m
+    # the counts, keyed by the keys themselves (a key's number is its
+    # position); for N < K, divided by the theta's total, with one Fraction
+    # per distinct (count, total): a few values recur over many keys, and
+    # shared equal values compare by identity
+    keys = list(index)
+    frac = cache(Fraction)
+    for theta, counters in dists.items():
+        total = sum(counters[0].values())
+        for s, c in enumerate(counters):
+            values = c.values()
+            if N < K:
+                shared = {v: frac(v, total) for v in set(values)}
+                values = map(shared.__getitem__, values)
+            counters[s] = Counter(dict(zip(map(keys.__getitem__, c), values)))
     if scheme == "single":
         dists = {theta[0]: counters for theta, counters in dists.items()}
-    elif N < K:
-        for theta, counters in dists.items():
-            norm = sum(counters[0].values())
-            dists[theta] = [Counter({k: Fraction(v, norm) for k, v in c.items()})
-                            for c in counters]
     equal, mismatch = _compare_distributions(dists, S)
     return OracleReport(equal=equal, scheme=scheme, K=K, assignments=n,
                         mismatch=mismatch, distributions=dists)

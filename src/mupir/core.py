@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DemandError, InvalidDimensionError
@@ -122,7 +124,7 @@ class Permutation:
         return self.images[pos - 1]
 
     def tail_fixed_from(self, H: int) -> bool:
-        return all(self.images[t - 1] == t for t in range(H + 1, self.n + 1))
+        return self.images[H:] == tuple(range(H + 1, self.n + 1))
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -146,7 +148,7 @@ def validate_demands(demands, N: int, K: int) -> tuple:
     demands = tuple(demands)
     if len(demands) != K:
         raise DemandError(f"expected {K} demands, got {len(demands)}")
-    if any(not 1 <= d <= N for d in demands):
+    if demands and (min(demands) < 1 or max(demands) > N):
         raise DemandError(f"demands out of range [1,{N}]: {demands}")
     if N == K:
         if len(set(demands)) != K:
@@ -171,6 +173,11 @@ class Query(NamedTuple):
         return tuple(sorted(self.atoms))
 
 
+# Query(atoms) built at C level, skipping the Python-level __new__ that
+# NamedTuple generates; it takes the one-field tuple: new_query((atoms,)).
+new_query = partial(tuple.__new__, Query)
+
+
 @dataclass(frozen=True)
 class SlotInfo:
     """One user's generator block: the session's one record of that user's
@@ -193,7 +200,10 @@ class SlotInfo:
         own slot, or for qset2 the file's omega pair (empty if it has none)."""
         if self.omega_pairs is None:
             return (self.subfile,)
-        return next(((j1, j2) for f, j1, j2 in self.omega_pairs if f == file), ())
+        for f, j1, j2 in self.omega_pairs:
+            if f == file:
+                return (j1, j2)
+        return ()
 
 
 @dataclass
@@ -224,12 +234,20 @@ class QueryBundle:
                 for pos, (user, local) in enumerate(order)}
 
 
+_atoms = itemgetter(0)  # a Query's atoms
+
+
+def canonical_view(queries) -> tuple:
+    """One database's view of its query list: the sorted multiset of the
+    queries' sorted atom lists.  Built with C-level maps, no Python call per
+    query."""
+    return tuple(sorted(map(tuple, map(sorted, map(_atoms, queries)))))
+
+
 def canonical_form(bundle: QueryBundle) -> tuple:
-    """Order- and emission-independent key: per database, the sorted
-    multiset of sorted atom lists.  This is exactly the database's view."""
-    return tuple(
-        tuple(sorted(q.canonical() for q in queries)) for queries in bundle.per_db
-    )
+    """Order- and emission-independent key: per database, its
+    `canonical_view`.  This is exactly the database's view."""
+    return tuple(map(canonical_view, bundle.per_db))
 
 
 def answer_bundle(store: FileStore, bundle: QueryBundle) -> list:

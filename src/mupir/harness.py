@@ -108,11 +108,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den or 1))
-
-
 def dec(x, digits: int = 6) -> float:
     return round(float(x), digits)
 

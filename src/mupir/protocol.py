@@ -33,9 +33,9 @@ from typing import Optional
 from .core import (
     FileStore,
     Permutation,
-    Query,
     QueryBundle,
     SlotInfo,
+    new_query,
     validate_demands,
     xor_combine,
 )
@@ -220,12 +220,21 @@ def materialize(records, perms: dict, subfiles) -> list:
     every subfile slot in subfiles(file): one slot for alg1 and qset1, the
     file's omega pair for qset2.
     """
-    slots = {f: subfiles(f) for f in perms}
-    images = {f: p.images for f, p in perms.items()}
-    return [[Query(tuple(sorted([(f, j, images[f][pos - 1])
-                                 for f, pos in rec.refs for j in slots[f]])))
-             for rec in db_list]
-            for db_list in records]
+    by_file = {f: (subfiles(f), p.images) for f, p in perms.items()}
+    out = []
+    for db_list in records:
+        row = []
+        for rec in db_list:
+            atoms = []
+            for f, pos in rec.refs:
+                slots, images = by_file[f]
+                x = images[pos - 1]
+                for j in slots:
+                    atoms.append((f, j, x))
+            atoms.sort()
+            row.append(new_query((tuple(atoms),)))
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -344,26 +353,26 @@ class SessionTranscript:
 
 def replay_bundle(transcript: SessionTranscript, emission) -> QueryBundle:
     """Regenerate the bundle bit-identically from the recorded randomness,
-    with each database's queries in `emission` order ((user, local) pairs)."""
+    with each database's queries in `emission` order ((user, local) pairs).
+    The bundle holds `emission` and the transcript's `slots` themselves, not
+    copies, so an edit to one is an edit to the other."""
     queries = {
         user: materialize(records, transcript.perms[user], transcript.slots[user].subfiles)
         for user, records in transcript.records.items()
     }
     per_db = [[queries[user][db0][local] for user, local in order]
               for db0, order in enumerate(emission)]
-    return QueryBundle(S=transcript.S, per_db=per_db, emission=[list(o) for o in emission],
-                       slots=dict(transcript.slots))
+    return QueryBundle(S=transcript.S, per_db=per_db, emission=emission,
+                       slots=transcript.slots)
 
 
 def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None) -> QueryBundle:
     """The session's bundle: every user's records in user order, each
     database's list then shuffled by shuffle_rng (when given)."""
-    emission = []
-    for db0 in range(transcript.S):
-        order = transcript.record_keys(db0)
-        if shuffle_rng is not None:
+    emission = [transcript.record_keys(db0) for db0 in range(transcript.S)]
+    if shuffle_rng is not None:
+        for order in emission:
             shuffle_rng.shuffle(order)
-        emission.append(order)
     return replay_bundle(transcript, emission)
 
 
@@ -388,25 +397,32 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
     return _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed)
 
 
+# SlotInfo is frozen, so sessions share one instance per distinct slot
+# record instead of paying a frozen dataclass's __init__ for each.
+_slot_info = lru_cache(maxsize=4096)(SlotInfo)
+
+
 def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed):
     """The session of validated demands: a qset1 block on its own slot P(c)
     for each base user c, a qset2 block for every other user, whose file i
     pairs the slot of base user rho[c][i] with P(c)."""
     H = h_value(S, N)
+    slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
     slots, records = {}, {}
     for c in range(1, K + 1):
         d = demands[c - 1]
+        own = slot_of[c - 1]
         if c in base:
             if not user_perms[c][d].tail_fixed_from(H):
                 raise DemandError(f"permutation for user {c}, file {d} must fix positions > {H}")
-            slots[c] = SlotInfo(user=c, kind="qset1", subfile=P(c), demand=d)
+            slots[c] = _slot_info(user=c, kind="qset1", subfile=own, demand=d)
             records[c] = qset1_schedule(S, N, d)
             continue
         align = rho[c]
         if align[d] not in base or demands[align[d] - 1] != d:
             raise DemandError(f"rho for user {c} must pair its demand with a base twin")
-        pairs = tuple((i, P(align[i]), P(c)) for i in range(1, N + 1))
-        slots[c] = SlotInfo(user=c, kind="qset2", subfile=P(c), omega_pairs=pairs)
+        pairs = tuple([(i, slot_of[align[i] - 1], own) for i in range(1, N + 1)])
+        slots[c] = _slot_info(user=c, kind="qset2", subfile=own, omega_pairs=pairs)
         records[c] = qset2_schedule(S, N)
     transcript = SessionTranscript(S=S, N=N, K=K, seed=seed, demand=demands,
                                    perms=user_perms, records=records, slots=slots, H=H)

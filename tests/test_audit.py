@@ -416,6 +416,34 @@ class TestDistributionOracle:
         assert report.mismatch == mismatch
         assert distributions_digest(report.distributions) == digest
 
+    @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 2, None)])
+    def test_every_count_is_positive(self, S, N, K):
+        # _compare_distributions compares the counters as dicts, which is
+        # Counter equality only while no counter holds a count <= 0
+        report = demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
+        values = [v for counters in report.distributions.values()
+                  for counter in counters for v in counter.values()]
+        assert values and all(v > 0 for v in values)
+
+    def test_compare_distributions_names_the_first_differing_database(self):
+        compare = audit._compare_distributions
+        ref = [Counter({"a": 2, "b": 1}), Counter({"c": 3})]
+        same = [Counter({"b": 1, "a": 2}), Counter({"c": 3})]
+        assert compare({(1, 2): ref, (2, 1): same}, 2) == (True, None)
+        cases = {
+            "a key on one side only, at database 2": [same[0], Counter({"c": 3, "d": 1})],
+            "a key on the first demand's side only": [same[0], Counter()],
+            "one count differs": [Counter({"a": 2, "b": 2}), same[1]],
+            "both databases differ": [Counter({"a": 2}), Counter({"c": 1})],
+        }
+        want_db = {"a key on one side only, at database 2": 2,
+                   "a key on the first demand's side only": 2,
+                   "one count differs": 1, "both databases differ": 1}
+        for name, other in cases.items():
+            # demands are compared in sorted order, each against the first
+            got = compare({(2, 1): other, (1, 2): ref, (2, 2): same}, 2)
+            assert got == (False, f"database {want_db[name]}: demand (1, 2) vs (2, 1) differ"), name
+
     @pytest.mark.parametrize("S,N,K,multisets", [(2, 2, 3, 12), (2, 2, 4, 48), (3, 2, 3, 12)])
     def test_each_view_multiset_is_expanded_once(self, monkeypatch, S, N, K, multisets):
         # (2, 2, 3) has 72 branches, (2, 2, 4) 1152 and (3, 2, 3) 72; they

@@ -178,6 +178,19 @@ def test_materialize_matches_per_atom_reference(block_session):
     assert kind in kinds
 
 
+def test_materialize_and_replay_build_real_queries(block_session):
+    # a Query equals the plain tuple (atoms,), so the comparisons above
+    # cannot tell a construction shortcut that yields plain tuples
+    _, art = block_session
+    tr, bundle = art["transcript"], art["bundle"]
+    lists = [queries for user, records in tr.records.items()
+             for queries in materialize(records, tr.perms[user], tr.slots[user].subfiles)]
+    lists += bundle.per_db + replay_bundle(tr, bundle.emission).per_db
+    queries = [q for qs in lists for q in qs]
+    assert queries
+    assert all(type(q) is Query and list(q.atoms) == sorted(q.atoms) for q in queries)
+
+
 # sha256 over every record's (k, refs, fresh_file, fresh_pos, old_picks,
 # source), taken over qset1_schedule(S, N, d) for d = 1..N and then
 # qset2_schedule(S, N); recorded from the engine before its emit path and
