@@ -27,9 +27,9 @@ from .errors import RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
 from .protocol import (
     SessionTranscript,
+    block_memo,
     generate_alg2,
     generate_alg3,
-    materialize,
     replay_bundle,
     rho_options,
 )
@@ -285,7 +285,7 @@ def _compare_distributions(dists, S):
     return True, None
 
 
-def _count_branch(generate, per_user, first, views) -> tuple:
+def _count_branch(generate, per_user, first, views, memo) -> tuple:
     """One branch's multiset of user views, cross-checked against its bundle.
 
     A branch fixes everything but the users' per-file permutations:
@@ -298,10 +298,15 @@ def _count_branch(generate, per_user, first, views) -> tuple:
     distinct lists with their multiplicities, plus the first option's lists.
     `generate(first)` runs once, on the first assignment (every user's first
     option), for its validation and its records; the bundle it returns
-    cross-checks that assignment's factored key.  Nothing is expanded here:
-    the branch's distribution is a function of its labels alone, which
-    `_expand_views` turns into keys once per distinct multiset.  Returns the
-    sorted tuple of the users' labels.
+    cross-checks that assignment's factored key.  The generator and the
+    label views take their blocks from the walk's `memo` (a
+    `protocol.block_memo`), keyed by exactly the schedule, permutations and
+    slot each block is built from, so a branch's blocks are the ones its
+    labels' first options built, and a branch whose inputs differ from its
+    labels' is materialised for real and fails the cross-check.  Nothing is
+    expanded here: the branch's distribution is a function of its labels
+    alone, which `_expand_views` turns into keys once per distinct multiset.
+    Returns the sorted tuple of the users' labels.
     """
     bundle, transcript = generate(first)
     labels = []
@@ -309,8 +314,8 @@ def _count_branch(generate, per_user, first, views) -> tuple:
         info = transcript.slots[c]
         label = (info.kind, info.subfile, info.demand, info.omega_pairs, t)
         if label not in views:
-            lists = [list(map(canonical_view, materialize(
-                         transcript.records[c], dict(enumerate(opt, start=1)), info.subfiles)))
+            lists = [list(map(canonical_view, memo(
+                         transcript.records[c], dict(enumerate(opt, start=1)), info)))
                      for opt in opts]
             views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
         labels.append(label)
@@ -394,7 +399,10 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     each branch to its multiset of user view labels, which each theta weighs
     by its number of branches; after the walk `_expand_views` expands each
     distinct multiset once, across branches and thetas, and each theta's
-    distribution is the weighted sum of its multisets' expansions.
+    distribution is the weighted sum of its multisets' expansions.  The walk
+    holds one `protocol.block_memo`, made here and dropped on return: every
+    block it builds, for a label's views or in a branch's generator, is
+    materialised once per distinct (schedule, permutations, slot).
     """
     sub = S ** (N - 1)
     if scheme == "single":
@@ -432,12 +440,14 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             raise TooLargeInstanceError(f"{scheme} oracle needs more than {guard} assignments")
         walked.append(branch)
 
+    memo = block_memo()
+
     def generator(theta, P, base, rho):
         if scheme == "single":
-            return lambda perms: generate_alg1(S, N, perms[1], theta[0])
+            return lambda perms: generate_alg1(S, N, perms[1], theta[0], memo=memo)
         if N == K:
-            return partial(generate_alg2, S, N, K, theta, P)
-        return partial(generate_alg3, S, N, K, theta, P, base, rho)
+            return partial(generate_alg2, S, N, K, theta, P, memo=memo)
+        return partial(generate_alg3, S, N, K, theta, P, base, rho, memo=memo)
 
     free, tails, slot_maps = _perms(sub, sub), _perms(sub, H), _perms(K, K)
 
@@ -455,7 +465,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
         for P in slot_maps:
             for rho_pick in product(*rho_lists):
                 generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))
-                multiset = _count_branch(generate, per_user, first, views)
+                multiset = _count_branch(generate, per_user, first, views, memo)
                 weights = drawn.get(multiset)
                 if weights is None:
                     weights = drawn[multiset] = {}

@@ -169,9 +169,6 @@ class Query(NamedTuple):
 
     atoms: tuple
 
-    def canonical(self) -> tuple:
-        return tuple(sorted(self.atoms))
-
 
 # Query(atoms) built at C level, skipping the Python-level __new__ that
 # NamedTuple generates; it takes the one-field tuple: new_query((atoms,)).

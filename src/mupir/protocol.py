@@ -28,6 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, permutations
 from math import comb
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -237,6 +238,30 @@ def materialize(records, perms: dict, subfiles) -> list:
     return out
 
 
+_images = attrgetter("images")
+
+
+def block_memo():
+    """A `materialize` that builds each distinct block once and then shares
+    it, for a walk that replays one block in many sessions.  It is called
+    as memo(records, perms, info) with the block's `SlotInfo`.  The key is
+    exactly what `materialize` reads: the schedule by identity (schedules
+    are cached and never change; each one seen is held, so its id is not
+    reused), each file with its permutation's images, and the slot's
+    `subfile` and `omega_pairs` (`user` is not read).  The blocks are
+    shared, so no caller may edit one; they live as long as the memo."""
+    blocks = {}
+
+    def memo(records, perms, info):
+        key = (id(records), info.subfile, info.omega_pairs,
+               *perms, *map(_images, perms.values()))
+        hit = blocks.get(key)
+        if hit is None:
+            hit = blocks[key] = (records, materialize(records, perms, info.subfiles))
+        return hit[1]
+    return memo
+
+
 @dataclass(frozen=True)
 class CacheContent:
     """One user's cache: XOR lines over all files of its subfile slot, which
@@ -351,13 +376,19 @@ class SessionTranscript:
                 for local in range(len(self.records[user][db0]))]
 
 
-def replay_bundle(transcript: SessionTranscript, emission) -> QueryBundle:
+def _block(records, perms, info):
+    return materialize(records, perms, info.subfiles)
+
+
+def replay_bundle(transcript: SessionTranscript, emission, memo=None) -> QueryBundle:
     """Regenerate the bundle bit-identically from the recorded randomness,
     with each database's queries in `emission` order ((user, local) pairs).
     The bundle holds `emission` and the transcript's `slots` themselves, not
-    copies, so an edit to one is an edit to the other."""
+    copies, so an edit to one is an edit to the other.  Each user's block
+    comes from `materialize`, or from `memo` (a `block_memo`) when given."""
+    build = _block if memo is None else memo
     queries = {
-        user: materialize(records, transcript.perms[user], transcript.slots[user].subfiles)
+        user: build(records, transcript.perms[user], transcript.slots[user])
         for user, records in transcript.records.items()
     }
     per_db = [[queries[user][db0][local] for user, local in order]
@@ -366,35 +397,39 @@ def replay_bundle(transcript: SessionTranscript, emission) -> QueryBundle:
                        slots=transcript.slots)
 
 
-def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None) -> QueryBundle:
+def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None, memo=None) -> QueryBundle:
     """The session's bundle: every user's records in user order, each
-    database's list then shuffled by shuffle_rng (when given)."""
+    database's list then shuffled by shuffle_rng (when given), its blocks
+    built as `replay_bundle` builds them with `memo`."""
     emission = [transcript.record_keys(db0) for db0 in range(transcript.S)]
     if shuffle_rng is not None:
         for order in emission:
             shuffle_rng.shuffle(order)
-    return replay_bundle(transcript, emission)
+    return replay_bundle(transcript, emission, memo)
 
 
-def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None, seed=None):
-    """All-distinct-demands session: one qset1 block per user."""
+def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None, seed=None,
+                  memo=None):
+    """All-distinct-demands session: one qset1 block per user.  `memo`, as
+    for `replay_bundle`."""
     demands = validate_demands(demands, N, K)
     if N != K:
         raise RegimeError(f"this generator requires N=K, got N={N}, K={K}")
     return _generate(S, N, K, demands, P, range(1, K + 1), None, user_perms,
-                     shuffle_rng, seed)
+                     shuffle_rng, seed, memo)
 
 
 def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
-                  shuffle_rng=None, seed=None):
-    """Covering-demands session: qset1 for base users, qset2 for the rest."""
+                  shuffle_rng=None, seed=None, memo=None):
+    """Covering-demands session: qset1 for base users, qset2 for the rest.
+    `memo`, as for `replay_bundle`."""
     demands = validate_demands(demands, N, K)
     if N == K:
         raise RegimeError("N=K sessions are generated by generate_alg2")
     base = tuple(sorted(base))
     if len(base) != N or {demands[b - 1] for b in base} != set(range(1, N + 1)):
         raise DemandError(f"base set {base} does not cover all files exactly once")
-    return _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed)
+    return _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed, memo)
 
 
 # SlotInfo is frozen, so sessions share one instance per distinct slot
@@ -402,7 +437,7 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
 _slot_info = lru_cache(maxsize=4096)(SlotInfo)
 
 
-def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed):
+def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed, memo):
     """The session of validated demands: a qset1 block on its own slot P(c)
     for each base user c, a qset2 block for every other user, whose file i
     pairs the slot of base user rho[c][i] with P(c)."""
@@ -426,7 +461,7 @@ def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed):
         records[c] = qset2_schedule(S, N)
     transcript = SessionTranscript(S=S, N=N, K=K, seed=seed, demand=demands,
                                    perms=user_perms, records=records, slots=slots, H=H)
-    return assemble_bundle(transcript, shuffle_rng), transcript
+    return assemble_bundle(transcript, shuffle_rng, memo), transcript
 
 
 def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:

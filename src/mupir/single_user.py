@@ -68,19 +68,20 @@ def _alg1_schedule(S: int, N: int, d: int):
 
 
 def generate_alg1(S: int, N: int, perms: dict, d: int,
-                  shuffle_rng: Optional[random.Random] = None, seed=None):
+                  shuffle_rng: Optional[random.Random] = None, seed=None, memo=None):
     """Build the per-database query bundle for demand d.
 
     perms: {file -> Permutation over [S^(N-1)]}.  Returns (bundle,
     transcript); the transcript holds the peeling plan, and
     `protocol.replay_bundle` regenerates the bundle from it bit-identically.
+    `memo`, as for `replay_bundle`.
     """
     transcript = SessionTranscript(
         S=S, N=N, K=1, seed=seed, demand=(d,), perms={1: dict(perms)},
         records={1: _alg1_schedule(S, N, d)},
         slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=d)}, H=S ** (N - 1),
     )
-    return assemble_bundle(transcript, shuffle_rng), transcript
+    return assemble_bundle(transcript, shuffle_rng, memo), transcript
 
 
 def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mupir import audit, cli
+from mupir import audit, cli, protocol
 from mupir.audit import (
     check_structure,
     count_rate,
@@ -486,6 +487,76 @@ class TestDistributionOracle:
         monkeypatch.setattr(audit, name, drop_first_query)
         with pytest.raises(RuntimeError, match="factored oracle key"):
             demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
+
+    @pytest.mark.parametrize("S,N,K,name,change,at", [
+        (2, 2, 2, "generate_alg2", "option", 4), (2, 2, 3, "generate_alg3", "option", 40),
+        (2, 2, None, "generate_alg1", "option", 2), (2, 2, 2, "generate_alg2", "slot", 4),
+        (2, 2, 3, "generate_alg3", "slot", 40)])
+    def test_branch_cross_check_catches_a_branch_off_its_labels(self, monkeypatch,
+                                                                 S, N, K, name, change, at):
+        # in branch `at` (for mupir, its labels' blocks are all in the
+        # walk's memo by then) one user is generated with a non-first
+        # option, or two users trade slots in the bundle but not in the
+        # transcript: the memo, keyed by exact inputs, must build that block
+        # for real, and the factored key must then disagree with
+        # canonical_form
+        real = getattr(audit, name)
+        calls = []
+
+        def off_label(*args, **kwargs):
+            calls.append(args)
+            if len(calls) != at:
+                return real(*args, **kwargs)
+            args = list(args)
+            if name == "generate_alg1":
+                # the single user draws any permutation on every file
+                args[2] = {**args[2], 1: Permutation((2, 1))}
+                return real(*args, **kwargs)
+            demands, P, user_perms = args[3], args[4], args[-1]
+            if change == "option":
+                # a file other than its demand is free for every user
+                f = next(i for i in range(1, N + 1) if i != demands[K - 1])
+                args[-1] = {**user_perms, K: {**user_perms[K], f: Permutation((2, 1))}}
+                return real(*args, **kwargs)
+            traded = Permutation(P.images[1::-1] + P.images[2:])
+            bundle, _ = real(*args[:4], traded, *args[5:], **kwargs)
+            _, transcript = real(*args, **kwargs)
+            return bundle, transcript
+
+        monkeypatch.setattr(audit, name, off_label)
+        with pytest.raises(RuntimeError, match="factored oracle key differs"):
+            demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
+        assert len(calls) == at
+
+    def test_walk_materializes_each_distinct_block_once(self, monkeypatch):
+        # the walk's memo builds each distinct (schedule, permutations,
+        # slot) once and is dropped when the oracle returns; sessions keep
+        # calling materialize for every block, at generation and in
+        # verify_replay.  Before the memo, (2, 2, 3) made 252 calls and
+        # (2, 2, 4) 4,672.
+        calls = []
+        real = protocol.materialize
+        monkeypatch.setattr(protocol, "materialize", lambda *a: calls.append(a) or real(*a))
+        memos = []
+        real_memo = audit.block_memo
+
+        def held():
+            memo = real_memo()
+            memos.append(weakref.ref(memo))
+            return memo
+
+        monkeypatch.setattr(audit, "block_memo", held)
+        for K, blocks in [(3, 36), (4, 64)]:
+            calls.clear()
+            demand_distribution_oracle(2, 2, K=K, scheme="mupir")
+            assert len(calls) == blocks
+            assert memos[-1]() is None
+        calls.clear()
+        run_single_session(3, 3, 1, 7)
+        assert len(calls) == 2
+        calls.clear()
+        run_mupir_session(2, 2, 3, 1, 7)
+        assert len(calls) == 6
 
     def test_guard_trips(self):
         with pytest.raises(TooLargeInstanceError):

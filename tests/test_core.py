@@ -12,6 +12,7 @@ from mupir.core import (
     answer_bundle,
     build_file_store,
     canonical_form,
+    canonical_view,
     file_store_from_bytes,
     identity_permutation,
     sample_permutation,
@@ -186,7 +187,7 @@ def test_query_repr_equality_hash_and_canonical():
     assert q == Query(atoms=atoms) and q != Query(atoms[:2])
     assert hash(q) == hash(Query(atoms)) == hash((atoms,))
     assert len({q, Query(atoms), Query(atoms[:2])}) == 2
-    assert q.canonical() == ((1, 1, 2), (1, 2, 1), (2, 1, 3))
+    assert canonical_view([q]) == (((1, 1, 2), (1, 2, 1), (2, 1, 3)),)
     assert q.atoms is atoms
     with pytest.raises(AttributeError):
         q.atoms = ()

@@ -8,6 +8,7 @@ from mupir.audit import check_structure, count_rate
 from mupir.core import (
     answer_bundle,
     build_file_store,
+    canonical_view,
     identity_permutation,
     sample_permutation,
 )
@@ -34,7 +35,7 @@ class TestGeneration:
     def test_hand_example_two_by_two(self):
         perms = {1: identity_permutation(2), 2: identity_permutation(2)}
         bundle, _ = generate_alg1(2, 2, perms, 2)
-        keys = [sorted(q.canonical() for q in db) for db in bundle.per_db]
+        keys = [list(canonical_view(db)) for db in bundle.per_db]
         assert keys[0] == [((1, 1, 1),), ((2, 1, 1),)]
         assert keys[1] == [((1, 1, 1), (2, 1, 2))]
 
