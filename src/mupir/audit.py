@@ -27,6 +27,7 @@ from .errors import RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
 from .protocol import (
     SessionTranscript,
+    assemble_bundle,
     block_memo,
     generate_alg2,
     generate_alg3,
@@ -289,30 +290,32 @@ def _count_branch(generate, per_user, first, views, memo) -> tuple:
     """One branch's multiset of user views, cross-checked against its bundle.
 
     A branch fixes everything but the users' per-file permutations:
-    `per_user[c - 1]` is (t, options), user c's option list, which draws the
-    tails on file t and is free on every other file (all free when t is
-    None).  A user's queries depend only on its own permutations, its slot
-    record and its schedule, so its view is labelled by the plain tuple
-    (kind, subfile, demand, omega_pairs, t), and `views` caches, for the
-    whole walk, each label's per-database canonical lists: per database, the
-    distinct lists with their multiplicities, plus the first option's lists.
-    `generate(first)` runs once, on the first assignment (every user's first
-    option), for its validation and its records; the bundle it returns
-    cross-checks that assignment's factored key.  The generator and the
-    label views take their blocks from the walk's `memo` (a
-    `protocol.block_memo`), keyed by exactly the schedule, permutations and
-    slot each block is built from, so a branch's blocks are the ones its
-    labels' first options built, and a branch whose inputs differ from its
-    labels' is materialised for real and fails the cross-check.  Nothing is
-    expanded here: the branch's distribution is a function of its labels
-    alone, which `_expand_views` turns into keys once per distinct multiset.
+    `per_user[c - 1]` is user c's option list, which draws the tails on the
+    slot's demanded file and is free on every other file (all free for a
+    qset2 slot, which has no demand).  A user's queries depend only on its
+    own permutations, its slot record and its schedule, so its view is
+    labelled by the plain tuple (kind, subfile, demand, omega_pairs), and
+    `views` caches, for the whole walk, each label's per-database canonical
+    lists: per database, the distinct lists with their multiplicities, plus
+    the first option's lists.  `generate(first)` runs once, on the first
+    assignment (every user's first option), for its validation and its
+    transcript, and `assemble_bundle` builds that assignment's bundle, which
+    cross-checks its factored key.  The bundle and the label views take
+    their blocks from the walk's `memo` (a `protocol.block_memo`), keyed by
+    exactly the schedule, permutations and slot each block is built from,
+    so a branch's blocks are the ones its labels' first options built, and
+    a branch whose inputs differ from its labels' is materialised for real
+    and fails the cross-check.  Nothing is expanded here: the branch's
+    distribution is a function of its labels alone, which `_expand_views`
+    turns into keys once per distinct multiset.
     Returns the sorted tuple of the users' labels.
     """
-    bundle, transcript = generate(first)
+    transcript = generate(first)
+    bundle = assemble_bundle(transcript, memo=memo)
     labels = []
-    for c, (t, opts) in enumerate(per_user, start=1):
+    for c, opts in enumerate(per_user, start=1):
         info = transcript.slots[c]
-        label = (info.kind, info.subfile, info.demand, info.omega_pairs, t)
+        label = (info.kind, info.subfile, info.demand, info.omega_pairs)
         if label not in views:
             lists = [list(map(canonical_view, memo(
                          transcript.records[c], dict(enumerate(opt, start=1)), info)))
@@ -401,7 +404,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     distinct multiset once, across branches and thetas, and each theta's
     distribution is the weighted sum of its multisets' expansions.  The walk
     holds one `protocol.block_memo`, made here and dropped on return: every
-    block it builds, for a label's views or in a branch's generator, is
+    block it builds, for a label's views or a branch's bundle, is
     materialised once per distinct (schedule, permutations, slot).
     """
     sub = S ** (N - 1)
@@ -440,28 +443,28 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
             raise TooLargeInstanceError(f"{scheme} oracle needs more than {guard} assignments")
         walked.append(branch)
 
-    memo = block_memo()
-
     def generator(theta, P, base, rho):
         if scheme == "single":
-            return lambda perms: generate_alg1(S, N, perms[1], theta[0], memo=memo)
+            return lambda perms: generate_alg1(S, N, perms[1], theta[0])
         if N == K:
-            return partial(generate_alg2, S, N, K, theta, P, memo=memo)
-        return partial(generate_alg3, S, N, K, theta, P, base, rho, memo=memo)
+            return partial(generate_alg2, S, N, K, theta, P)
+        return partial(generate_alg3, S, N, K, theta, P, base, rho)
 
     free, tails, slot_maps = _perms(sub, sub), _perms(sub, H), _perms(K, K)
 
     @cache
     def options(t):
-        return t, list(product(*(tails if i == t else free for i in range(1, N + 1))))
+        """A user's options: the tails on file t, every other file free
+        (all of them when t is None)."""
+        return list(product(*(tails if i == t else free for i in range(1, N + 1))))
 
-    dists, drawn, views = {}, {}, {}
+    dists, drawn, views, memo = {}, {}, {}, block_memo()
     for theta, base, nonbase, rho_lists in walked:
         if theta not in dists:
             dists[theta] = [{} for _ in range(S)]
         per_user = [options(theta[c - 1] if c in base else None) for c in users]
         first = {c: dict(enumerate(opts[0], start=1))
-                 for c, (_, opts) in enumerate(per_user, start=1)}
+                 for c, opts in enumerate(per_user, start=1)}
         for P in slot_maps:
             for rho_pick in product(*rho_lists):
                 generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))

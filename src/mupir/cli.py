@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .audit import ORACLE_GUARD, demand_distribution_oracle
-from .errors import ConfigError, TooLargeInstanceError
+from .errors import ConfigError
 from .harness import (
     CONFIG_KEYS,
     parse_config,
@@ -113,9 +113,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, TooLargeInstanceError, ValueError) as exc:
-        # bad parameters, demand vectors, regimes or oracle guards; genuine
-        # protocol failures (RuntimeError) are left to crash loudly
+    except ValueError as exc:
+        # every error mupir raises for bad input is a ValueError: bad
+        # parameters, config files, demand vectors, regimes or oracle guards;
+        # genuine protocol failures (RuntimeError) are left to crash loudly
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

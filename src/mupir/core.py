@@ -3,8 +3,7 @@
 Indexing convention: files i, subfiles j, subsubfiles x and permutation
 positions are all 1-based, matching the usual set notation [n].  A "block"
 is the content of one subsubfile, held as a non-negative int of at most
-8 * block_bytes bits, so that adding blocks is one int XOR.  Bytes appear
-only where a store is imported (`file_store_from_bytes`).
+8 * block_bytes bits, so that adding blocks is one int XOR.
 """
 from __future__ import annotations
 
@@ -78,31 +77,6 @@ def build_file_store(N: int, K: int, S: int, block_bytes: int, seed) -> FileStor
         for _ in range(N)
     )
     return FileStore(N=N, K=K, S=S, block_bytes=block_bytes, data=data)
-
-
-def file_store_from_bytes(raw: bytes, N: int, K: int, S: int, block_bytes: int) -> FileStore:
-    """Import path: N files concatenated as raw binary, fixed sizes.  Each
-    block_bytes slice becomes one block, read little-endian."""
-    if N < 2 or S < 2 or K < 1 or block_bytes < 1:
-        raise InvalidDimensionError("bad dimensions for import")
-    sub = S ** (N - 1)
-    per_file = K * sub * block_bytes
-    if len(raw) != N * per_file:
-        raise InvalidDimensionError(
-            f"raw length {len(raw)} != N*K*S^(N-1)*block_bytes = {N * per_file}"
-        )
-    data = []
-    off = 0
-    for _ in range(N):
-        subs = []
-        for _ in range(K):
-            row = []
-            for _ in range(sub):
-                row.append(int.from_bytes(raw[off:off + block_bytes], "little"))
-                off += block_bytes
-            subs.append(tuple(row))
-        data.append(tuple(subs))
-    return FileStore(N=N, K=K, S=S, block_bytes=block_bytes, data=tuple(data))
 
 
 @dataclass(frozen=True)
@@ -179,9 +153,9 @@ new_query = partial(tuple.__new__, Query)
 class SlotInfo:
     """One user's generator block: the session's one record of that user's
     slot p_u and, for qset2, of its alignment with the base users' slots.
-    Generation, replay, decoding and the audits all read it."""
+    Every holder keys it by user, so it does not name the user itself.
+    Generation, materialisation, replay, decoding and the audits all read it."""
 
-    user: int
     kind: str
     subfile: Optional[int] = None        # the user's own subfile slot p_u
     demand: Optional[int] = None         # alg1/qset1: demanded file

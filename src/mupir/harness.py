@@ -23,6 +23,7 @@ from .errors import ConfigError, RegimeError
 from .gf2 import AnswerSystem
 from .params import SchemeParams, h_value, pir_rate
 from .protocol import (
+    assemble_bundle,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
@@ -130,7 +131,7 @@ def _user_perms(K, N, sub, rng, tail_fixed=lambda c, i: None) -> dict:
     }
 
 
-def _audit_and_report(scheme, params, bundle, transcript, decode_ok, artifacts):
+def _audit_and_report(scheme, params, seed, bundle, transcript, decode_ok, artifacts):
     """The tail both schemes share: structure audit, replay check, measured
     rate and the report."""
     S, N, K = transcript.S, transcript.N, transcript.K
@@ -141,7 +142,7 @@ def _audit_and_report(scheme, params, bundle, transcript, decode_ok, artifacts):
         "scheme": scheme,
         "params": params,
         "demand": list(transcript.demand),
-        "seed": transcript.seed,
+        "seed": seed,
         "per_db_query_counts": list(bundle.counts()),
         "rate_exact": frac_str(rate),
         "rate_dec": dec(rate),
@@ -158,10 +159,10 @@ def run_single_session(S, N, block_bytes, seed, demand=None):
     store = build_file_store(N, 1, S, block_bytes, seed)
     d = demand if demand is not None else streams["demand"].randrange(1, N + 1)
     perms = _user_perms(1, N, store.subpackets, streams["perms"])[1]
-    bundle, transcript = generate_alg1(S, N, perms, d, shuffle_rng=streams["shuffle"],
-                                       seed=seed)
+    transcript = generate_alg1(S, N, perms, d)
+    bundle = assemble_bundle(transcript, streams["shuffle"])
     answers = answer_bundle(store, bundle)
-    decoded = decode_single(transcript, bundle, answers, d)
+    decoded = decode_single(transcript, bundle, answers)
     decode_ok = all(decoded[x] == store.block(d, 1, x)
                     for x in range(1, store.subpackets + 1))
     R_pir = pir_rate(S, N)
@@ -169,7 +170,7 @@ def run_single_session(S, N, block_bytes, seed, demand=None):
         "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
         "subpackets": store.subpackets, "R_pir": frac_str(R_pir), "R_pir_dec": dec(R_pir),
     }
-    return _audit_and_report("single", params, bundle, transcript, decode_ok,
+    return _audit_and_report("single", params, seed, bundle, transcript, decode_ok,
                              {"store": store, "answers": answers, "decoded": decoded})
 
 
@@ -195,11 +196,10 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
         K, N, sub, streams["perms"],
         lambda c, i: H if c in base and i == demands[c - 1] else None)
     if N == K:
-        bundle, transcript = generate_alg2(S, N, K, demands, P, user_perms,
-                                           shuffle_rng=streams["shuffle"], seed=seed)
+        transcript = generate_alg2(S, N, K, demands, P, user_perms)
     else:
-        bundle, transcript = generate_alg3(S, N, K, demands, P, base, rho, user_perms,
-                                           shuffle_rng=streams["shuffle"], seed=seed)
+        transcript = generate_alg3(S, N, K, demands, P, base, rho, user_perms)
+    bundle = assemble_bundle(transcript, streams["shuffle"])
     answers = answer_bundle(store, bundle)
     symbols = resolve_symbols(transcript, bundle, answers)
     system = AnswerSystem(bundle, answers, K, sub)
@@ -221,7 +221,7 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
         "M_exact": frac_str(params.M), "M_dec": dec(params.M),
         "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
     }
-    return _audit_and_report("mupir", report_params, bundle, transcript, decode_ok, {
+    return _audit_and_report("mupir", report_params, seed, bundle, transcript, decode_ok, {
         "store": store, "answers": answers, "caches": caches, "broadcast": broadcast,
         "decoded": decoded_all, "symbols": symbols,
     })

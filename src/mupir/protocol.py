@@ -14,9 +14,10 @@ parameters; the secret permutations only relabel positions to subsubfile
 indices afterwards.  That keeps generation, replay and exhaustive
 enumeration cheap and exactly reproducible.  Every generator block, the
 single-user one (alg1) included, is a schedule of `Record`s with `refs`
-((file, position) pairs); one `materialize` turns records into queries, and
-one `replay_bundle` interleaves the blocks per database in a given emission
-order, which `assemble_bundle` draws at generation time.  One
+((file, position) pairs).  The generators return only the session's
+`SessionTranscript`; one `materialize` turns a block's records into queries,
+and one `replay_bundle` interleaves the blocks per database in a given
+emission order, which `assemble_bundle` draws when the session sends.  One
 `resolve_symbols` peels every block: a record's fresh reference is its answer
 XOR its known old picks XOR its source's answer, when it has a source.
 """
@@ -214,14 +215,14 @@ def qset2_schedule(S: int, N: int):
     return per_db
 
 
-def materialize(records, perms: dict, subfiles) -> list:
+def materialize(records, perms: dict, info: SlotInfo) -> list:
     """Per-database query lists of one generator block.
 
     Each record reference (file, pos) becomes subsubfile perms[file](pos) at
-    every subfile slot in subfiles(file): one slot for alg1 and qset1, the
-    file's omega pair for qset2.
+    every subfile slot in info.subfiles(file): the block's own slot for alg1
+    and qset1, the file's omega pair for qset2.
     """
-    by_file = {f: (subfiles(f), p.images) for f, p in perms.items()}
+    by_file = {f: (info.subfiles(f), p.images) for f, p in perms.items()}
     out = []
     for db_list in records:
         row = []
@@ -243,13 +244,13 @@ _images = attrgetter("images")
 
 def block_memo():
     """A `materialize` that builds each distinct block once and then shares
-    it, for a walk that replays one block in many sessions.  It is called
-    as memo(records, perms, info) with the block's `SlotInfo`.  The key is
-    exactly what `materialize` reads: the schedule by identity (schedules
-    are cached and never change; each one seen is held, so its id is not
-    reused), each file with its permutation's images, and the slot's
-    `subfile` and `omega_pairs` (`user` is not read).  The blocks are
-    shared, so no caller may edit one; they live as long as the memo."""
+    it, for a walk that assembles one block in many sessions.  It takes
+    `materialize`'s arguments.  The key is exactly what `materialize` reads:
+    the schedule by identity (schedules are cached and never change; each
+    one seen is held, so its id is not reused), each file with its
+    permutation's images, and the slot's `subfile` and `omega_pairs`.  The
+    blocks are shared, so no caller may edit one; they live as long as the
+    memo."""
     blocks = {}
 
     def memo(records, perms, info):
@@ -257,7 +258,7 @@ def block_memo():
                *perms, *map(_images, perms.values()))
         hit = blocks.get(key)
         if hit is None:
-            hit = blocks[key] = (records, materialize(records, perms, info.subfiles))
+            hit = blocks[key] = (records, materialize(records, perms, info))
         return hit[1]
     return memo
 
@@ -350,19 +351,20 @@ def choose_base_and_rho(demands, N: int, K: int, rng: random.Random):
 
 @dataclass
 class SessionTranscript:
-    """Everything needed to replay a session and to decode it.
+    """Everything needed to build a session's bundle, to replay it and to
+    decode it: what a generator returns.
 
-    Replaying with the recorded randomness, in a bundle's emission order,
-    regenerates that bundle bit-identically; the per-slot records double as
-    the decode plan (each query names the reference it freshly resolves, and
-    the already-known ones or the source query it consumes).  A single-user
-    session is one alg1 block of user 1 with K = 1.
+    `assemble_bundle` builds the bundle from it, and replaying it in that
+    bundle's emission order regenerates the bundle bit-identically; the
+    per-slot records double as the decode plan (each query names the
+    reference it freshly resolves, and the already-known ones or the source
+    query it consumes).  A single-user session is one alg1 block of user 1
+    with K = 1.
     """
 
     S: int
     N: int
     K: int
-    seed: object
     demand: tuple
     perms: dict                       # user -> {file -> Permutation}
     records: dict                     # user -> per-db tuple of Record
@@ -376,17 +378,13 @@ class SessionTranscript:
                 for local in range(len(self.records[user][db0]))]
 
 
-def _block(records, perms, info):
-    return materialize(records, perms, info.subfiles)
-
-
 def replay_bundle(transcript: SessionTranscript, emission, memo=None) -> QueryBundle:
     """Regenerate the bundle bit-identically from the recorded randomness,
     with each database's queries in `emission` order ((user, local) pairs).
     The bundle holds `emission` and the transcript's `slots` themselves, not
     copies, so an edit to one is an edit to the other.  Each user's block
     comes from `materialize`, or from `memo` (a `block_memo`) when given."""
-    build = _block if memo is None else memo
+    build = materialize if memo is None else memo
     queries = {
         user: build(records, transcript.perms[user], transcript.slots[user])
         for user, records in transcript.records.items()
@@ -408,28 +406,24 @@ def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None, memo=None) 
     return replay_bundle(transcript, emission, memo)
 
 
-def generate_alg2(S, N, K, demands, P: Permutation, user_perms, shuffle_rng=None, seed=None,
-                  memo=None):
-    """All-distinct-demands session: one qset1 block per user.  `memo`, as
-    for `replay_bundle`."""
+def generate_alg2(S, N, K, demands, P: Permutation, user_perms) -> SessionTranscript:
+    """All-distinct-demands session: one qset1 block per user."""
     demands = validate_demands(demands, N, K)
     if N != K:
         raise RegimeError(f"this generator requires N=K, got N={N}, K={K}")
-    return _generate(S, N, K, demands, P, range(1, K + 1), None, user_perms,
-                     shuffle_rng, seed, memo)
+    return _generate(S, N, K, demands, P, range(1, K + 1), None, user_perms)
 
 
-def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
-                  shuffle_rng=None, seed=None, memo=None):
-    """Covering-demands session: qset1 for base users, qset2 for the rest.
-    `memo`, as for `replay_bundle`."""
+def generate_alg3(S, N, K, demands, P: Permutation, base, rho,
+                  user_perms) -> SessionTranscript:
+    """Covering-demands session: qset1 for base users, qset2 for the rest."""
     demands = validate_demands(demands, N, K)
     if N == K:
         raise RegimeError("N=K sessions are generated by generate_alg2")
     base = tuple(sorted(base))
     if len(base) != N or {demands[b - 1] for b in base} != set(range(1, N + 1)):
         raise DemandError(f"base set {base} does not cover all files exactly once")
-    return _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed, memo)
+    return _generate(S, N, K, demands, P, base, rho, user_perms)
 
 
 # SlotInfo is frozen, so sessions share one instance per distinct slot
@@ -437,10 +431,10 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho, user_perms,
 _slot_info = lru_cache(maxsize=4096)(SlotInfo)
 
 
-def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed, memo):
-    """The session of validated demands: a qset1 block on its own slot P(c)
-    for each base user c, a qset2 block for every other user, whose file i
-    pairs the slot of base user rho[c][i] with P(c)."""
+def _generate(S, N, K, demands, P, base, rho, user_perms):
+    """The transcript of validated demands: a qset1 block on its own slot
+    P(c) for each base user c, a qset2 block for every other user, whose
+    file i pairs the slot of base user rho[c][i] with P(c)."""
     H = h_value(S, N)
     slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
     slots, records = {}, {}
@@ -450,18 +444,17 @@ def _generate(S, N, K, demands, P, base, rho, user_perms, shuffle_rng, seed, mem
         if c in base:
             if not user_perms[c][d].tail_fixed_from(H):
                 raise DemandError(f"permutation for user {c}, file {d} must fix positions > {H}")
-            slots[c] = _slot_info(user=c, kind="qset1", subfile=own, demand=d)
+            slots[c] = _slot_info(kind="qset1", subfile=own, demand=d)
             records[c] = qset1_schedule(S, N, d)
             continue
         align = rho[c]
         if align[d] not in base or demands[align[d] - 1] != d:
             raise DemandError(f"rho for user {c} must pair its demand with a base twin")
         pairs = tuple([(i, slot_of[align[i] - 1], own) for i in range(1, N + 1)])
-        slots[c] = _slot_info(user=c, kind="qset2", subfile=own, omega_pairs=pairs)
+        slots[c] = _slot_info(kind="qset2", subfile=own, omega_pairs=pairs)
         records[c] = qset2_schedule(S, N)
-    transcript = SessionTranscript(S=S, N=N, K=K, seed=seed, demand=demands,
-                                   perms=user_perms, records=records, slots=slots, H=H)
-    return assemble_bundle(transcript, shuffle_rng, memo), transcript
+    return SessionTranscript(S=S, N=N, K=K, demand=demands, perms=user_perms,
+                             records=records, slots=slots, H=H)
 
 
 def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:

@@ -7,20 +7,19 @@ demand reference, then pads with fresh demand-free k-sums until every
 k-subset of files appears its prescribed number of times.  Decoding peels:
 each demand-bearing query differs from an already-answered query by exactly
 one reference: its answer XOR its `source` answer.  The session is one
-generator block (kind "alg1") of user 1, materialised, assembled, replayed,
-decoded and audited by the same code as the multi-user blocks in `protocol`.
+generator block (kind "alg1") of user 1, whose transcript is assembled into
+a bundle, replayed, decoded and audited by the same code as the multi-user
+blocks in `protocol`.
 """
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional
 
 from .core import QueryBundle, SlotInfo
 from .errors import DemandError
 from .params import phi
-from .protocol import Record, SessionTranscript, assemble_bundle, decode_user
+from .protocol import Record, SessionTranscript, decode_user
 
 
 @lru_cache(maxsize=None)
@@ -67,32 +66,28 @@ def _alg1_schedule(S: int, N: int, d: int):
     return tuple(tuple(db) for db in per_db)
 
 
-def generate_alg1(S: int, N: int, perms: dict, d: int,
-                  shuffle_rng: Optional[random.Random] = None, seed=None, memo=None):
-    """Build the per-database query bundle for demand d.
+def generate_alg1(S: int, N: int, perms: dict, d: int) -> SessionTranscript:
+    """The session's transcript for demand d.
 
-    perms: {file -> Permutation over [S^(N-1)]}.  Returns (bundle,
-    transcript); the transcript holds the peeling plan, and
-    `protocol.replay_bundle` regenerates the bundle from it bit-identically.
-    `memo`, as for `replay_bundle`.
+    perms: {file -> Permutation over [S^(N-1)]}.  The transcript holds the
+    peeling plan; `protocol.assemble_bundle` builds the per-database query
+    bundle from it, and `protocol.replay_bundle` regenerates that bundle
+    bit-identically.
     """
-    transcript = SessionTranscript(
-        S=S, N=N, K=1, seed=seed, demand=(d,), perms={1: dict(perms)},
+    return SessionTranscript(
+        S=S, N=N, K=1, demand=(d,), perms={1: dict(perms)},
         records={1: _alg1_schedule(S, N, d)},
-        slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=d)}, H=S ** (N - 1),
+        slots={1: SlotInfo(kind="alg1", subfile=1, demand=d)}, H=S ** (N - 1),
     )
-    return assemble_bundle(transcript, shuffle_rng, memo), transcript
 
 
-def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers,
-                  d: int) -> dict:
-    """Recover all S^(N-1) subsubfiles of file d from the answer blocks.
+def decode_single(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:
+    """Recover all S^(N-1) subsubfiles of the transcript's demanded file
+    from the answer blocks.
 
     The session is one K = 1 block with H = S^(N-1), so `decode_user` with
     no cache lines peels it and cross-checks every block with the GF(2)
     oracle.  Returns {x: block}.
     """
-    if (d,) != transcript.demand:
-        raise DemandError(f"transcript was generated for demand {transcript.demand}")
     return {x: block for (_, x), block in
             decode_user(1, transcript, bundle, answers, None).items()}

@@ -29,6 +29,7 @@ from mupir.params import (
     q_value,
     rate_dominance_check,
 )
+from mupir.protocol import assemble_bundle
 from mupir.single_user import decode_single, generate_alg1
 
 GRID = [
@@ -103,13 +104,14 @@ def test_criterion_03_single_user_pir():
         for trial in range(50):
             rng = random.Random(f"{d}:{trial}")
             perms = {i: sample_permutation(16, rng) for i in (1, 2, 3)}
-            bundle, transcript = generate_alg1(4, 3, perms, d)
+            transcript = generate_alg1(4, 3, perms, d)
+            bundle = assemble_bundle(transcript)
             if bundle.counts() != (6, 5, 5, 5) or bundle.total_queries() != 21:
                 ok = False
             if count_rate(bundle, 4, 3, 1) != Fraction(21, 16):
                 ok = False
             answers = answer_bundle(store, bundle)
-            decoded = decode_single(transcript, bundle, answers, d)
+            decoded = decode_single(transcript, bundle, answers)
             if any(decoded[x] != store.block(d, 1, x) for x in range(1, 17)):
                 ok = False
     assert _report(3, ok, "21 queries split 6/5/5/5, rate 21/16, exact decode")

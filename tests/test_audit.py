@@ -32,7 +32,7 @@ from mupir.core import (
 from mupir.errors import RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
-from mupir.protocol import generate_alg2, generate_alg3
+from mupir.protocol import assemble_bundle, generate_alg2, generate_alg3
 from mupir.single_user import generate_alg1
 
 
@@ -82,9 +82,10 @@ def reference_mupir_oracle(S, N, K):
                         perms = {c: dict(enumerate(assign[c - 1], start=1))
                                  for c in range(1, K + 1)}
                         if bset is None:
-                            bundle, _ = generate_alg2(S, N, K, theta, puser, perms)
+                            tr = generate_alg2(S, N, K, theta, puser, perms)
                         else:
-                            bundle, _ = generate_alg3(S, N, K, theta, puser, bset, rho, perms)
+                            tr = generate_alg3(S, N, K, theta, puser, bset, rho, perms)
+                        bundle = assemble_bundle(tr)
                         for counter, key in zip(counters, canonical_form(bundle)):
                             counter[key] += 1
                         total += 1
@@ -112,7 +113,7 @@ def reference_single_oracle(S, N):
         counters = [Counter() for _ in range(S)]
         for combo in product(all_p, repeat=N):
             perms = {i: combo[i - 1] for i in range(1, N + 1)}
-            bundle, _ = generate_alg1(S, N, perms, d)
+            bundle = assemble_bundle(generate_alg1(S, N, perms, d))
             for counter, key in zip(counters, canonical_form(bundle)):
                 counter[key] += 1
             total += 1
@@ -245,7 +246,7 @@ class TestCheckStructure:
 
     def test_alg1_table_pass(self):
         perms = {i: identity_permutation(16) for i in (1, 2, 3)}
-        bundle, _ = generate_alg1(4, 3, perms, 1)
+        bundle = assemble_bundle(generate_alg1(4, 3, perms, 1))
         report = check_structure(bundle, 4, 3)
         assert report.ok
         # the distinguished database carries its triple sums three times
@@ -273,7 +274,7 @@ class TestCheckStructure:
         emission = [[(1, i) for i in range(len(db))] for db in per_db]
         bundle = QueryBundle(
             S=4, per_db=per_db, emission=emission,
-            slots={1: SlotInfo(user=1, kind="alg1", subfile=1, demand=1)},
+            slots={1: SlotInfo(kind="alg1", subfile=1, demand=1)},
         )
         report = check_structure(bundle, 4, 3)
         assert report.ok, report.failures
@@ -473,20 +474,25 @@ class TestDistributionOracle:
                                             (2, 2, None, "generate_alg1")])
     def test_branch_cross_check_catches_a_diverging_generator(self, monkeypatch,
                                                               S, N, K, name):
-        # a generator whose bundle is not what its records materialise to
+        # a bundle that is not what its transcript's records materialise to
         # makes the factored key disagree with canonical_form on the first
-        # assignment of a branch
-        real = getattr(audit, name)
+        # assignment of a branch; the scheme's generator returns only the
+        # transcript, so the bundle's one builder drops a query
+        real = audit.assemble_bundle
+        real_generate = getattr(audit, name)
+        generated = []
 
         def drop_first_query(*args, **kwargs):
-            bundle, transcript = real(*args, **kwargs)
+            bundle = real(*args, **kwargs)
             bundle.per_db[0].pop(0)
             bundle.emission[0].pop(0)
-            return bundle, transcript
+            return bundle
 
-        monkeypatch.setattr(audit, name, drop_first_query)
+        monkeypatch.setattr(audit, "assemble_bundle", drop_first_query)
+        monkeypatch.setattr(audit, name, lambda *a: generated.append(a) or real_generate(*a))
         with pytest.raises(RuntimeError, match="factored oracle key"):
             demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
+        assert len(generated) == 1
 
     @pytest.mark.parametrize("S,N,K,name,change,at", [
         (2, 2, 2, "generate_alg2", "option", 4), (2, 2, 3, "generate_alg3", "option", 40),
@@ -499,31 +505,36 @@ class TestDistributionOracle:
         # option, or two users trade slots in the bundle but not in the
         # transcript: the memo, keyed by exact inputs, must build that block
         # for real, and the factored key must then disagree with
-        # canonical_form
+        # canonical_form.  The bundle's one builder, assemble_bundle, is
+        # handed the traded transcript.
         real = getattr(audit, name)
-        calls = []
+        real_assemble = audit.assemble_bundle
+        calls, traded = [], []
 
-        def off_label(*args, **kwargs):
+        def off_label(*args):
             calls.append(args)
             if len(calls) != at:
-                return real(*args, **kwargs)
+                return real(*args)
             args = list(args)
             if name == "generate_alg1":
                 # the single user draws any permutation on every file
                 args[2] = {**args[2], 1: Permutation((2, 1))}
-                return real(*args, **kwargs)
+                return real(*args)
             demands, P, user_perms = args[3], args[4], args[-1]
             if change == "option":
                 # a file other than its demand is free for every user
                 f = next(i for i in range(1, N + 1) if i != demands[K - 1])
                 args[-1] = {**user_perms, K: {**user_perms[K], f: Permutation((2, 1))}}
-                return real(*args, **kwargs)
-            traded = Permutation(P.images[1::-1] + P.images[2:])
-            bundle, _ = real(*args[:4], traded, *args[5:], **kwargs)
-            _, transcript = real(*args, **kwargs)
-            return bundle, transcript
+                return real(*args)
+            swap = Permutation(P.images[1::-1] + P.images[2:])
+            traded.append(real(*args[:4], swap, *args[5:]))
+            return real(*args)
+
+        def assemble_traded(transcript, *args, **kwargs):
+            return real_assemble(traded.pop() if traded else transcript, *args, **kwargs)
 
         monkeypatch.setattr(audit, name, off_label)
+        monkeypatch.setattr(audit, "assemble_bundle", assemble_traded)
         with pytest.raises(RuntimeError, match="factored oracle key differs"):
             demand_distribution_oracle(S, N, K=K, scheme="single" if K is None else "mupir")
         assert len(calls) == at

@@ -13,7 +13,6 @@ from mupir.core import (
     build_file_store,
     canonical_form,
     canonical_view,
-    file_store_from_bytes,
     identity_permutation,
     sample_permutation,
     validate_demands,
@@ -74,21 +73,6 @@ class TestFileStore:
         c = build_file_store(2, 2, 2, 4, seed=6)
         assert a.data == b.data
         assert a.data != c.data
-
-    def test_import_from_raw(self):
-        raw = bytes(range(2 * 2 * 2 * 1))
-        store = file_store_from_bytes(raw, N=2, K=2, S=2, block_bytes=1)
-        assert store.block(1, 1, 1) == 0x00
-        assert store.block(2, 2, 2) == 0x07
-        with pytest.raises(InvalidDimensionError):
-            file_store_from_bytes(raw[:-1], N=2, K=2, S=2, block_bytes=1)
-
-    def test_import_reads_slices_little_endian(self):
-        raw = bytes(range(2 * 2 * 2 * 3))
-        store = file_store_from_bytes(raw, N=2, K=2, S=2, block_bytes=3)
-        assert store.block(1, 1, 1) == 0x020100
-        assert store.block(1, 1, 2) == 0x050403
-        assert store.block(2, 2, 2) == 0x171615
 
     @pytest.mark.parametrize("N,K,S,b,seed", [(2, 2, 2, 1, 0), (3, 2, 2, 5, 9),
                                               (2, 1, 3, 4096, "x")])
@@ -206,11 +190,12 @@ class TestCanonicalForm:
 
     @given(st.integers(0, 10_000))
     def test_order_invariance_on_generated_bundles(self, seed):
+        from mupir.protocol import assemble_bundle
         from mupir.single_user import generate_alg1
 
         rng = random.Random(seed)
         perms = {i: sample_permutation(4, rng) for i in (1, 2, 3)}
-        bundle, _ = generate_alg1(2, 3, perms, 1 + seed % 3)
+        bundle = assemble_bundle(generate_alg1(2, 3, perms, 1 + seed % 3))
         shuffled = QueryBundle(
             S=bundle.S,
             per_db=[sorted(db, key=lambda q: rng.random()) for db in bundle.per_db],
@@ -221,11 +206,11 @@ class TestCanonicalForm:
     def test_slot_block_shape(self):
         # one demanded-file slot at S=3, N=3: first database sends three
         # singletons and four triple sums
-        from mupir.core import identity_permutation
+        from mupir.core import SlotInfo, identity_permutation
         from mupir.protocol import materialize, qset1_schedule
 
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        per_db = materialize(qset1_schedule(3, 3, 2), perms, lambda f: (1,))
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
         bundle = QueryBundle(S=3, per_db=per_db, emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)
         sizes = sorted(len(q) for q in key[0])

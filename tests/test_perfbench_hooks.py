@@ -6,16 +6,22 @@ and the privacy workload by rebinding `generate_alg3` and `canonical_form`
 in the audit module.  A rename or fold that drops one of them breaks the
 traced run; this pins them without running the benchmark.  The privacy
 hooks are also pinned to one call per oracle branch, the work the traced
-`protocol.generate_s` and `core.canonical_form_s` are read as.
+`protocol.generate_s` and `core.canonical_form_s` are read as.  And
+`perfbench/run.py::load_mupir` reads its modules from `sys.modules` after
+`import mupir`, so each must be one the package imports.
 """
+import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 from mupir import audit, harness
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def load_workloads(monkeypatch):
@@ -56,3 +62,29 @@ def test_traced_privacy_hooks_run_once_per_branch(monkeypatch):
     report = audit.demand_distribution_oracle(2, 2, K=3, scheme="mupir")
     assert report.assignments == 1152
     assert calls == {"generate_alg3": 72, "canonical_form": 72}
+
+
+def load_mupir_modules():
+    """The module names `load_mupir` in perfbench/run.py reads, taken from
+    the tuple its loop walks (not copied here, so they cannot drift)."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "load_mupir")
+    names = [ast.literal_eval(node.iter) for node in ast.walk(fn)
+             if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Tuple)]
+    assert len(names) == 1, names
+    return names[0]
+
+
+def test_import_mupir_loads_every_module_the_benchmark_reads():
+    # in a fresh interpreter: this one has imported every module already
+    names = load_mupir_modules()
+    assert "single_user" in names
+    src = str(Path(audit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mupir; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, timeout=60, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert [n for n in names if "mupir." + n not in loaded] == []

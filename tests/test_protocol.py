@@ -28,6 +28,7 @@ from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
     CacheContent,
     _run_symmetric_rounds,
+    assemble_bundle,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
@@ -93,7 +94,7 @@ class TestPlacement:
 class TestQset1:
     def test_counts_and_split(self):
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        per_db = materialize(qset1_schedule(3, 3, 2), perms, lambda f: (1,))
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
         assert [len(db) for db in per_db] == [7, 8, 8]
         assert sum(len(db) for db in per_db) == q_value(3, 3)
 
@@ -109,7 +110,7 @@ class TestQset1:
 
     def test_small_case_count(self):
         perms = {1: identity_permutation(2), 2: identity_permutation(2)}
-        per_db = materialize(qset1_schedule(2, 2, 1), perms, lambda f: (1,))
+        per_db = materialize(qset1_schedule(2, 2, 1), perms, SlotInfo(kind="qset1", subfile=1))
         assert sum(len(db) for db in per_db) == q_value(2, 2) == 3
 
     def test_demand_tail_untouched(self):
@@ -128,14 +129,14 @@ class TestQset1:
 class TestQset2:
     def test_counts(self):
         perms = {i: identity_permutation(9) for i in (1, 2, 3)}
-        omega = SlotInfo(user=1, kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
-        per_db = materialize(qset2_schedule(3, 3), perms, omega.subfiles)
+        omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
+        per_db = materialize(qset2_schedule(3, 3), perms, omega)
         assert [len(db) for db in per_db] == [9, 9, 9]
 
     def test_atom_pairing(self):
         perms = {i: identity_permutation(2) for i in (1, 2)}
-        omega = SlotInfo(user=1, kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
-        per_db = materialize(qset2_schedule(2, 2), perms, omega.subfiles)
+        omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
+        per_db = materialize(qset2_schedule(2, 2), perms, omega)
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
         for db in per_db:
             for q in db:
@@ -145,7 +146,7 @@ class TestQset2:
 
     def test_rejects_degenerate_pair(self):
         with pytest.raises(DemandError):
-            SlotInfo(user=1, kind="qset2", omega_pairs=((1, 2, 2),))
+            SlotInfo(kind="qset2", omega_pairs=((1, 2, 2),))
 
 
 def reference_materialize(records, perms, subfiles):
@@ -174,7 +175,7 @@ def test_materialize_matches_per_atom_reference(block_session):
         if info.kind == "qset2":
             assert all(len(info.subfiles(f)) == 2 for f in range(1, tr.N + 1))
         want = reference_materialize(records, tr.perms[user], info.subfiles)
-        assert materialize(records, tr.perms[user], info.subfiles) == want
+        assert materialize(records, tr.perms[user], info) == want
     assert kind in kinds
 
 
@@ -184,7 +185,7 @@ def test_materialize_and_replay_build_real_queries(block_session):
     _, art = block_session
     tr, bundle = art["transcript"], art["bundle"]
     lists = [queries for user, records in tr.records.items()
-             for queries in materialize(records, tr.perms[user], tr.slots[user].subfiles)]
+             for queries in materialize(records, tr.perms[user], tr.slots[user])]
     lists += bundle.per_db + replay_bundle(tr, bundle.emission).per_db
     queries = [q for qs in lists for q in qs]
     assert queries
@@ -278,7 +279,8 @@ class TestSwapRebalancing:
             }
             for c in range(1, K + 1)
         }
-        bundle, tr = generate_alg2(S, N, K, demands, P, perms)
+        tr = generate_alg2(S, N, K, demands, P, perms)
+        bundle = assemble_bundle(tr)
         assert check_structure(bundle, S, N).ok
         answers = answer_bundle(store, bundle)
         syms = resolve_symbols(tr, bundle, answers)
