@@ -1,16 +1,33 @@
-"""GF(2) linear solver used as an independent decoding oracle.
+"""GF(2) cross-check of a session's decoded blocks, independent of its
+decoding plan.
 
-Equations are XOR constraints over unknown blocks: a row is a bitmask over
-unknown indices.  Elimination is value-free: instead of a block, each row
-carries the bitmask of the equations it is the XOR of.  A session's answer
-rows are brought to forward echelon form once; each user then inserts only
-its own few cache rows into a copy of it.  Blocks are touched only at the
-end: a determined unknown's value is the XOR of the blocks its combination
-names.
+Equations are XOR constraints over unknown subsubfiles: each answer is the
+XOR of its query's atoms, and each cache line of a user the XOR of every
+file's subsubfile at one position of that user's slot.  `cross_check` reads
+only those (the bundle's atoms, the answers and the cache lines), never the
+peeling plan or its symbols, and re-derives every decoded block once per
+session, cheapest first (inactivation decoding: peel, then eliminate only
+what is left):
+
+1. Peel the answers: an answer equation with one unknown left fixes it.  The
+   value is checked against every user who demands that file, and from then
+   on the decoder's own block stands for it, so no second copy of a block
+   is kept.
+2. Each user peels on with its own cache rows, and a value found so is
+   checked only against that user's blocks.
+3. A target still unknown lies in the core: the answer rows peeling left,
+   with every known block substituted, plus each user's cache rows.  The
+   connected components that hold such targets are walked one after the
+   other and reduced once, for all users, by the value-free `Reduction`;
+   each user adds its cache rows to a copy.  The elimination never mixes
+   two components, and walking them keeps each one's columns together,
+   which keeps fill-in low.  At N = K nothing is left for this step.
+
+A value-free reduction carries, instead of a block, the bitmask of the
+equations a row is the XOR of; a determined target's value is the XOR of
+the values of the equations it names.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 from .errors import UnresolvablePlanError
 
@@ -76,53 +93,191 @@ class Reduction:
         return [_express(rows, 1 << t) for t in targets]
 
 
-class AnswerSystem:
-    """One session's answers as XOR equations over its subsubfiles.
+def _disagree(atom):
+    return UnresolvablePlanError("peeling and GF(2) oracle disagree at ({},{},{})".format(*atom))
 
-    Nothing is computed when it is made.  The first `solve` brings the
-    answer rows to echelon form; every later call, one per user, reuses it.
+
+def _undetermined(atom):
+    return UnresolvablePlanError(
+        "oracle: subsubfile ({},{},{}) undetermined from answers+cache".format(*atom))
+
+
+def cross_check(bundle, answers, users) -> None:
+    """Re-derive every decoded block from the equations alone and compare.
+
+    `users` maps each user to (its demanded file i, its decoded blocks
+    {(subfile j, x): block}, its cache rows [(atoms, block)]); the targets
+    are the atoms (i, j, x) of its decoded blocks.  Raises
+    UnresolvablePlanError at the first target the equations do not
+    determine, or whose value differs from the decoded block.
     """
+    # equations: the answers in bundle order, then each user's cache rows
+    eq_atoms = [q.atoms for queries in bundle.per_db for q in queries]
+    vals = [block for row in answers for block in row]
+    n_answers = len(vals)
+    span = {}          # user -> its cache rows' equation range
+    by_file = {}       # file -> decoded blocks of every user demanding it
+    for u, (i, decoded, cache_rows) in users.items():
+        span[u] = (len(vals), len(vals) + len(cache_rows))
+        for atoms, block in cache_rows:
+            eq_atoms.append(atoms)
+            vals.append(block)
+        by_file.setdefault(i, []).append(decoded)
+    # columns: each distinct atom, numbered in order of first appearance.
+    # An atom twice in one equation is held twice; every step below counts
+    # or XORs it twice, so the two cancel as they should.
+    ids = {}
+    get = ids.get
+    holders = []       # column -> the equations that hold it
+    rows = []          # equation -> its columns
+    for e, atoms in enumerate(eq_atoms):
+        cols = []
+        for atom in atoms:
+            c = get(atom)
+            if c is None:
+                ids[atom] = c = len(holders)
+                holders.append([e])
+            else:
+                holders[c].append(e)
+            cols.append(c)
+        rows.append(cols)
+    atom_of = list(ids)
+    # a column's value once known: the decoder's own block where it has one
+    value = [None] * len(atom_of)
 
-    def __init__(self, bundle, answers, K: int, sub: int):
-        self.bundle, self.answers, self.K, self.sub = bundle, answers, K, sub
+    # 1. peel the answers; `deg` counts each equation's unknown columns
+    deg = list(map(len, rows))
+    stack = [e for e in range(n_answers) if deg[e] == 1]
+    while stack:
+        e = stack.pop()
+        if deg[e] != 1:
+            continue
+        v = vals[e]
+        for c2 in rows[e]:
+            w = value[c2]
+            if w is None:
+                c = c2
+            else:
+                v ^= w
+        i, j, x = atom = atom_of[c]
+        for decoded in by_file.get(i, ()):
+            w = decoded.get((j, x))
+            if w is not None:
+                if w != v:
+                    raise _disagree(atom)
+                v = w
+        value[c] = v
+        for e2 in holders[c]:
+            deg[e2] -= 1
+            if deg[e2] == 1 and e2 < n_answers:
+                stack.append(e2)
 
-    def column(self, i: int, j: int, x: int) -> int:
-        """Unknown index of subsubfile x of subfile j of file i."""
-        return ((i - 1) * self.K + (j - 1)) * self.sub + (x - 1)
+    # 2. each user peels on with its own cache rows; what is still unknown
+    # goes to the core
+    core = []          # (user, column) of every target left unknown
+    for u, (d, decoded, _) in users.items():
+        lo, hi = span[u]
+        udeg, mine = {}, {}
+        stack = [e for e in range(lo, hi) if deg[e] == 1]
+        while stack:
+            e = stack.pop()
+            if udeg.get(e, deg[e]) != 1:
+                continue
+            v = vals[e]
+            for c2 in rows[e]:
+                w = value[c2]
+                if w is None:
+                    w = mine.get(c2)
+                if w is None:
+                    c = c2
+                else:
+                    v ^= w
+            i, j, x = atom = atom_of[c]
+            if i == d:
+                w = decoded.get((j, x))
+                if w is not None:
+                    if w != v:
+                        raise _disagree(atom)
+                    v = w
+            mine[c] = v
+            for e2 in holders[c]:
+                if e2 < n_answers or lo <= e2 < hi:
+                    k = udeg[e2] = udeg.get(e2, deg[e2]) - 1
+                    if k == 1:
+                        stack.append(e2)
+        for j, x in decoded:
+            c = ids.get((d, j, x))
+            if c is None:
+                raise _undetermined((d, j, x))
+            if value[c] is None and c not in mine:
+                core.append((u, c))
 
-    @cached_property
-    def reduction(self) -> Reduction:
-        K, sub = self.K, self.sub
-        masks = []
-        for queries in self.bundle.per_db:
-            for q in queries:
-                mask = 0
-                for i, j, x in q.atoms:
-                    mask ^= 1 << (((i - 1) * K + j - 1) * sub + x - 1)  # column(i, j, x)
-                masks.append(mask)
-        return Reduction(masks)
+    # 3. the core: from each target left, walk its connected component (the
+    # rows peeling left, every known column substituted, linked by their
+    # unknown columns) and number its columns after those of the components
+    # before it.  No row of one component ever meets a row of another in
+    # the elimination, so one reduction over all of them reduces each on its
+    # own, and a single-user core's 81 tiny components cost one pass.
+    if not core:
+        return
+    owner = [u for u, (lo, hi) in span.items() for _ in range(lo, hi)]
+    bit = [-1] * len(atom_of)   # column -> its bit in the core
+    width = 0
+    masks, values = [], []      # the core's answer rows
+    extra = {}                  # user -> its cache rows there, as (masks, values)
+    for _, c in core:
+        if bit[c] >= 0:
+            continue
+        bit[c] = width
+        width += 1
+        stack = [c]
+        while stack:
+            for e in holders[stack.pop()]:
+                if not deg[e]:
+                    continue
+                deg[e] = 0  # taken
+                mask, v = 0, vals[e]
+                for c2 in rows[e]:
+                    b = bit[c2]
+                    if b < 0:
+                        w = value[c2]
+                        if w is not None:
+                            v ^= w
+                            continue
+                        b = bit[c2] = width
+                        width += 1
+                        if len(holders[c2]) > 1:  # else only this row holds it
+                            stack.append(c2)
+                    mask ^= 1 << b
+                if e < n_answers:
+                    masks.append(mask)
+                    values.append(v)
+                else:
+                    m, vs = extra.setdefault(owner[e - n_answers], ([], []))
+                    m.append(mask)
+                    vs.append(v)
 
-    def solve(self, targets, extra=()):
-        """Yield (target, block) for every target (i, j, x), determined by the
-        answers plus `extra` (mask, block) equations such as one user's cache
-        lines.
-
-        Raises UnresolvablePlanError if any target is undetermined.
-        """
-        extra = list(extra)
-        combs = self.reduction.combinations(
-            [self.column(*t) for t in targets], [m for m, _ in extra])
-        for (i, j, x), comb in zip(targets, combs):
+    # 4. reduce the core once; each user adds its own cache rows to a copy
+    reduction = Reduction(masks)
+    targets = {}
+    for u, c in core:
+        targets.setdefault(u, []).append(c)
+    for u, cols in targets.items():
+        own_masks, own_values = extra.get(u, ([], []))
+        combs = reduction.combinations([bit[c] for c in cols], own_masks)
+        for c, comb in zip(cols, combs):
             if comb is None:
-                raise UnresolvablePlanError(
-                    f"oracle: subsubfile ({i},{j},{x}) undetermined from answers+cache")
-        blocks = [b for row in self.answers for b in row] + [b for _, b in extra]
-        for t, comb in zip(targets, combs):
-            low = comb & -comb  # a combination names at least one block
-            acc = blocks[low.bit_length() - 1]
+                raise _undetermined(atom_of[c])
+        named = values + own_values
+        decoded = users[u][1]
+        for c, comb in zip(cols, combs):
+            low = comb & -comb  # a combination names at least one equation
+            v = named[low.bit_length() - 1]
             comb ^= low
             while comb:
                 low = comb & -comb
-                acc ^= blocks[low.bit_length() - 1]
+                v ^= named[low.bit_length() - 1]
                 comb ^= low
-            yield t, acc
+            i, j, x = atom = atom_of[c]
+            if decoded[(j, x)] != v:
+                raise _disagree(atom)

@@ -20,10 +20,10 @@ from .core import (
     validate_demands,
 )
 from .errors import ConfigError, RegimeError
-from .gf2 import AnswerSystem
 from .params import SchemeParams, h_value, pir_rate
 from .protocol import (
     assemble_bundle,
+    check_decoded,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
@@ -202,18 +202,16 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
     bundle = assemble_bundle(transcript, streams["shuffle"])
     answers = answer_bundle(store, bundle)
     symbols = resolve_symbols(transcript, bundle, answers)
-    system = AnswerSystem(bundle, answers, K, sub)
-    decode_ok = True
-    decoded_all = {}
-    for u in range(1, K + 1):
-        got = decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols,
-                          system=system)
-        decoded_all[u] = got
-        d = demands[u - 1]
-        for j in range(1, K + 1):
-            for x in range(1, sub + 1):
-                if got[(j, x)] != store.block(d, j, x):
-                    decode_ok = False
+    decoded_all = {
+        u: decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols,
+                       run_oracle=False)
+        for u in range(1, K + 1)
+    }
+    check_decoded(bundle, answers, N, demands, caches, decoded_all)
+    decode_ok = all(
+        got[(j, x)] == store.block(demands[u - 1], j, x)
+        for u, got in decoded_all.items()
+        for j in range(1, K + 1) for x in range(1, sub + 1))
     params = SchemeParams.compute(S, N, K)
     report_params = {
         "S": S, "N": N, "K": K, "block_bytes": block_bytes,

@@ -47,7 +47,7 @@ from .errors import (
     RegimeError,
     UnresolvablePlanError,
 )
-from .gf2 import AnswerSystem
+from . import gf2
 from .params import f_rep, h_value, phi, psi
 
 
@@ -507,16 +507,17 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
 
 
 def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answers,
-                cache: Optional[CacheContent], symbols=None, run_oracle=True,
-                system=None) -> dict:
-    """Recover every subsubfile of the user's demanded file.
+                cache: Optional[CacheContent], symbols=None, run_oracle=True) -> dict:
+    """Recover every subsubfile of the user's demanded file by the peeling
+    plan the transcript records.
 
-    Returns {(subfile j, x): block}.  A GF(2) solver over (answers + this
-    user's cache lines) independently re-derives every block and must agree.
-    `cache` None means no cache lines, as in a single-user session, where
-    K = 1 and H = S^(N-1) leave only step 1: take the demand's symbols.
-    `system` is the session's AnswerSystem, shared by all users so that the
-    answers are reduced once; one is made here when none is given.
+    Returns {(subfile j, x): block}.  `cache` None means no cache lines, as
+    in a single-user session, where K = 1 and H = S^(N-1) leave only step 1:
+    take the demand's symbols.  With `run_oracle` the GF(2) oracle then
+    re-derives every block from the answers and this user's cache lines
+    alone (`check_decoded` for this one user), and must agree.  A session
+    decodes all its users with `run_oracle=False` and checks them together
+    in one `check_decoded`, which peels the shared answers once.
     """
     if symbols is None:
         symbols = resolve_symbols(transcript, bundle, answers)
@@ -568,18 +569,27 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
         raise UnresolvablePlanError(f"peeling plan missing value for {exc}") from exc
     assert len(out) == K * sub
     if run_oracle:
-        if system is None:
-            system = AnswerSystem(bundle, answers, K, sub)
-        targets = [(d, j, x) for j in range(1, K + 1) for x in range(1, sub + 1)]
-        cache_rows = []
-        for tt, line in lines.items():
-            mask = 0
-            for i in range(1, N + 1):
-                mask |= 1 << system.column(i, ju, tt)
-            cache_rows.append((mask, line))
-        for (i, j, x), val in system.solve(targets, cache_rows):
-            if out[(j, x)] != val:
-                raise UnresolvablePlanError(
-                    f"peeling and GF(2) oracle disagree at ({i},{j},{x})"
-                )
+        check_decoded(bundle, answers, N, transcript.demand, {user: cache}, {user: out})
     return out
+
+
+def check_decoded(bundle: QueryBundle, answers, N: int, demands, caches, decoded) -> None:
+    """The session's GF(2) cross-check of every user in `decoded` ({user:
+    {(subfile j, x): block}}), run once after all of them have peel-decoded.
+
+    It reads only the bundle's atoms and slots, the answers and each user's
+    cache lines (`caches`: {user: CacheContent or None}), never the
+    transcript's records or the peeled symbols.  Cache line t of a user
+    whose slot is j is the equation XOR_i W(i, j, t).  Raises
+    UnresolvablePlanError where a block is undetermined or disagrees.
+    """
+    users = {}
+    for u, out in decoded.items():
+        rows = []
+        cache = caches.get(u)
+        if cache is not None:
+            j = bundle.slots[u].subfile
+            rows = [(tuple([(i, j, t) for i in range(1, N + 1)]), line)
+                    for t, line in cache.lines.items()]
+        users[u] = (demands[u - 1], out, rows)
+    gf2.cross_check(bundle, answers, users)

@@ -1,6 +1,7 @@
 """Multi-user protocol: placement, slot generators, sessions, decoding."""
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -22,13 +23,13 @@ from mupir.errors import (
     RegimeError,
     UnresolvablePlanError,
 )
-from mupir.gf2 import AnswerSystem
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
     CacheContent,
     _run_symmetric_rounds,
     assemble_bundle,
+    check_decoded,
     choose_base_and_rho,
     decode_user,
     generate_alg2,
@@ -482,12 +483,92 @@ class TestDecodeDetail:
             resolve_symbols(art["transcript"], dropped, answers)
 
     def test_shared_system_gives_same_output(self):
+        # one oracle pass shared by every user agrees with each user's own
+        # pass, and neither changes what peeling decoded
         for args in [(3, 3, 5, 7), (2, 3, 3, 2)]:
             report, art = _session(*args, block_bytes=3)
             tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
-            system = AnswerSystem(bundle, answers, tr.K, tr.S ** (tr.N - 1))
+            peeled = {u: decode_user(u, tr, bundle, answers, art["caches"][u],
+                                     run_oracle=False)
+                      for u in range(1, tr.K + 1)}
+            check_decoded(bundle, answers, tr.N, tr.demand, art["caches"], peeled)
             for u in range(1, tr.K + 1):
-                shared = decode_user(u, tr, bundle, answers, art["caches"][u],
-                                     system=system)
                 own = decode_user(u, tr, bundle, answers, art["caches"][u])
-                assert shared == own == art["decoded"][u]
+                assert peeled[u] == own == art["decoded"][u]
+
+
+def _peel_reach(bundle, rows=()):
+    """Every atom that peeling the bundle's answers, then `rows` (atom
+    sets), reaches: a row with one atom left unknown fixes it."""
+    rows = [set(q.atoms) for queries in bundle.per_db for q in queries] + list(rows)
+    known = set()
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            left = row - known
+            if len(left) == 1:
+                known |= left
+                changed = True
+    return known
+
+
+def _cache_rows(art, u, N):
+    j = art["bundle"].slots[u].subfile
+    return [{(i, j, t) for i in range(1, N + 1)} for t in art["caches"][u].lines]
+
+
+class TestSessionOracle:
+    """The one GF(2) pass over a session's decoded blocks catches a wrong
+    block wherever its check of that block sits: in the answer peel, in a
+    user's cache peel, or in the reduction of the core."""
+
+    def _flip(self, art, u, j, x):
+        tr = art["transcript"]
+        decoded = {v: dict(out) for v, out in art["decoded"].items()}
+        decoded[u][(j, x)] ^= 1
+        d = tr.demand[u - 1]
+        with pytest.raises(UnresolvablePlanError, match=rf"disagree at \({d},{j},{x}\)"):
+            check_decoded(art["bundle"], art["answers"], tr.N, tr.demand, art["caches"],
+                          decoded)
+
+    def test_flipped_peeled_block_is_caught(self):
+        _, art = _session(3, 4, 4, seed=11)
+        tr = art["transcript"]
+        j = tr.slots[2].subfile  # user 2's qset1 block exposes user 1's file there
+        assert (tr.demand[0], j, 1) in _peel_reach(art["bundle"])
+        self._flip(art, 1, j, 1)
+
+    def test_flipped_cache_tail_block_is_caught(self):
+        _, art = _session(3, 4, 4, seed=11)
+        tr = art["transcript"]
+        j, x = tr.slots[1].subfile, 3 ** 3  # the own slot's last position, x > H
+        assert x > tr.H
+        atom = (tr.demand[0], j, x)
+        assert atom not in _peel_reach(art["bundle"])
+        assert atom in _peel_reach(art["bundle"], _cache_rows(art, 1, tr.N))
+        self._flip(art, 1, j, x)
+
+    def test_flipped_core_block_is_caught(self):
+        _, art = _session(3, 3, 5, seed=11)
+        tr = art["transcript"]
+        core = [(u, j, x) for u in range(1, 6)
+                for reach in [_peel_reach(art["bundle"], _cache_rows(art, u, tr.N))]
+                for j in range(1, 6) for x in range(1, 10)
+                if (tr.demand[u - 1], j, x) not in reach]
+        assert core  # peeling reaches 196 of the 225 targets here
+        self._flip(art, *core[0])
+
+    def test_oracle_peak_memory_is_small(self):
+        # the oracle carries the decoder's own blocks: at 64 KiB per block,
+        # keeping its own copy of each would take tens of MiB
+        _, art = _session(3, 4, 4, seed=1, block_bytes=65536)
+        tr = art["transcript"]
+        tracemalloc.start()
+        try:
+            check_decoded(art["bundle"], art["answers"], tr.N, tr.demand, art["caches"],
+                          art["decoded"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
