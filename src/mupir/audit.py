@@ -22,6 +22,7 @@ from .core import (
     QueryBundle,
     canonical_form,
     canonical_view,
+    collector_paused,
 )
 from .errors import RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
@@ -407,98 +408,99 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "sin
     block it builds, for a label's views or a branch's bundle, is
     materialised once per distinct (schedule, permutations, slot).
     """
-    sub = S ** (N - 1)
-    if scheme == "single":
-        if K not in (None, 1):
-            raise RegimeError(f"the single-user oracle has K = 1, got {K}")
-        K, H, n_base = 1, sub, 1
-        thetas = [(d,) for d in range(1, N + 1)]
-    elif scheme != "mupir":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    else:
-        K = N if K is None else K
-        if N > K:
-            raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
-        H, n_base = h_value(S, N), N
-        thetas = _covering_demands(N, K)
-    users = range(1, K + 1)
-
-    def branches():
-        """(theta, base set, non-base users, their rho options), lazily."""
-        for theta in thetas:
-            for base in combinations(users, n_base):
-                if {theta[b - 1] for b in base} == set(theta):
-                    nonbase = [c for c in users if c not in base]
-                    yield theta, base, nonbase, [rho_options(theta, base, c) for c in nonbase]
-
-    # every branch: K! slot maps, H! sub!^(N-1) options per base user and
-    # sub!^N per non-base user, times its rho choices
-    fact = partial(_capped_factorial, guard=guard)
-    per_branch = (fact(K) * (fact(H) * fact(sub) ** (N - 1)) ** n_base
-                  * fact(sub) ** (N * (K - n_base)))
-    walked, n = [], 0
-    for branch in branches():
-        n += per_branch * prod(len(opts) for opts in branch[3])
-        if n > guard:
-            raise TooLargeInstanceError(f"{scheme} oracle needs more than {guard} assignments")
-        walked.append(branch)
-
-    def generator(theta, P, base, rho):
+    with collector_paused():
+        sub = S ** (N - 1)
         if scheme == "single":
-            return lambda perms: generate_alg1(S, N, perms[1], theta[0])
-        if N == K:
-            return partial(generate_alg2, S, N, K, theta, P)
-        return partial(generate_alg3, S, N, K, theta, P, base, rho)
+            if K not in (None, 1):
+                raise RegimeError(f"the single-user oracle has K = 1, got {K}")
+            K, H, n_base = 1, sub, 1
+            thetas = [(d,) for d in range(1, N + 1)]
+        elif scheme != "mupir":
+            raise ValueError(f"unknown scheme {scheme!r}")
+        else:
+            K = N if K is None else K
+            if N > K:
+                raise RegimeError(f"mupir oracle needs K>=N, got N={N}, K={K}")
+            H, n_base = h_value(S, N), N
+            thetas = _covering_demands(N, K)
+        users = range(1, K + 1)
 
-    free, tails, slot_maps = _perms(sub, sub), _perms(sub, H), _perms(K, K)
+        def branches():
+            """(theta, base set, non-base users, their rho options), lazily."""
+            for theta in thetas:
+                for base in combinations(users, n_base):
+                    if {theta[b - 1] for b in base} == set(theta):
+                        nonbase = [c for c in users if c not in base]
+                        yield theta, base, nonbase, [rho_options(theta, base, c) for c in nonbase]
 
-    @cache
-    def options(t):
-        """A user's options: the tails on file t, every other file free
-        (all of them when t is None)."""
-        return list(product(*(tails if i == t else free for i in range(1, N + 1))))
+        # every branch: K! slot maps, H! sub!^(N-1) options per base user and
+        # sub!^N per non-base user, times its rho choices
+        fact = partial(_capped_factorial, guard=guard)
+        per_branch = (fact(K) * (fact(H) * fact(sub) ** (N - 1)) ** n_base
+                      * fact(sub) ** (N * (K - n_base)))
+        walked, n = [], 0
+        for branch in branches():
+            n += per_branch * prod(len(opts) for opts in branch[3])
+            if n > guard:
+                raise TooLargeInstanceError(f"{scheme} oracle needs more than {guard} assignments")
+            walked.append(branch)
 
-    dists, drawn, views, memo = {}, {}, {}, block_memo()
-    for theta, base, nonbase, rho_lists in walked:
-        if theta not in dists:
-            dists[theta] = [{} for _ in range(S)]
-        per_user = [options(theta[c - 1] if c in base else None) for c in users]
-        first = {c: dict(enumerate(opts[0], start=1))
-                 for c, opts in enumerate(per_user, start=1)}
-        for P in slot_maps:
-            for rho_pick in product(*rho_lists):
-                generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))
-                multiset = _count_branch(generate, per_user, first, views, memo)
-                weights = drawn.get(multiset)
-                if weights is None:
-                    weights = drawn[multiset] = {}
-                weights[theta] = weights.get(theta, 0) + 1
-    # each distinct multiset is expanded once, then added to every theta
-    # drawing it, weighted by its number of branches there
-    index = {}
-    for multiset, weights in drawn.items():
-        for s, part in enumerate(_expand_views(multiset, views, S, index)):
-            for theta, w in weights.items():
-                counter = dists[theta][s]
-                get = counter.get
-                for i, m in part.items():
-                    counter[i] = get(i, 0) + w * m
-    # the counts, keyed by the keys themselves (a key's number is its
-    # position); for N < K, divided by the theta's total, with one Fraction
-    # per distinct (count, total): a few values recur over many keys, and
-    # shared equal values compare by identity
-    keys = list(index)
-    frac = cache(Fraction)
-    for theta, counters in dists.items():
-        total = sum(counters[0].values())
-        for s, c in enumerate(counters):
-            values = c.values()
-            if N < K:
-                shared = {v: frac(v, total) for v in set(values)}
-                values = map(shared.__getitem__, values)
-            counters[s] = Counter(dict(zip(map(keys.__getitem__, c), values)))
-    if scheme == "single":
-        dists = {theta[0]: counters for theta, counters in dists.items()}
-    equal, mismatch = _compare_distributions(dists, S)
-    return OracleReport(equal=equal, scheme=scheme, K=K, assignments=n,
-                        mismatch=mismatch, distributions=dists)
+        def generator(theta, P, base, rho):
+            if scheme == "single":
+                return lambda perms: generate_alg1(S, N, perms[1], theta[0])
+            if N == K:
+                return partial(generate_alg2, S, N, K, theta, P)
+            return partial(generate_alg3, S, N, K, theta, P, base, rho)
+
+        free, tails, slot_maps = _perms(sub, sub), _perms(sub, H), _perms(K, K)
+
+        @cache
+        def options(t):
+            """A user's options: the tails on file t, every other file free
+            (all of them when t is None)."""
+            return list(product(*(tails if i == t else free for i in range(1, N + 1))))
+
+        dists, drawn, views, memo = {}, {}, {}, block_memo()
+        for theta, base, nonbase, rho_lists in walked:
+            if theta not in dists:
+                dists[theta] = [{} for _ in range(S)]
+            per_user = [options(theta[c - 1] if c in base else None) for c in users]
+            first = {c: dict(enumerate(opts[0], start=1))
+                     for c, opts in enumerate(per_user, start=1)}
+            for P in slot_maps:
+                for rho_pick in product(*rho_lists):
+                    generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))
+                    multiset = _count_branch(generate, per_user, first, views, memo)
+                    weights = drawn.get(multiset)
+                    if weights is None:
+                        weights = drawn[multiset] = {}
+                    weights[theta] = weights.get(theta, 0) + 1
+        # each distinct multiset is expanded once, then added to every theta
+        # drawing it, weighted by its number of branches there
+        index = {}
+        for multiset, weights in drawn.items():
+            for s, part in enumerate(_expand_views(multiset, views, S, index)):
+                for theta, w in weights.items():
+                    counter = dists[theta][s]
+                    get = counter.get
+                    for i, m in part.items():
+                        counter[i] = get(i, 0) + w * m
+        # the counts, keyed by the keys themselves (a key's number is its
+        # position); for N < K, divided by the theta's total, with one Fraction
+        # per distinct (count, total): a few values recur over many keys, and
+        # shared equal values compare by identity
+        keys = list(index)
+        frac = cache(Fraction)
+        for theta, counters in dists.items():
+            total = sum(counters[0].values())
+            for s, c in enumerate(counters):
+                values = c.values()
+                if N < K:
+                    shared = {v: frac(v, total) for v in set(values)}
+                    values = map(shared.__getitem__, values)
+                counters[s] = Counter(dict(zip(map(keys.__getitem__, c), values)))
+        if scheme == "single":
+            dists = {theta[0]: counters for theta, counters in dists.items()}
+        equal, mismatch = _compare_distributions(dists, S)
+        return OracleReport(equal=equal, scheme=scheme, K=K, assignments=n,
+                            mismatch=mismatch, distributions=dists)

@@ -7,7 +7,9 @@ is the content of one subsubfile, held as a non-negative int of at most
 """
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -16,6 +18,45 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import DemandError, InvalidDimensionError
 
 Block = int
+
+
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic garbage collector for the duration, and turn it
+    back on at every exit, normal or by an exception.  A collector that was
+    already off on entry stays off, so nested use is a no-op.  The switch is
+    process-wide: the pause holds for every thread.
+
+    A session keeps hundreds of thousands of tracked tuples, dicts and lists
+    alive until it ends, and each full collection walks all of them.  What
+    sessions and the distribution oracle build holds no reference cycles
+    (tests/test_gc.py), so reference counting alone frees it."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle x in place with exactly the draws `rng.shuffle(x)` makes.
+
+    The stdlib's Fisher-Yates calls `_randbelow` per element, a getrandbits
+    rejection loop; here that loop is inline, with getrandbits bound once.
+    The list and the generator's state come out as the stdlib leaves them
+    (tests/test_core.py), for any `random.Random` that keeps the stock
+    getrandbits-based `_randbelow`."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def xor_combine(blocks: Iterable[Block]) -> Block:
@@ -113,7 +154,7 @@ def sample_permutation(n: int, rng: random.Random, tail_fixed: Optional[int] = N
     if not 0 <= H <= n:
         raise InvalidDimensionError(f"tail_fixed H={H} outside 0..{n}")
     head = list(range(1, H + 1))
-    rng.shuffle(head)
+    shuffle(head, rng)
     return Permutation(tuple(head + list(range(H + 1, n + 1))))
 
 

@@ -16,7 +16,9 @@ from .audit import check_structure, count_rate, verify_replay
 from .core import (
     build_file_store,
     answer_bundle,
+    collector_paused,
     sample_permutation,
+    shuffle,
     validate_demands,
 )
 from .errors import ConfigError, RegimeError
@@ -98,10 +100,10 @@ def random_valid_demands(N, K, rng):
     vector for N<K."""
     if N == K:
         d = list(range(1, N + 1))
-        rng.shuffle(d)
+        shuffle(d, rng)
         return tuple(d)
     d = list(range(1, N + 1)) + [rng.randrange(1, N + 1) for _ in range(K - N)]
-    rng.shuffle(d)
+    shuffle(d, rng)
     return tuple(d)
 
 
@@ -155,74 +157,76 @@ def _audit_and_report(scheme, params, seed, bundle, transcript, decode_ok, artif
 
 def run_single_session(S, N, block_bytes, seed, demand=None):
     """End-to-end single-user session; returns (report, artifacts)."""
-    streams = rng_streams(seed)
-    store = build_file_store(N, 1, S, block_bytes, seed)
-    d = demand if demand is not None else streams["demand"].randrange(1, N + 1)
-    perms = _user_perms(1, N, store.subpackets, streams["perms"])[1]
-    transcript = generate_alg1(S, N, perms, d)
-    bundle = assemble_bundle(transcript, streams["shuffle"])
-    answers = answer_bundle(store, bundle)
-    decoded = decode_single(transcript, bundle, answers)
-    decode_ok = all(decoded[x] == store.block(d, 1, x)
-                    for x in range(1, store.subpackets + 1))
-    R_pir = pir_rate(S, N)
-    params = {
-        "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
-        "subpackets": store.subpackets, "R_pir": frac_str(R_pir), "R_pir_dec": dec(R_pir),
-    }
-    return _audit_and_report("single", params, seed, bundle, transcript, decode_ok,
-                             {"store": store, "answers": answers, "decoded": decoded})
+    with collector_paused():
+        streams = rng_streams(seed)
+        store = build_file_store(N, 1, S, block_bytes, seed)
+        d = demand if demand is not None else streams["demand"].randrange(1, N + 1)
+        perms = _user_perms(1, N, store.subpackets, streams["perms"])[1]
+        transcript = generate_alg1(S, N, perms, d)
+        bundle = assemble_bundle(transcript, streams["shuffle"])
+        answers = answer_bundle(store, bundle)
+        decoded = decode_single(transcript, bundle, answers)
+        decode_ok = all(decoded[x] == store.block(d, 1, x)
+                        for x in range(1, store.subpackets + 1))
+        R_pir = pir_rate(S, N)
+        params = {
+            "S": S, "N": N, "K": 1, "block_bytes": block_bytes,
+            "subpackets": store.subpackets, "R_pir": frac_str(R_pir), "R_pir_dec": dec(R_pir),
+        }
+        return _audit_and_report("single", params, seed, bundle, transcript, decode_ok,
+                                 {"store": store, "answers": answers, "decoded": decoded})
 
 
 def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
     """End-to-end multi-user session; decodes every user against the store."""
-    if N > K:
-        raise RegimeError(f"unsupported regime N={N} > K={K}")
-    streams = rng_streams(seed)
-    store = build_file_store(N, K, S, block_bytes, seed)
-    demands = (validate_demands(demand, N, K) if demand is not None
-               else random_valid_demands(N, K, streams["demand"]))
-    P = sample_permutation(K, streams["slots"])
-    broadcast, caches = placement(store, P)
-    H = h_value(S, N)
-    sub = store.subpackets
-    # qset1 users (every user when N = K, the base users otherwise) draw
-    # their demanded file's permutation with its tail fixed
-    if N == K:
-        base, rho = range(1, K + 1), None
-    else:
-        base, rho = choose_base_and_rho(demands, N, K, streams["base"])
-    user_perms = _user_perms(
-        K, N, sub, streams["perms"],
-        lambda c, i: H if c in base and i == demands[c - 1] else None)
-    if N == K:
-        transcript = generate_alg2(S, N, K, demands, P, user_perms)
-    else:
-        transcript = generate_alg3(S, N, K, demands, P, base, rho, user_perms)
-    bundle = assemble_bundle(transcript, streams["shuffle"])
-    answers = answer_bundle(store, bundle)
-    symbols = resolve_symbols(transcript, bundle, answers)
-    decoded_all = {
-        u: decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols,
-                       run_oracle=False)
-        for u in range(1, K + 1)
-    }
-    check_decoded(bundle, answers, N, demands, caches, decoded_all)
-    decode_ok = all(
-        got[(j, x)] == store.block(demands[u - 1], j, x)
-        for u, got in decoded_all.items()
-        for j in range(1, K + 1) for x in range(1, sub + 1))
-    params = SchemeParams.compute(S, N, K)
-    report_params = {
-        "S": S, "N": N, "K": K, "block_bytes": block_bytes,
-        "q": params.q, "H": params.H,
-        "M_exact": frac_str(params.M), "M_dec": dec(params.M),
-        "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
-    }
-    return _audit_and_report("mupir", report_params, seed, bundle, transcript, decode_ok, {
-        "store": store, "answers": answers, "caches": caches, "broadcast": broadcast,
-        "decoded": decoded_all, "symbols": symbols,
-    })
+    with collector_paused():
+        if N > K:
+            raise RegimeError(f"unsupported regime N={N} > K={K}")
+        streams = rng_streams(seed)
+        store = build_file_store(N, K, S, block_bytes, seed)
+        demands = (validate_demands(demand, N, K) if demand is not None
+                   else random_valid_demands(N, K, streams["demand"]))
+        P = sample_permutation(K, streams["slots"])
+        broadcast, caches = placement(store, P)
+        H = h_value(S, N)
+        sub = store.subpackets
+        # qset1 users (every user when N = K, the base users otherwise) draw
+        # their demanded file's permutation with its tail fixed
+        if N == K:
+            base, rho = range(1, K + 1), None
+        else:
+            base, rho = choose_base_and_rho(demands, N, K, streams["base"])
+        user_perms = _user_perms(
+            K, N, sub, streams["perms"],
+            lambda c, i: H if c in base and i == demands[c - 1] else None)
+        if N == K:
+            transcript = generate_alg2(S, N, K, demands, P, user_perms)
+        else:
+            transcript = generate_alg3(S, N, K, demands, P, base, rho, user_perms)
+        bundle = assemble_bundle(transcript, streams["shuffle"])
+        answers = answer_bundle(store, bundle)
+        symbols = resolve_symbols(transcript, bundle, answers)
+        decoded_all = {
+            u: decode_user(u, transcript, bundle, answers, caches[u], symbols=symbols,
+                           run_oracle=False)
+            for u in range(1, K + 1)
+        }
+        check_decoded(bundle, answers, N, demands, caches, decoded_all)
+        decode_ok = all(
+            got[(j, x)] == store.block(demands[u - 1], j, x)
+            for u, got in decoded_all.items()
+            for j in range(1, K + 1) for x in range(1, sub + 1))
+        params = SchemeParams.compute(S, N, K)
+        report_params = {
+            "S": S, "N": N, "K": K, "block_bytes": block_bytes,
+            "q": params.q, "H": params.H,
+            "M_exact": frac_str(params.M), "M_dec": dec(params.M),
+            "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
+        }
+        return _audit_and_report("mupir", report_params, seed, bundle, transcript, decode_ok, {
+            "store": store, "answers": answers, "caches": caches, "broadcast": broadcast,
+            "decoded": decoded_all, "symbols": symbols,
+        })
 
 
 def run_session(config: dict):

@@ -38,6 +38,7 @@ from .core import (
     QueryBundle,
     SlotInfo,
     new_query,
+    shuffle,
     validate_demands,
     xor_combine,
 )
@@ -402,7 +403,7 @@ def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None, memo=None) 
     emission = [transcript.record_keys(db0) for db0 in range(transcript.S)]
     if shuffle_rng is not None:
         for order in emission:
-            shuffle_rng.shuffle(order)
+            shuffle(order, shuffle_rng)
     return replay_bundle(transcript, emission, memo)
 
 

@@ -15,6 +15,7 @@ from mupir.core import (
     canonical_view,
     identity_permutation,
     sample_permutation,
+    shuffle,
     validate_demands,
     xor_combine,
 )
@@ -84,6 +85,34 @@ class TestFileStore:
             for j in range(1, K + 1):
                 for x in range(1, S ** (N - 1) + 1):
                     assert store.block(i, j, x) == int.from_bytes(rng.randbytes(b), "little")
+
+
+class TestShuffle:
+    """`core.shuffle` must make `random.Random.shuffle`'s draws exactly:
+    sessions, golden reports and bundles depend on every draw.  A change in
+    a future Python's shuffle shows up here before the golden digests."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_matches_stdlib_draw_for_draw(self, seed):
+        for n in [*range(301), 4096]:
+            ours, stdlib = random.Random(f"{seed}:{n}"), random.Random(f"{seed}:{n}")
+            got, want = list(range(n)), list(range(n))
+            shuffle(got, ours)
+            stdlib.shuffle(want)
+            assert got == want, n
+            assert ours.getstate() == stdlib.getstate(), n
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_tail_fixed_draw_matches_stdlib(self, seed):
+        # the free draw is checked in TestPermutation.test_free_draw_is_the_whole_head
+        for n in range(1, 60):
+            for H in (0, 1, n // 2, n - 1):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                head = list(range(1, H + 1))
+                stdlib.shuffle(head)
+                p = sample_permutation(n, ours, tail_fixed=H)
+                assert p.images == tuple(head) + tuple(range(H + 1, n + 1))
+                assert ours.getstate() == stdlib.getstate()
 
 
 class TestPermutation:
