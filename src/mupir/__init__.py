@@ -25,11 +25,9 @@ from .params import (
     proposed_rate,
     psi,
     q_value,
-    rate_dominance_check,
 )
 from .single_user import decode_single, generate_alg1
 from .protocol import (
-    CacheContent,
     choose_base_and_rho,
     decode_user,
     generate_alg2,

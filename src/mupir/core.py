@@ -91,10 +91,6 @@ class FileStore:
     def subpackets(self) -> int:
         return self.S ** (self.N - 1)
 
-    @property
-    def file_bits(self) -> int:
-        return self.K * self.subpackets * self.block_bytes * 8
-
     def block(self, file: int, subfile: int, subsub: int) -> Block:
         return self.data[file - 1][subfile - 1][subsub - 1]
 
@@ -140,10 +136,6 @@ class Permutation:
 
     def tail_fixed_from(self, H: int) -> bool:
         return self.images[H:] == tuple(range(H + 1, self.n + 1))
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def sample_permutation(n: int, rng: random.Random, tail_fixed: Optional[int] = None) -> Permutation:

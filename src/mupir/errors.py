@@ -28,7 +28,8 @@ class UnresolvablePlanError(RuntimeError):
 
 
 class TooLargeInstanceError(ValueError):
-    """Raised when an exhaustive oracle would exceed its enumeration guard."""
+    """Raised when an exhaustive oracle would exceed its enumeration guard,
+    or a session's file store its budget."""
 
 
 class ConfigError(ValueError):

@@ -21,7 +21,7 @@ from .core import (
     shuffle,
     validate_demands,
 )
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, RegimeError, TooLargeInstanceError
 from .params import SchemeParams, h_value, pir_rate
 from .protocol import (
     assemble_bundle,
@@ -45,6 +45,9 @@ CONFIG_KEYS = {
     "demands": str,
 }
 _DEFAULTS = {"block_bytes": 1, "seed": 0, "demands": "random-valid"}
+# The largest file store, in bytes, that `run_session` builds: N*K*S^(N-1)
+# blocks of block_bytes each (K = 1 for a single-user session).
+STORE_BUDGET_BYTES = 1 << 27
 
 
 def parse_config(text: str) -> dict:
@@ -234,7 +237,8 @@ def run_session(config: dict):
     (report, artifacts).  Every session starts here, and this is where
     defaults apply: a field the config leaves out takes its `_DEFAULTS`
     value, and K takes N (a single-user session has K = 1, and refuses any
-    other)."""
+    other).  A session whose store would pass `STORE_BUDGET_BYTES` is
+    refused before anything is built."""
     cfg = {**_DEFAULTS, **config}
     scheme, S, N, spec = cfg["scheme"], cfg["S"], cfg["N"], cfg["demands"]
     if scheme not in ("single", "mupir"):
@@ -242,11 +246,19 @@ def run_session(config: dict):
     if scheme == "single" and cfg.get("K", 1) != 1:
         raise ConfigError(f"field 'K': a single-user session has K = 1, got {cfg['K']!r}")
     K = 1 if scheme == "single" else cfg.get("K", N)
+    block_bytes = cfg["block_bytes"]
+    # past the budget's bit length, S^(N-1) passes it at any S >= 2 (N < 2
+    # is left for build_file_store to refuse)
+    sub = S ** min(max(N - 1, 0), STORE_BUDGET_BYTES.bit_length())
+    if N * K * sub * block_bytes > STORE_BUDGET_BYTES:
+        raise TooLargeInstanceError(
+            f"the store of N*K*S^(N-1) = {N}*{K}*{S}^{N - 1} blocks of {block_bytes} "
+            f"bytes passes the {STORE_BUDGET_BYTES}-byte session budget")
     demands = None if spec == "random-valid" else _parse_demands(spec, scheme, N, K)
     if scheme == "single":
         demand = None if demands is None else demands[0]
-        return run_single_session(S, N, cfg["block_bytes"], cfg["seed"], demand=demand)
-    return run_mupir_session(S, N, K, cfg["block_bytes"], cfg["seed"], demand=demands)
+        return run_single_session(S, N, block_bytes, cfg["seed"], demand=demand)
+    return run_mupir_session(S, N, K, block_bytes, cfg["seed"], demand=demands)
 
 
 SWEEP_COLUMNS = ["S", "N", "K", "q", "H", "M_exact", "M_dec", "R_exact", "R_dec",

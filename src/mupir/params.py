@@ -169,7 +169,9 @@ def pd_rate(S: int, N: int, K: int, M) -> Rational:
 class SchemeParams:
     """All derived quantities for one (S, N, K) triple, exact, with the
     margins of the three rate-dominance checks against the product design
-    at the scheme's cache size M."""
+    at the scheme's cache size M.  `ok` is the verdict: positive memory
+    slack, strictly below every chord from (0, N) to a baseline corner
+    point, and below the envelope."""
 
     S: int
     N: int
@@ -208,10 +210,3 @@ class SchemeParams:
                                 for Mt, Rt in _pd_points(S, N, K)[1:]),
         )
 
-
-def rate_dominance_check(S: int, N: int, K: int) -> SchemeParams:
-    """Verify, in exact arithmetic, that the scheme's (M, R) point beats the
-    product-design baseline: positive memory slack, strictly below every
-    chord from (0, N) to a baseline corner point, and below the envelope.
-    The margins are the triple's `SchemeParams`; `ok` is the verdict."""
-    return SchemeParams.compute(S, N, K)

@@ -264,24 +264,13 @@ def block_memo():
     return memo
 
 
-@dataclass(frozen=True)
-class CacheContent:
-    """One user's cache: XOR lines over all files of its subfile slot, which
-    the user's `SlotInfo` records."""
-
-    block_bytes: int
-    lines: dict  # t -> Block
-
-    @property
-    def bits(self) -> int:
-        return len(self.lines) * self.block_bytes * 8
-
-
 def placement(store: FileStore, P: Permutation):
     """Broadcast all cache lines, then assign user u the lines of slot p_u.
 
     Returns (broadcast, caches): the broadcast is the full line list (what a
-    database actually transmits); caches maps user -> CacheContent.
+    database actually transmits); caches maps user u to its cache, the lines
+    {t: XOR_i W(i, p_u, t)} for t in H+1..S^(N-1).  The slot p_u they cover
+    is the user's `SlotInfo.subfile`.
     """
     N, K, S = store.N, store.K, store.S
     if N > K:
@@ -299,11 +288,7 @@ def placement(store: FileStore, P: Permutation):
             lines[tt] = line
             broadcast.append(((j, tt), line))
         lines_by_subfile[j] = lines
-    caches = {
-        u: CacheContent(block_bytes=store.block_bytes, lines=dict(lines_by_subfile[P(u)]))
-        for u in range(1, K + 1)
-    }
-    return broadcast, caches
+    return broadcast, {u: lines_by_subfile[P(u)] for u in range(1, K + 1)}
 
 
 def rho_options(demands, base, c) -> list:
@@ -508,13 +493,14 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
 
 
 def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answers,
-                cache: Optional[CacheContent], symbols=None, run_oracle=True) -> dict:
+                cache: Optional[dict], symbols=None, run_oracle=True) -> dict:
     """Recover every subsubfile of the user's demanded file by the peeling
     plan the transcript records.
 
-    Returns {(subfile j, x): block}.  `cache` None means no cache lines, as
-    in a single-user session, where K = 1 and H = S^(N-1) leave only step 1:
-    take the demand's symbols.  With `run_oracle` the GF(2) oracle then
+    Returns {(subfile j, x): block}.  `cache` is the user's {t: line} dict
+    from `placement`.  None means no cache lines, as in a single-user
+    session, where K = 1 and H = S^(N-1) leave only step 1: take the
+    demand's symbols.  With `run_oracle` the GF(2) oracle then
     re-derives every block from the answers and this user's cache lines
     alone (`check_decoded` for this one user), and must agree.  A session
     decodes all its users with `run_oracle=False` and checks them together
@@ -528,7 +514,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     d = transcript.demand[user - 1]
     slots = transcript.slots
     base = [c for c in sorted(slots) if slots[c].omega_pairs is None]
-    lines = {} if cache is None else cache.lines
+    lines = cache or {}
     out = {}
     try:
         # 1. slots generated with qset1: full non-demand exposure, H for demand
@@ -579,18 +565,15 @@ def check_decoded(bundle: QueryBundle, answers, N: int, demands, caches, decoded
     {(subfile j, x): block}}), run once after all of them have peel-decoded.
 
     It reads only the bundle's atoms and slots, the answers and each user's
-    cache lines (`caches`: {user: CacheContent or None}), never the
+    cache lines (`caches`: {user: {t: line} or None}), never the
     transcript's records or the peeled symbols.  Cache line t of a user
     whose slot is j is the equation XOR_i W(i, j, t).  Raises
     UnresolvablePlanError where a block is undetermined or disagrees.
     """
     users = {}
     for u, out in decoded.items():
-        rows = []
-        cache = caches.get(u)
-        if cache is not None:
-            j = bundle.slots[u].subfile
-            rows = [(tuple([(i, j, t) for i in range(1, N + 1)]), line)
-                    for t, line in cache.lines.items()]
+        j = bundle.slots[u].subfile
+        rows = [(tuple([(i, j, t) for i in range(1, N + 1)]), line)
+                for t, line in (caches.get(u) or {}).items()]
         users[u] = (demands[u - 1], out, rows)
     gf2.cross_check(bundle, answers, users)

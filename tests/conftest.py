@@ -1,7 +1,14 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 import pytest
 
+from mupir.core import Permutation
 from mupir.harness import run_mupir_session, run_single_session
+
+
+def identity(n):
+    """The identity permutation of [n]."""
+    return Permutation(tuple(range(1, n + 1)))
+
 
 # one session per generator block kind: single-user (alg1), N = K (qset1
 # only) and N < K (qset2 next to qset1, two slots per file); 64-byte blocks

@@ -19,6 +19,7 @@ from mupir.audit import (
 from mupir.core import answer_bundle, build_file_store, sample_permutation
 from mupir.harness import run_mupir_session, run_session, to_json
 from mupir.params import (
+    SchemeParams,
     cache_fraction,
     f_rep,
     h_value,
@@ -27,7 +28,6 @@ from mupir.params import (
     proposed_rate,
     psi,
     q_value,
-    rate_dominance_check,
 )
 from mupir.protocol import assemble_bundle
 from mupir.single_user import decode_single, generate_alg1
@@ -189,7 +189,7 @@ def test_criterion_08_dominance_checks():
     for S in range(2, 7):
         for N in range(2, 7):
             for K in range(N, 9):
-                rep = rate_dominance_check(S, N, K)
+                rep = SchemeParams.compute(S, N, K)
                 if not (rep.slack_nsq > 0
                         and all(m > 0 for m in rep.chord_margins)
                         and rep.envelope_margin > 0):

@@ -27,13 +27,14 @@ from mupir.core import (
     Query,
     QueryBundle,
     canonical_form,
-    identity_permutation,
 )
 from mupir.errors import RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
 from mupir.protocol import assemble_bundle, generate_alg2, generate_alg3
 from mupir.single_user import generate_alg1
+
+from conftest import identity
 
 
 def reference_mupir_oracle(S, N, K):
@@ -245,7 +246,7 @@ class TestCheckStructure:
             assert report.ok, report.failures[:3]
 
     def test_alg1_table_pass(self):
-        perms = {i: identity_permutation(16) for i in (1, 2, 3)}
+        perms = {i: identity(16) for i in (1, 2, 3)}
         bundle = assemble_bundle(generate_alg1(4, 3, perms, 1))
         report = check_structure(bundle, 4, 3)
         assert report.ok

@@ -13,13 +13,14 @@ from mupir.core import (
     build_file_store,
     canonical_form,
     canonical_view,
-    identity_permutation,
     sample_permutation,
     shuffle,
     validate_demands,
     xor_combine,
 )
 from mupir.errors import DemandError, InvalidDimensionError
+
+from conftest import identity
 
 blocks = st.integers(min_value=0, max_value=2 ** 128 - 1)  # up to 16 bytes
 
@@ -55,12 +56,6 @@ class TestFileStore:
         assert len(store.data) == 3
         assert len(store.data[0][0]) == 16
         assert 0 <= store.block(1, 1, 1) < 2 ** 8
-
-    def test_file_bits_matches_example(self):
-        # 3 files x 3 subfiles x 9 subsubfiles of 1 byte: 27 blocks per file
-        store = build_file_store(3, 3, 3, 1, seed=1)
-        assert store.file_bits == 27 * 8
-        assert store.subpackets == 9
 
     def test_invalid_dimensions(self):
         with pytest.raises(InvalidDimensionError):
@@ -235,10 +230,10 @@ class TestCanonicalForm:
     def test_slot_block_shape(self):
         # one demanded-file slot at S=3, N=3: first database sends three
         # singletons and four triple sums
-        from mupir.core import SlotInfo, identity_permutation
+        from mupir.core import SlotInfo
         from mupir.protocol import materialize, qset1_schedule
 
-        perms = {i: identity_permutation(9) for i in (1, 2, 3)}
+        perms = {i: identity(9) for i in (1, 2, 3)}
         per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
         bundle = QueryBundle(S=3, per_db=per_db, emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)

@@ -285,7 +285,7 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
     decoded = art["decoded"] if caches else {1: {(1, x): b for x, b in art["decoded"].items()}}
     users = {u: (tr.demand[u - 1],
                  [{(i, bundle.slots[u].subfile, t) for i in range(1, tr.N + 1)}
-                  for t in caches[u].lines] if caches else [])
+                  for t in caches[u]] if caches else [])
              for u in decoded}
     seen = []
     monkeypatch.setattr(gf2, "Reduction", lambda masks: seen.append(masks) or Reduction(masks))

@@ -7,7 +7,7 @@ import pytest
 
 from mupir import harness
 from mupir.cli import EXIT_AUDIT, EXIT_DECODE, main
-from mupir.errors import ConfigError
+from mupir.errors import ConfigError, TooLargeInstanceError
 from mupir.harness import (
     dec,
     frac_str,
@@ -403,3 +403,52 @@ class TestRefusals:
         cfg = tmp_path / "single.cfg"
         cfg.write_text("scheme = single\nS = 2\nN = 2\nK = 3\n")
         assert main(["pir", "--config", str(cfg)]) == 2
+
+
+class TestSessionBudget:
+    """`run_session` refuses a session whose store, N*K*S^(N-1) blocks of
+    block_bytes each, passes `STORE_BUDGET_BYTES`, before it builds it."""
+
+    @pytest.fixture
+    def no_store(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_file_store called")
+        monkeypatch.setattr(harness, "build_file_store", refuse)
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        # stand-ins for the two sessions: what run_session passes on
+        calls = []
+        for name in ("run_single_session", "run_mupir_session"):
+            monkeypatch.setattr(harness, name, lambda *args, **kw: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["pir", "-S", "10", "-N", "9"],
+        ["mupir", "-S", "10", "-N", "9"],
+        ["audit", "--mode", "structure", "--scheme", "single", "-S", "10", "-N", "9"],
+        ["mupir", "-S", "2", "-N", "10000000000"],
+    ], ids=["pir", "mupir", "audit", "huge-N"])
+    def test_oversize_session_exits_2_without_a_store(self, capsys, no_store, argv):
+        assert main(argv) == 2
+        assert "session budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"scheme": "mupir", "S": 3, "N": 4, "K": 4, "block_bytes": 65536},
+        {"scheme": "mupir", "S": 4, "N": 7},
+        {"scheme": "mupir", "S": 5, "N": 6},
+        {"scheme": "single", "S": 2, "N": 2, "block_bytes": harness.STORE_BUDGET_BYTES // 4},
+        {"scheme": "mupir", "S": 2, "N": 2, "block_bytes": harness.STORE_BUDGET_BYTES // 8},
+    ], ids=["mu_bulk", "4-7-7", "5-6-6", "single-at-budget", "mupir-at-budget"])
+    def test_sizes_within_the_budget_run(self, ran, config):
+        run_session(config)
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"scheme": "single", "S": 2, "N": 2, "block_bytes": harness.STORE_BUDGET_BYTES // 4 + 1},
+        {"scheme": "mupir", "S": 2, "N": 2, "block_bytes": harness.STORE_BUDGET_BYTES // 8 + 1},
+    ], ids=["single", "mupir"])
+    def test_one_byte_per_block_over_is_refused(self, ran, config):
+        with pytest.raises(TooLargeInstanceError, match="session budget"):
+            run_session(config)
+        assert ran == []

@@ -17,7 +17,6 @@ from mupir.params import (
     proposed_rate,
     psi,
     q_value,
-    rate_dominance_check,
 )
 
 
@@ -192,19 +191,19 @@ class TestRates:
 
 class TestDominance:
     def test_example_margin(self):
-        rep = rate_dominance_check(3, 3, 3)
+        rep = SchemeParams.compute(3, 3, 3)
         assert rep.ok
         assert rep.envelope_margin == Fraction(673, 243) - Fraction(23, 9)
         assert abs(float(rep.envelope_margin) - 0.213) < 1.5e-3
 
     def test_small_case(self):
-        assert rate_dominance_check(2, 2, 2).ok
+        assert SchemeParams.compute(2, 2, 2).ok
 
     def test_exhaustive_grid(self):
         for S in range(2, 7):
             for N in range(2, 7):
                 for K in range(N, 9):
-                    rep = rate_dominance_check(S, N, K)
+                    rep = SchemeParams.compute(S, N, K)
                     assert rep.ok, (S, N, K)
                     assert rep.slack_nsq == N * S ** (N - 1) - q_value(S, N)
 
@@ -238,9 +237,7 @@ class TestSchemeParamsRecord:
                                for t in range(1, K + 1)]
                     assert p.chord_margins == tuple(N - (N - Rt) * M / Mt - R
                                                     for Mt, Rt in corners)
-                    assert rate_dominance_check(S, N, K) == p
 
     def test_more_files_than_users_fails_in_cache_fraction(self):
-        for compute in (SchemeParams.compute, rate_dominance_check):
-            with pytest.raises(RegimeError, match="cache_fraction needs K>=N"):
-                compute(2, 3, 2)
+        with pytest.raises(RegimeError, match="cache_fraction needs K>=N"):
+            SchemeParams.compute(2, 3, 2)

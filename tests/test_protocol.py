@@ -3,7 +3,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +14,6 @@ from mupir.core import (
     QueryBundle,
     SlotInfo,
     build_file_store,
-    identity_permutation,
     xor_combine,
 )
 from mupir.errors import (
@@ -26,7 +25,6 @@ from mupir.errors import (
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
-    CacheContent,
     _run_symmetric_rounds,
     assemble_bundle,
     check_decoded,
@@ -42,6 +40,8 @@ from mupir.protocol import (
     resolve_symbols,
 )
 
+from conftest import identity
+
 
 def _session(S, N, K, seed, demand=None, block_bytes=1):
     report, art = run_mupir_session(S, N, K, block_bytes, seed, demand=demand)
@@ -51,50 +51,53 @@ def _session(S, N, K, seed, demand=None, block_bytes=1):
 class TestPlacement:
     def test_cache_lines_example(self):
         store = build_file_store(3, 3, 3, 1, seed=0)
-        _, caches = placement(store, identity_permutation(3))
+        _, caches = placement(store, identity(3))
         for u in (1, 2, 3):
-            assert sorted(caches[u].lines) == [6, 7, 8, 9]
+            assert sorted(caches[u]) == [6, 7, 8, 9]
 
     def test_broadcast_size_and_cache_bits(self):
-        # bits count block_bytes per line, not the bit length of the line's int
+        # the measured M is lines per file of K * S^(N-1) blocks, at any
+        # block size
         M = cache_fraction(3, 3, 5)
         for block_bytes in (1, 2, 4096):
             store = build_file_store(3, 5, 3, block_bytes, seed=0)
-            broadcast, caches = placement(store, identity_permutation(5))
+            broadcast, caches = placement(store, identity(5))
             assert len(broadcast) == 5 * 4
             for u in caches:
-                assert caches[u].bits == M * store.file_bits
+                assert Fraction(len(caches[u]), 5 * store.subpackets) == M
 
     def test_line_peeling(self):
         store = build_file_store(3, 3, 3, 4, seed=9)
-        _, caches = placement(store, identity_permutation(3))
-        line = caches[2].lines[7]
+        _, caches = placement(store, identity(3))
+        line = caches[2][7]
         rest = xor_combine([store.block(i, 2, 7) for i in (1, 2)])
         assert line ^ rest == store.block(3, 2, 7)
 
     @pytest.mark.parametrize("demand", [(2, 1, 3), (1, 2, 3, 1)])
     def test_cache_slot_is_the_one_slot_info_records(self, demand):
-        # a cache holds its lines only; the slot they cover is the user's
-        # SlotInfo.subfile, which decoding's GF(2) cache rows read too
-        assert [f.name for f in fields(CacheContent)] == ["block_bytes", "lines"]
+        # a cache is exactly its lines {t: XOR_i W(i, j, t)}, t in H+1..sub,
+        # over the slot j that the user's SlotInfo.subfile records and that
+        # decoding's GF(2) cache rows read too; it holds nothing else
         report, art = _session(3, 3, len(demand), seed=4, demand=demand)
         assert report["decode_ok"]
         store, tr = art["store"], art["transcript"]
+        assert sorted(art["caches"]) == list(range(1, len(demand) + 1))
         for u, cache in art["caches"].items():
             j = tr.slots[u].subfile
-            assert cache.lines == {
+            assert type(cache) is dict
+            assert cache == {
                 tt: xor_combine([store.block(i, j, tt) for i in (1, 2, 3)])
                 for tt in range(tr.H + 1, 10)}
 
     def test_regime_error(self):
         store = build_file_store(3, 2, 3, 1, seed=0)
         with pytest.raises(RegimeError):
-            placement(store, identity_permutation(2))
+            placement(store, identity(2))
 
 
 class TestQset1:
     def test_counts_and_split(self):
-        perms = {i: identity_permutation(9) for i in (1, 2, 3)}
+        perms = {i: identity(9) for i in (1, 2, 3)}
         per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
         assert [len(db) for db in per_db] == [7, 8, 8]
         assert sum(len(db) for db in per_db) == q_value(3, 3)
@@ -110,7 +113,7 @@ class TestQset1:
         assert fresh == Counter({1: 9, 2: 5, 3: 9})
 
     def test_small_case_count(self):
-        perms = {1: identity_permutation(2), 2: identity_permutation(2)}
+        perms = {1: identity(2), 2: identity(2)}
         per_db = materialize(qset1_schedule(2, 2, 1), perms, SlotInfo(kind="qset1", subfile=1))
         assert sum(len(db) for db in per_db) == q_value(2, 2) == 3
 
@@ -129,13 +132,13 @@ class TestQset1:
 
 class TestQset2:
     def test_counts(self):
-        perms = {i: identity_permutation(9) for i in (1, 2, 3)}
+        perms = {i: identity(9) for i in (1, 2, 3)}
         omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
         per_db = materialize(qset2_schedule(3, 3), perms, omega)
         assert [len(db) for db in per_db] == [9, 9, 9]
 
     def test_atom_pairing(self):
-        perms = {i: identity_permutation(2) for i in (1, 2)}
+        perms = {i: identity(2) for i in (1, 2)}
         omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
         per_db = materialize(qset2_schedule(2, 2), perms, omega)
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
@@ -346,29 +349,29 @@ class TestSessions:
         with pytest.raises(RegimeError):
             run_mupir_session(3, 3, 2, 1, seed=0)
         store_perms = {
-            c: {i: identity_permutation(9) for i in (1, 2, 3)} for c in (1, 2, 3)
+            c: {i: identity(9) for i in (1, 2, 3)} for c in (1, 2, 3)
         }
         with pytest.raises(RegimeError):
-            generate_alg3(3, 3, 3, (1, 2, 3), identity_permutation(3), (1, 2, 3),
+            generate_alg3(3, 3, 3, (1, 2, 3), identity(3), (1, 2, 3),
                           {}, store_perms)
         with pytest.raises(RegimeError):
-            generate_alg2(3, 3, 4, (1, 2, 3, 1), identity_permutation(4), {})
+            generate_alg2(3, 3, 4, (1, 2, 3, 1), identity(4), {})
 
     def test_tail_constraint_enforced(self):
         perms = {
-            c: {i: identity_permutation(2) for i in (1, 2)} for c in (1, 2)
+            c: {i: identity(2) for i in (1, 2)} for c in (1, 2)
         }
         # make user 1's demand permutation move position 2: invalid
         perms[1][1] = Permutation((2, 1))
         with pytest.raises(DemandError):
-            generate_alg2(2, 2, 2, (1, 2), identity_permutation(2), perms)
+            generate_alg2(2, 2, 2, (1, 2), identity(2), perms)
 
     def test_rho_pairing_a_file_with_the_users_own_slot_is_rejected(self):
         # user 4's file 2 aligned with user 4 itself: both halves of the
         # pair would be its own slot, and the paired difference is zero
-        perms = {c: {i: identity_permutation(4) for i in (1, 2, 3)} for c in (1, 2, 3, 4)}
+        perms = {c: {i: identity(4) for i in (1, 2, 3)} for c in (1, 2, 3, 4)}
         with pytest.raises(DemandError, match="identical subfiles"):
-            generate_alg3(2, 3, 4, (1, 2, 3, 1), identity_permutation(4), (1, 2, 3),
+            generate_alg3(2, 3, 4, (1, 2, 3, 1), identity(4), (1, 2, 3),
                           {4: {1: 1, 2: 4, 3: 2}}, perms)
 
     def test_replay_bit_identical(self):
@@ -518,7 +521,7 @@ def _peel_reach(bundle, rows=()):
 
 def _cache_rows(art, u, N):
     j = art["bundle"].slots[u].subfile
-    return [{(i, j, t) for i in range(1, N + 1)} for t in art["caches"][u].lines]
+    return [{(i, j, t) for i in range(1, N + 1)} for t in art["caches"][u]]
 
 
 class TestSessionOracle:

@@ -9,13 +9,14 @@ from mupir.core import (
     answer_bundle,
     build_file_store,
     canonical_view,
-    identity_permutation,
     sample_permutation,
 )
 from mupir.errors import DemandError, UnresolvablePlanError
 from mupir.params import phi, pir_rate
 from mupir.protocol import assemble_bundle, replay_bundle, resolve_symbols
 from mupir.single_user import decode_single, generate_alg1
+
+from conftest import identity
 
 
 def _random_perms(S, N, seed):
@@ -27,20 +28,20 @@ def _random_perms(S, N, seed):
 class TestGeneration:
     def test_table_counts_four_databases(self):
         for d in (1, 2, 3):
-            perms = {i: identity_permutation(16) for i in (1, 2, 3)}
+            perms = {i: identity(16) for i in (1, 2, 3)}
             bundle = assemble_bundle(generate_alg1(4, 3, perms, d))
             assert bundle.counts() == (6, 5, 5, 5)
             assert bundle.total_queries() == 21
 
     def test_hand_example_two_by_two(self):
-        perms = {1: identity_permutation(2), 2: identity_permutation(2)}
+        perms = {1: identity(2), 2: identity(2)}
         bundle = assemble_bundle(generate_alg1(2, 2, perms, 2))
         keys = [list(canonical_view(db)) for db in bundle.per_db]
         assert keys[0] == [((1, 1, 1),), ((2, 1, 1),)]
         assert keys[1] == [((1, 1, 1), (2, 1, 2))]
 
     def test_degenerate_single_file(self):
-        perms = {1: identity_permutation(1)}
+        perms = {1: identity(1)}
         transcript = generate_alg1(2, 1, perms, 1)
         bundle = assemble_bundle(transcript)
         assert bundle.counts() == (1, 0)
@@ -50,7 +51,7 @@ class TestGeneration:
         assert out[1] == store.block(1, 1, 1)
 
     def test_invalid_demand(self):
-        perms = {i: identity_permutation(4) for i in (1, 2, 3)}
+        perms = {i: identity(4) for i in (1, 2, 3)}
         with pytest.raises(DemandError):
             generate_alg1(2, 3, perms, 4)
 
@@ -120,7 +121,7 @@ class TestDecoding:
 
     def test_hand_example_recovery(self):
         store = build_file_store(2, 1, 2, 1, seed=8)
-        perms = {1: identity_permutation(2), 2: identity_permutation(2)}
+        perms = {1: identity(2), 2: identity(2)}
         transcript = generate_alg1(2, 2, perms, 2)
         bundle = assemble_bundle(transcript)
         answers = answer_bundle(store, bundle)
