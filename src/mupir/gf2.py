@@ -18,79 +18,54 @@ what is left):
 3. A target still unknown lies in the core: the answer rows peeling left,
    with every known block substituted, plus each user's cache rows.  The
    connected components that hold such targets are walked one after the
-   other and reduced once, for all users, by the value-free `Reduction`;
-   each user adds its cache rows to a copy.  The elimination never mixes
-   two components, and walking them keeps each one's columns together,
-   which keeps fill-in low.  At N = K nothing is left for this step.
-
-A value-free reduction carries, instead of a block, the bitmask of the
-equations a row is the XOR of; a determined target's value is the XOR of
-the values of the equations it names.
+   other and their answer rows brought once, for all users, to a forward
+   echelon form whose rows carry their blocks; each user adds its cache
+   rows to a copy, and a target's value is what its unit vector reduces
+   to.  The elimination never mixes two components, and walking them keeps
+   each one's columns together, which keeps fill-in low.  At N = K nothing
+   is left for this step.
 """
 from __future__ import annotations
 
 from .errors import UnresolvablePlanError
 
 
-def _insert(echelon: dict, mask: int, comb: int) -> None:
-    """Add a (mask, combination) row to a forward echelon {top bit: row},
-    whose rows have distinct top bits: cancel its top bit against the row
-    there until a free top bit takes it.  A dependent row reduces to zero
-    and is dropped."""
+def _insert(echelon: dict, mask: int, block: int) -> None:
+    """Add a (mask, block) row to a forward echelon {top bit: row}, whose
+    rows have distinct top bits: cancel its top bit against the row there
+    until a free top bit takes it.  A dependent row reduces to zero and is
+    dropped."""
     while mask:
         top = mask.bit_length() - 1
         row = echelon.get(top)
         if row is None:
-            echelon[top] = (mask, comb)
+            echelon[top] = (mask, block)
             return
         mask ^= row[0]
-        comb ^= row[1]
+        block ^= row[1]
 
 
 def _express(echelon: dict, mask: int):
-    """The combination of rows XORing to `mask`, or None when `mask` is not
-    in their span: greedy reduction by top bit is exact in echelon form."""
-    comb = 0
+    """The XOR of the blocks of the rows XORing to `mask`, or None when
+    `mask` is not in their span: greedy reduction by top bit is exact in
+    echelon form."""
+    block = 0
     while mask:
         row = echelon.get(mask.bit_length() - 1)
         if row is None:
             return None
         mask ^= row[0]
-        comb ^= row[1]
-    return comb
+        block ^= row[1]
+    return block
 
 
-class Reduction:
-    """Value-free forward echelon form of a list of XOR equations.
-
-    Equation e is `masks[e]`; a combination is a bitmask over equation
-    indices, and the XOR of the named equations' values is the value of the
-    row it belongs to.
-    """
-
-    def __init__(self, masks):
-        self.size = len(masks)
-        self._rows = {}
-        # sparsest first: least fill-in, so each target's reduction chain is short
-        for e in sorted(range(self.size), key=lambda e: masks[e].bit_count()):
-            _insert(self._rows, masks[e], 1 << e)
-
-    def combinations(self, targets, extra=()) -> list:
-        """For each target unknown, the combination of equations equal to it,
-        or None when the equations do not determine it.
-
-        `extra` masks are further equations numbered from `size` on.  They
-        go into a shallow copy of the shared rows, so the shared rows are
-        left as they were.  A target is determined exactly when its unit
-        vector lies in the span of both, so a target fixed only by a sum of
-        several extra rows is found too.
-        """
-        rows = self._rows
-        if extra:
-            rows = dict(rows)
-            for n, mask in enumerate(extra, self.size):
-                _insert(rows, mask, 1 << n)
-        return [_express(rows, 1 << t) for t in targets]
+def _echelon(masks, values) -> dict:
+    """The forward echelon of the rows (masks[e], values[e])."""
+    rows = {}
+    # sparsest first: least fill-in, so each target's reduction chain is short
+    for e in sorted(range(len(masks)), key=lambda e: masks[e].bit_count()):
+        _insert(rows, masks[e], values[e])
+    return rows
 
 
 def _disagree(atom):
@@ -216,7 +191,7 @@ def cross_check(bundle, answers, users) -> None:
     # rows peeling left, every known column substituted, linked by their
     # unknown columns) and number its columns after those of the components
     # before it.  No row of one component ever meets a row of another in
-    # the elimination, so one reduction over all of them reduces each on its
+    # the elimination, so one echelon over all of them reduces each on its
     # own, and a single-user core's 81 tiny components cost one pass.
     if not core:
         return
@@ -224,7 +199,7 @@ def cross_check(bundle, answers, users) -> None:
     bit = [-1] * len(atom_of)   # column -> its bit in the core
     width = 0
     masks, values = [], []      # the core's answer rows
-    extra = {}                  # user -> its cache rows there, as (masks, values)
+    extra = {}                  # user -> its cache rows there, as (mask, block)
     for _, c in core:
         if bit[c] >= 0:
             continue
@@ -253,31 +228,29 @@ def cross_check(bundle, answers, users) -> None:
                     masks.append(mask)
                     values.append(v)
                 else:
-                    m, vs = extra.setdefault(owner[e - n_answers], ([], []))
-                    m.append(mask)
-                    vs.append(v)
+                    extra.setdefault(owner[e - n_answers], []).append((mask, v))
 
-    # 4. reduce the core once; each user adds its own cache rows to a copy
-    reduction = Reduction(masks)
+    # 4. reduce the core once; each user adds its own cache rows to a copy,
+    # so one user's cache never determines another user's block
+    shared = _echelon(masks, values)
     targets = {}
     for u, c in core:
         targets.setdefault(u, []).append(c)
     for u, cols in targets.items():
-        own_masks, own_values = extra.get(u, ([], []))
-        combs = reduction.combinations([bit[c] for c in cols], own_masks)
-        for c, comb in zip(cols, combs):
-            if comb is None:
-                raise _undetermined(atom_of[c])
-        named = values + own_values
+        echelon = shared
+        if u in extra:
+            echelon = dict(shared)
+            for mask, v in extra[u]:
+                _insert(echelon, mask, v)
+        # name an undetermined target before a disagreeing one
         decoded = users[u][1]
-        for c, comb in zip(cols, combs):
-            low = comb & -comb  # a combination names at least one equation
-            v = named[low.bit_length() - 1]
-            comb ^= low
-            while comb:
-                low = comb & -comb
-                v ^= named[low.bit_length() - 1]
-                comb ^= low
+        wrong = None
+        for c in cols:
+            v = _express(echelon, 1 << bit[c])
+            if v is None:
+                raise _undetermined(atom_of[c])
             i, j, x = atom = atom_of[c]
-            if decoded[(j, x)] != v:
-                raise _disagree(atom)
+            if wrong is None and decoded[(j, x)] != v:
+                wrong = atom
+        if wrong is not None:
+            raise _disagree(wrong)

@@ -1,5 +1,5 @@
-"""GF(2) oracle: the value-free reduction and the peel-then-core cross-check,
-both checked against brute force."""
+"""GF(2) oracle: the forward echelon whose rows carry their blocks and the
+peel-then-core cross-check, both checked against brute force."""
 import random
 
 import pytest
@@ -7,20 +7,12 @@ import pytest
 from mupir import gf2
 from mupir.core import Query, QueryBundle
 from mupir.errors import UnresolvablePlanError
-from mupir.gf2 import Reduction, cross_check
+from mupir.gf2 import _echelon, _express, _insert, cross_check
 from mupir.protocol import check_decoded
 
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1
-
-
-def _xor_named(comb, values):
-    acc = 0
-    for e, v in enumerate(values):
-        if comb >> e & 1:
-            acc ^= v
-    return acc
 
 
 def _brute_force(n, masks, secret):
@@ -35,17 +27,36 @@ def _brute_force(n, masks, secret):
     return [s.pop() if len(s) == 1 else None for s in seen]
 
 
-def _check_against_brute_force(n, masks, extra, secret):
-    combs = Reduction(masks).combinations(range(n), extra)
-    rows = masks + extra
-    values = [_parity(m & secret) for m in rows]
-    for t, (comb, want) in enumerate(zip(combs, _brute_force(n, rows, secret))):
+def _rows(blocks, masks, extra=()):
+    """The echelon of the equations `masks` over unknowns with the given
+    blocks, with the `extra` equations inserted into a copy."""
+    def value(mask):
+        v = 0
+        for t, b in enumerate(blocks):
+            if mask >> t & 1:
+                v ^= b
+        return v
+
+    rows = _echelon(masks, [value(m) for m in masks])
+    if extra:
+        rows = dict(rows)
+        for m in extra:
+            _insert(rows, m, value(m))
+    return rows
+
+
+def _check_against_brute_force(n, masks, extra, rng):
+    """Each unknown's 16-bit block comes back exactly where brute force
+    over its low bits determines it, and None elsewhere."""
+    blocks = [rng.getrandbits(16) for _ in range(n)]
+    rows = _rows(blocks, masks, extra)
+    secret = sum((b & 1) << t for t, b in enumerate(blocks))
+    for t, want in enumerate(_brute_force(n, masks + extra, secret)):
+        got = _express(rows, 1 << t)
         if want is None:
-            assert comb is None, (n, rows, t)
+            assert got is None, (n, masks, extra, t)
         else:
-            assert comb is not None, (n, rows, t)
-            assert _xor_named(comb, rows) == 1 << t
-            assert _xor_named(comb, values) == want
+            assert want == blocks[t] & 1 and got == blocks[t], (n, masks, extra, t)
 
 
 def test_random_systems_match_brute_force():
@@ -54,9 +65,9 @@ def test_random_systems_match_brute_force():
         n = rng.randint(1, 10)
         masks = [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
         extra = [rng.getrandbits(n) for _ in range(rng.randint(0, 3))]
-        _check_against_brute_force(n, masks, extra, rng.getrandbits(n))
-    # more equations than unknowns, so rows are dependent: a target may have
-    # several combinations, and any one that names it is right
+        _check_against_brute_force(n, masks, extra, rng)
+    # more equations than unknowns, so rows are dependent: a target may be
+    # reached along several row combinations, and each gives its block
     rng = random.Random(2213)
     for _ in range(200):
         n = rng.randint(1, 8)
@@ -64,29 +75,34 @@ def test_random_systems_match_brute_force():
         masks += [masks[rng.randrange(len(masks))] ^ masks[rng.randrange(len(masks))]]
         extra = [rng.getrandbits(n) for _ in range(rng.randint(1, 3))]
         extra += [masks[0] ^ extra[0]]
-        _check_against_brute_force(n, masks, extra, rng.getrandbits(n))
-
-
-def test_extra_rows_leave_the_shared_rows_unchanged():
-    red = Reduction([0b100])
-    assert red.combinations([0], [0b011, 0b110]) == [0b111]
-    assert red.combinations([0, 2]) == [None, 0b1]
+        _check_against_brute_force(n, masks, extra, rng)
 
 
 def test_undetermined_unknown_returns_none():
     # x0 ^ x1 alone fixes neither unknown
-    assert Reduction([0b11]).combinations([0, 1]) == [None, None]
+    rows = _rows([3, 6], [0b11])
+    assert [_express(rows, 1 << t) for t in (0, 1)] == [None, None]
+
+
+def test_determined_zero_block_comes_back_as_zero():
+    # x0 = 0 directly, and x2 = 0 only as x1 ^ (x1 ^ x2): both are
+    # determined, so both come back as 0, not as None
+    rows = _rows([0, 5, 0], [0b001, 0b010, 0b110])
+    assert [_express(rows, 1 << t) for t in range(3)] == [0, 5, 0]
+    # the same through a row inserted into a copy
+    rows = _rows([0, 5], [0b10], [0b11])
+    assert [_express(rows, 1 << t) for t in range(2)] == [0, 5]
 
 
 def test_target_fixed_only_by_sum_of_two_extra_rows():
     # shared x2; extra rows x0^x1 and x1^x2.  Neither extra row alone fixes
     # x0, but their sum with the shared row does.
-    red = Reduction([0b100])
-    assert red.combinations([0], [0b011]) == [None]
-    assert red.combinations([0], [0b110]) == [None]
-    assert red.combinations([0], [0b011, 0b110]) == [0b111]
+    blocks = [0x11, 0x22, 0x44]
+    assert _express(_rows(blocks, [0b100], [0b011]), 1) is None
+    assert _express(_rows(blocks, [0b100], [0b110]), 1) is None
+    assert _express(_rows(blocks, [0b100], [0b011, 0b110]), 1) == 0x11
     # with no shared rows at all, the two extra rows still fix x0 together
-    assert Reduction([]).combinations([0], [0b011, 0b010]) == [0b11]
+    assert _express(_rows(blocks, [], [0b011, 0b010]), 1) == 0x11
 
 
 def _bundle(queries):
@@ -130,7 +146,7 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
     other a file-2 block; `masks` are answer rows, `extra` the user's cache
     rows, each over random 16-bit blocks.  The check must pass on the true
     blocks exactly when brute force determines every target, and a flipped
-    block must then be named.  Returns how many reductions it built."""
+    block must then be named.  Returns how many core echelons it built."""
     blocks = [rng.getrandbits(16) for _ in range(n)]
 
     def equation(mask):
@@ -148,20 +164,20 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
     cache = [equation(m) for m in extra]
     decoded = {(1, t + 1): blocks[t] for t in range(targets)}
     built = []
-    monkeypatch.setattr(gf2, "Reduction", lambda m: built.append(m) or Reduction(m))
+    monkeypatch.setattr(gf2, "_echelon", lambda m, v: built.append(m) or _echelon(m, v))
     want = _brute_force(n, masks + extra, 0)
     if any(want[t] is None for t in range(targets)):
         with pytest.raises(UnresolvablePlanError, match="undetermined"):
             cross_check(bundle, answers, {1: (1, decoded, cache)})
         return len(built)
     cross_check(bundle, answers, {1: (1, decoded, cache)})
-    reductions = len(built)
+    echelons = len(built)
     t = rng.randrange(targets)
     wrong = dict(decoded)
     wrong[(1, t + 1)] ^= 1 << rng.randrange(16)
     with pytest.raises(UnresolvablePlanError, match=rf"disagree at \(1,1,{t + 1}\)"):
         cross_check(bundle, answers, {1: (1, wrong, cache)})
-    return reductions
+    return echelons
 
 
 def _triangular(rng, order):
@@ -230,6 +246,22 @@ def test_cross_check_target_fixed_only_by_two_cache_rows(monkeypatch):
         _cross_check_against_brute_force(rng, 4, 1, [0b1000], extra, monkeypatch)
 
 
+def test_cross_check_keeps_each_users_cache_rows_to_itself():
+    # x0 = (1,1,1), x1..x3 = (2,1,1..3).  The answers fix only x3; user 1's
+    # cache rows x0^x1^x2 and x1^x2^x3 fix its target x0 only in the core.
+    # User 2 demands the same file with no cache rows and comes after user
+    # 1, so a shared echelon that kept user 1's rows would fix x0 for it too.
+    x = [0x0101, 0x0202, 0x0404, 0x0808]
+    bundle = QueryBundle(S=1, per_db=[[Query(((2, 1, 3),))]], emission=[[None]])
+    answers = [[x[3]]]
+    cache = [(((1, 1, 1), (2, 1, 1), (2, 1, 2)), x[0] ^ x[1] ^ x[2]),
+             (((2, 1, 1), (2, 1, 2), (2, 1, 3)), x[1] ^ x[2] ^ x[3])]
+    user1 = (1, {(1, 1): x[0]}, cache)
+    cross_check(bundle, answers, {1: user1})
+    with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
+        cross_check(bundle, answers, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
+
+
 def test_cross_check_undetermined_target_is_named(monkeypatch):
     # x0 ^ x1 fixes neither, so target (1,1,1) is named as undetermined;
     # a target in no equation at all is too
@@ -288,7 +320,8 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
                   for t in caches[u]] if caches else [])
              for u in decoded}
     seen = []
-    monkeypatch.setattr(gf2, "Reduction", lambda masks: seen.append(masks) or Reduction(masks))
+    monkeypatch.setattr(gf2, "_echelon",
+                        lambda masks, values: seen.append(masks) or _echelon(masks, values))
     check_decoded(bundle, art["answers"], tr.N, tr.demand, caches, decoded)
     got = sorted(m.bit_count() for masks in seen for m in masks)
     assert got == _reference_core(bundle, users)

@@ -1,9 +1,10 @@
 """The names the benchmark's traced runs wrap must stay where it looks.
 
 `perfbench/workloads.py` times a session by rebinding the functions the
-harness module looks up (`SESSION_STAGES`, `SESSION_RUNS`, `decode_user`),
-and the privacy workload by rebinding `generate_alg3` and `canonical_form`
-in the audit module.  A rename or fold that drops one of them breaks the
+harness module looks up (`SESSION_STAGES`, `SESSION_RUNS`, and
+`decode_user`, which it calls with `run_oracle=False`), and the privacy
+workload by rebinding `generate_alg3` and `canonical_form` in the audit
+module.  A rename or fold that drops one of them breaks the
 traced run; this pins them without running the benchmark.  The privacy
 hooks are also pinned to one call per oracle branch, the work the traced
 `protocol.generate_s` and `core.canonical_form_s` are read as.  And
@@ -12,6 +13,7 @@ hooks are also pinned to one call per oracle branch, the work the traced
 """
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -37,6 +39,10 @@ def test_traced_session_names_exist_in_harness(monkeypatch):
     names = {name for stages in workloads.SESSION_STAGES.values() for name in stages}
     names |= set(workloads.SESSION_RUNS.values()) | {"decode_user"}
     assert sorted(n for n in names if not callable(getattr(harness, n, None))) == []
+    # the traced mupir session splits peeling from the oracle with
+    # decode_user(..., run_oracle=False); the keyword must be a real parameter
+    bound = inspect.signature(harness.decode_user).bind_partial(run_oracle=False)
+    assert bound.arguments == {"run_oracle": False}
 
 
 def test_traced_privacy_names_exist_in_audit():
