@@ -383,7 +383,7 @@ def _covering_demands(N: int, K: int, prefix=()):
 ORACLE_GUARD = 10_000_000
 
 
-def demand_distribution_oracle(S: int, N: int, K: int = None, scheme: str = "single",
+def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
                                guard: int = ORACLE_GUARD) -> OracleReport:
     """Enumerate all admissible randomness and compare, per database, the
     exact distribution of canonical query keys across demand vectors.

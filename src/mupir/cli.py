@@ -113,9 +113,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # every error mupir raises for bad input is a ValueError: bad
         # parameters, config files, demand vectors, regimes or oracle guards;
+        # a --config or --out path that cannot be opened is an OSError;
         # genuine protocol failures (RuntimeError) are left to crash loudly
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,8 +13,8 @@ what is left):
    value is checked against every user who demands that file, and from then
    on the decoder's own block stands for it, so no second copy of a block
    is kept.
-2. Each user peels on with its own cache rows, and a value found so is
-   checked only against that user's blocks.
+2. Each user peels on, by the same routine, from a copy of that state with
+   its own cache rows: what it finds is checked only against its blocks.
 3. A target still unknown lies in the core: the answer rows peeling left,
    with every known block substituted, plus each user's cache rows.  The
    connected components that hold such targets are walked one after the
@@ -77,6 +77,36 @@ def _undetermined(atom):
         "oracle: subsubfile ({},{},{}) undetermined from answers+cache".format(*atom))
 
 
+def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, atom_of, by_file):
+    """Peel from the equations on `stack`, in place: an equation with one
+    unknown column left fixes it.  The value is compared with each decoded
+    block listed under its file in `by_file`, which then stands for it.
+    Only answer equations and equations in [lo, hi) are pushed."""
+    while stack:
+        e = stack.pop()
+        if deg[e] != 1:
+            continue
+        v = vals[e]
+        for c2 in rows[e]:
+            w = value[c2]
+            if w is None:
+                c = c2
+            else:
+                v ^= w
+        i, j, x = atom = atom_of[c]
+        for decoded in by_file.get(i, ()):
+            w = decoded.get((j, x))
+            if w is not None:
+                if w != v:
+                    raise _disagree(atom)
+                v = w
+        value[c] = v
+        for e2 in holders[c]:
+            deg[e2] -= 1
+            if deg[e2] == 1 and (e2 < n_answers or lo <= e2 < hi):
+                stack.append(e2)
+
+
 def cross_check(bundle, answers, users) -> None:
     """Re-derive every decoded block from the equations alone and compare.
 
@@ -123,69 +153,27 @@ def cross_check(bundle, answers, users) -> None:
     # 1. peel the answers; `deg` counts each equation's unknown columns
     deg = list(map(len, rows))
     stack = [e for e in range(n_answers) if deg[e] == 1]
-    while stack:
-        e = stack.pop()
-        if deg[e] != 1:
-            continue
-        v = vals[e]
-        for c2 in rows[e]:
-            w = value[c2]
-            if w is None:
-                c = c2
-            else:
-                v ^= w
-        i, j, x = atom = atom_of[c]
-        for decoded in by_file.get(i, ()):
-            w = decoded.get((j, x))
-            if w is not None:
-                if w != v:
-                    raise _disagree(atom)
-                v = w
-        value[c] = v
-        for e2 in holders[c]:
-            deg[e2] -= 1
-            if deg[e2] == 1 and e2 < n_answers:
-                stack.append(e2)
+    _peel(stack, deg, value, n_answers, n_answers, n_answers, rows, holders, vals, atom_of,
+          by_file)
 
-    # 2. each user peels on with its own cache rows; what is still unknown
-    # goes to the core
-    core = []          # (user, column) of every target left unknown
+    # 2. each user peels on with its own cache rows, on a copy; its targets
+    # still unknown go to the core
+    core = {}          # user -> the columns of its targets left unknown
     for u, (d, decoded, _) in users.items():
         lo, hi = span[u]
-        udeg, mine = {}, {}
+        mine = value.copy()
         stack = [e for e in range(lo, hi) if deg[e] == 1]
-        while stack:
-            e = stack.pop()
-            if udeg.get(e, deg[e]) != 1:
-                continue
-            v = vals[e]
-            for c2 in rows[e]:
-                w = value[c2]
-                if w is None:
-                    w = mine.get(c2)
-                if w is None:
-                    c = c2
-                else:
-                    v ^= w
-            i, j, x = atom = atom_of[c]
-            if i == d:
-                w = decoded.get((j, x))
-                if w is not None:
-                    if w != v:
-                        raise _disagree(atom)
-                    v = w
-            mine[c] = v
-            for e2 in holders[c]:
-                if e2 < n_answers or lo <= e2 < hi:
-                    k = udeg[e2] = udeg.get(e2, deg[e2]) - 1
-                    if k == 1:
-                        stack.append(e2)
+        _peel(stack, deg.copy(), mine, n_answers, lo, hi, rows, holders, vals, atom_of,
+              {d: [decoded]})
+        cols = []
         for j, x in decoded:
             c = ids.get((d, j, x))
             if c is None:
                 raise _undetermined((d, j, x))
-            if value[c] is None and c not in mine:
-                core.append((u, c))
+            if mine[c] is None:
+                cols.append(c)
+        if cols:
+            core[u] = cols
 
     # 3. the core: from each target left, walk its connected component (the
     # rows peeling left, every known column substituted, linked by their
@@ -200,7 +188,7 @@ def cross_check(bundle, answers, users) -> None:
     width = 0
     masks, values = [], []      # the core's answer rows
     extra = {}                  # user -> its cache rows there, as (mask, block)
-    for _, c in core:
+    for c in (c for cols in core.values() for c in cols):
         if bit[c] >= 0:
             continue
         bit[c] = width
@@ -233,10 +221,7 @@ def cross_check(bundle, answers, users) -> None:
     # 4. reduce the core once; each user adds its own cache rows to a copy,
     # so one user's cache never determines another user's block
     shared = _echelon(masks, values)
-    targets = {}
-    for u, c in core:
-        targets.setdefault(u, []).append(c)
-    for u, cols in targets.items():
+    for u, cols in core.items():
         echelon = shared
         if u in extra:
             echelon = dict(shared)

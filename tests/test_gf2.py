@@ -262,6 +262,21 @@ def test_cross_check_keeps_each_users_cache_rows_to_itself():
         cross_check(bundle, answers, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
 
 
+def test_cross_check_user_peel_never_uses_another_users_cache_rows():
+    # x0 = (1,1,1), x1 = (2,1,1); the one answer is over an unrelated atom.
+    # Both users demand file 1.  User 1's only cache row is x1; user 2's
+    # are x1 and x0^x1, which would fix x0 for user 1 too if its peel could
+    # push them.
+    x0, x1 = 0x0101, 0x0202
+    bundle = QueryBundle(S=1, per_db=[[Query(((2, 1, 2),))]], emission=[[None]])
+    answers = [[0x0404]]
+    user1 = (1, {(1, 1): x0}, [(((2, 1, 1),), x1)])
+    user2 = (1, {(1, 1): x0}, [(((2, 1, 1),), x1), (((1, 1, 1), (2, 1, 1)), x0 ^ x1)])
+    cross_check(bundle, answers, {2: user2})
+    with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
+        cross_check(bundle, answers, {1: user1, 2: user2})
+
+
 def test_cross_check_undetermined_target_is_named(monkeypatch):
     # x0 ^ x1 fixes neither, so target (1,1,1) is named as undetermined;
     # a target in no equation at all is too

@@ -294,6 +294,14 @@ class TestCli:
         cfg.write_text("scheme = single\nS = 2\nN = 3\ndemands = 2,3\n")
         assert main(["pir", "--config", str(cfg)]) == 2
 
+    def test_unopenable_config_or_out_path_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.cfg")
+        for argv in (["pir", "--config", missing], ["mupir", "--config", missing],
+                     ["rates", "-S", "3", "-N", "3", "-K", "3",
+                      "--out", str(tmp_path / "no" / "x.json")]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("config error: "), argv
+
     def test_oracle_guard_exit(self, capsys):
         rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",
                    "-S", "3", "-N", "3", "-K", "3"])

@@ -9,7 +9,9 @@ traced run; this pins them without running the benchmark.  The privacy
 hooks are also pinned to one call per oracle branch, the work the traced
 `protocol.generate_s` and `core.canonical_form_s` are read as.  And
 `perfbench/run.py::load_mupir` reads its modules from `sys.modules` after
-`import mupir`, so each must be one the package imports.
+`import mupir`, so each must be one the package imports, and
+`perfbench/run.py::cache_counts` reads both schedule caches' `cache_info()`
+on every traced op.
 """
 import ast
 import importlib.util
@@ -20,7 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from mupir import audit, harness
+from mupir import audit, harness, protocol
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -68,6 +70,14 @@ def test_traced_privacy_hooks_run_once_per_branch(monkeypatch):
     report = audit.demand_distribution_oracle(2, 2, K=3, scheme="mupir")
     assert report.assignments == 1152
     assert calls == {"generate_alg3": 72, "canonical_form": 72}
+
+
+def test_traced_schedule_caches_exist_in_protocol():
+    # perfbench/run.py::cache_counts reads both schedule caches on every
+    # traced op
+    for name in ("qset1_schedule", "qset2_schedule"):
+        info = getattr(protocol, name).cache_info()
+        assert info.hits >= 0 and info.misses >= 0, name
 
 
 def load_mupir_modules():
