@@ -20,11 +20,13 @@ from .core import (
     Permutation,
     Query,
     QueryBundle,
+    atom,
+    atom_triple,
     canonical_form,
     canonical_view,
     collector_paused,
 )
-from .errors import RegimeError, TooLargeInstanceError
+from .errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
 from .protocol import (
     SessionTranscript,
@@ -103,20 +105,22 @@ def _peel_closure(sums):
     return exposed, pending
 
 
-def _check_counts(user, per_db, info, S, N, reps, failures, tables):
+def _check_counts(user, per_db, info, S, N, K, reps, failures, tables):
     """Per database: every reference (file, subsub) touches exactly its
     block's subfile slots, no sum repeats a file, and each k-subset type
     occurs as often as `reps` prescribes, with no other type.  So each file
     is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  Returns each
     query's (database, frozenset of references) and each database's references."""
     want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
+    sub = S ** (N - 1)
     keys, sums, tally = [], [], []
     for db0, queries in enumerate(per_db):
         seen = []
         tally.append(seen)
         for q in queries:
             groups = {}
-            for f, j, x in q.atoms:
+            for a in q.atoms:
+                f, j, x = atom_triple(a, K, sub)
                 key = (f, x)
                 groups[key] = groups.get(key, ()) + (j,)
             files = []
@@ -202,7 +206,7 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
         reps = partial(_REPS[kind], S, N)
-        sums, tally = _check_counts(user, per_db, info, S, N, reps, failures, tables)
+        sums, tally = _check_counts(user, per_db, info, S, N, bundle.K, reps, failures, tables)
         if kind == "alg1":
             _check_no_repeats(user, tally, failures)
         _check_peel_exposure(user, sums, _wanted_exposure(info, S, N), failures)
@@ -243,14 +247,14 @@ def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
     else:
         q = per_db[db0][pos]
         ai = rng.randrange(len(q.atoms))
-        f, j, x = q.atoms[ai]
+        f, j, x = atom_triple(q.atoms[ai], bundle.K, sub)
         new_sub = rng.randrange(1, sub)
         if new_sub >= x:
             new_sub += 1
         atoms = list(q.atoms)
-        atoms[ai] = (f, j, new_sub)
+        atoms[ai] = atom(f, j, new_sub, bundle.K, sub)
         per_db[db0][pos] = Query(tuple(sorted(atoms)))
-    mutated = QueryBundle(S=bundle.S, per_db=per_db, emission=emission,
+    mutated = QueryBundle(S=bundle.S, K=bundle.K, per_db=per_db, emission=emission,
                           slots=dict(bundle.slots))
     return mutated, op
 
@@ -318,8 +322,8 @@ def _count_branch(generate, per_user, first, views, memo) -> tuple:
         info = transcript.slots[c]
         label = (info.kind, info.subfile, info.demand, info.omega_pairs)
         if label not in views:
-            lists = [list(map(canonical_view, memo(
-                         transcript.records[c], dict(enumerate(opt, start=1)), info)))
+            block = partial(memo, transcript.records[c], info=info, K=transcript.K)
+            lists = [list(map(canonical_view, block(dict(enumerate(opt, start=1)))))
                      for opt in opts]
             views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
         labels.append(label)
@@ -409,6 +413,8 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
     materialised once per distinct (schedule, permutations, slot).
     """
     with collector_paused():
+        if S < 2 or N < 2:
+            raise InvalidDimensionError(f"the oracle needs S >= 2 and N >= 2, got S={S}, N={N}")
         sub = S ** (N - 1)
         if scheme == "single":
             if K not in (None, 1):

@@ -3,7 +3,9 @@
 Indexing convention: files i, subfiles j, subsubfiles x and permutation
 positions are all 1-based, matching the usual set notation [n].  A "block"
 is the content of one subsubfile, held as a non-negative int of at most
-8 * block_bytes bits, so that adding blocks is one int XOR.
+8 * block_bytes bits, so that adding blocks is one int XOR.  An "atom" is a
+subsubfile's index in the store's flat block tuple; only `atom` and its
+inverse `atom_triple` know that layout.
 """
 from __future__ import annotations
 
@@ -72,13 +74,25 @@ def xor_combine(blocks: Iterable[Block]) -> Block:
     return acc
 
 
+def atom(f: int, j: int, x: int, K: int, sub: int) -> int:
+    """W_{f,j}^x as an atom, in a store of K subfiles of `sub` subsubfiles per
+    file.  The map is monotone in (f, j, x), so atoms sort as triples do."""
+    return ((f - 1) * K + j - 1) * sub + x - 1
+
+
+def atom_triple(a: int, K: int, sub: int) -> tuple:
+    """The (file, subfile, subsub) triple of atom `a`."""
+    fj, x = divmod(a, sub)
+    return fj // K + 1, fj % K + 1, x + 1
+
+
 @dataclass(frozen=True)
 class FileStore:
     """N files, each split into K subfiles of S^(N-1) subsubfiles.
 
     One store stands for all S database replicas (they hold identical
-    content).  ``data[i-1][j-1][x-1]`` is the block of subsubfile x of
-    subfile j of file i.
+    content).  ``data[atom(i, j, x, K, S^(N-1))]`` is the block of
+    subsubfile x of subfile j of file i.
     """
 
     N: int
@@ -92,7 +106,7 @@ class FileStore:
         return self.S ** (self.N - 1)
 
     def block(self, file: int, subfile: int, subsub: int) -> Block:
-        return self.data[file - 1][subfile - 1][subsub - 1]
+        return self.data[atom(file, subfile, subsub, self.K, self.subpackets)]
 
 
 def build_file_store(N: int, K: int, S: int, block_bytes: int, seed) -> FileStore:
@@ -108,11 +122,7 @@ def build_file_store(N: int, K: int, S: int, block_bytes: int, seed) -> FileStor
     if K < 1 or block_bytes < 1:
         raise InvalidDimensionError("K and block_bytes must be >= 1")
     rng = random.Random(f"{seed}:store")
-    sub = S ** (N - 1)
-    data = tuple(
-        tuple(tuple(rng.getrandbits(8 * block_bytes) for _ in range(sub)) for _ in range(K))
-        for _ in range(N)
-    )
+    data = tuple([rng.getrandbits(8 * block_bytes) for _ in range(N * K * S ** (N - 1))])
     return FileStore(N=N, K=K, S=S, block_bytes=block_bytes, data=data)
 
 
@@ -170,8 +180,8 @@ def validate_demands(demands, N: int, K: int) -> tuple:
 
 
 class Query(NamedTuple):
-    """A multiset of atoms XORed into one transmitted sum.  An atom is the
-    plain int triple (file, subfile, subsub), naming W_{file,subfile}^subsub.
+    """A multiset of atoms XORed into one transmitted sum, each the int
+    `atom(file, subfile, subsub, K, sub)` naming W_{file,subfile}^subsub.
     A named tuple: cheap to make, and compared at C level."""
 
     atoms: tuple
@@ -221,6 +231,7 @@ class QueryBundle:
     """
 
     S: int
+    K: int           # subfiles per file, the store shape its atoms are in
     per_db: list
     emission: list
     slots: dict = field(default_factory=dict)  # user -> SlotInfo
@@ -263,10 +274,9 @@ def answer_bundle(store: FileStore, bundle: QueryBundle) -> list:
         row = []
         for q in queries:
             atoms = iter(q.atoms)
-            f, j, x = next(atoms)
-            acc = data[f - 1][j - 1][x - 1]
-            for f, j, x in atoms:
-                acc ^= data[f - 1][j - 1][x - 1]
+            acc = data[next(atoms)]
+            for a in atoms:
+                acc ^= data[a]
             row.append(acc)
         out.append(row)
     return out

@@ -1,13 +1,13 @@
 """GF(2) cross-check of a session's decoded blocks, independent of its
 decoding plan.
 
-Equations are XOR constraints over unknown subsubfiles: each answer is the
-XOR of its query's atoms, and each cache line of a user the XOR of every
-file's subsubfile at one position of that user's slot.  `cross_check` reads
-only those (the bundle's atoms, the answers and the cache lines), never the
-peeling plan or its symbols, and re-derives every decoded block once per
-session, cheapest first (inactivation decoding: peel, then eliminate only
-what is left):
+Equations are XOR constraints over unknown subsubfiles, one column per atom:
+each answer is the XOR of its query's atoms, and each cache line of a user
+the XOR of every file's subsubfile at one position of that user's slot.
+`cross_check` reads only those (the bundle's atoms, the answers and the
+cache lines), never the peeling plan or its symbols, and re-derives every
+decoded block once per session, cheapest first (inactivation decoding:
+peel, then eliminate only what is left):
 
 1. Peel the answers: an answer equation with one unknown left fixes it.  The
    value is checked against every user who demands that file, and from then
@@ -27,6 +27,7 @@ what is left):
 """
 from __future__ import annotations
 
+from .core import atom, atom_triple
 from .errors import UnresolvablePlanError
 
 
@@ -68,16 +69,16 @@ def _echelon(masks, values) -> dict:
     return rows
 
 
-def _disagree(atom):
-    return UnresolvablePlanError("peeling and GF(2) oracle disagree at ({},{},{})".format(*atom))
+def _disagree(ijx):
+    return UnresolvablePlanError("peeling and GF(2) oracle disagree at ({},{},{})".format(*ijx))
 
 
-def _undetermined(atom):
+def _undetermined(ijx):
     return UnresolvablePlanError(
-        "oracle: subsubfile ({},{},{}) undetermined from answers+cache".format(*atom))
+        "oracle: subsubfile ({},{},{}) undetermined from answers+cache".format(*ijx))
 
 
-def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, atom_of, by_file):
+def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, K, sub, by_file):
     """Peel from the equations on `stack`, in place: an equation with one
     unknown column left fixes it.  The value is compared with each decoded
     block listed under its file in `by_file`, which then stands for it.
@@ -93,12 +94,12 @@ def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, atom_of, by
                 c = c2
             else:
                 v ^= w
-        i, j, x = atom = atom_of[c]
+        i, j, x = named = atom_triple(c, K, sub)
         for decoded in by_file.get(i, ()):
             w = decoded.get((j, x))
             if w is not None:
                 if w != v:
-                    raise _disagree(atom)
+                    raise _disagree(named)
                 v = w
         value[c] = v
         for e2 in holders[c]:
@@ -107,17 +108,19 @@ def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, atom_of, by
                 stack.append(e2)
 
 
-def cross_check(bundle, answers, users) -> None:
+def cross_check(bundle, answers, N, sub, users) -> None:
     """Re-derive every decoded block from the equations alone and compare.
 
-    `users` maps each user to (its demanded file i, its decoded blocks
-    {(subfile j, x): block}, its cache rows [(atoms, block)]); the targets
-    are the atoms (i, j, x) of its decoded blocks.  Raises
+    The atoms are those of N files of `bundle.K` subfiles of `sub`
+    subsubfiles.  `users` maps each user to (its demanded file i, its
+    decoded blocks {(subfile j, x): block}, its cache rows [(atoms,
+    block)]); the targets are the atoms of its decoded blocks.  Raises
     UnresolvablePlanError at the first target the equations do not
     determine, or whose value differs from the decoded block.
     """
+    K, columns = bundle.K, N * bundle.K * sub  # one column per atom
     # equations: the answers in bundle order, then each user's cache rows
-    eq_atoms = [q.atoms for queries in bundle.per_db for q in queries]
+    rows = [q.atoms for queries in bundle.per_db for q in queries]
     vals = [block for row in answers for block in row]
     n_answers = len(vals)
     span = {}          # user -> its cache rows' equation range
@@ -125,35 +128,22 @@ def cross_check(bundle, answers, users) -> None:
     for u, (i, decoded, cache_rows) in users.items():
         span[u] = (len(vals), len(vals) + len(cache_rows))
         for atoms, block in cache_rows:
-            eq_atoms.append(atoms)
+            rows.append(atoms)
             vals.append(block)
         by_file.setdefault(i, []).append(decoded)
-    # columns: each distinct atom, numbered in order of first appearance.
-    # An atom twice in one equation is held twice; every step below counts
-    # or XORs it twice, so the two cancel as they should.
-    ids = {}
-    get = ids.get
-    holders = []       # column -> the equations that hold it
-    rows = []          # equation -> its columns
-    for e, atoms in enumerate(eq_atoms):
-        cols = []
-        for atom in atoms:
-            c = get(atom)
-            if c is None:
-                ids[atom] = c = len(holders)
-                holders.append([e])
-            else:
-                holders[c].append(e)
-            cols.append(c)
-        rows.append(cols)
-    atom_of = list(ids)
+    # an atom twice in one equation is held twice; every step below counts
+    # or XORs it twice, so the two cancel as they should
+    holders = [[] for _ in range(columns)]  # column -> the equations that hold it
+    for e, atoms in enumerate(rows):
+        for c in atoms:
+            holders[c].append(e)
     # a column's value once known: the decoder's own block where it has one
-    value = [None] * len(atom_of)
+    value = [None] * columns
 
     # 1. peel the answers; `deg` counts each equation's unknown columns
     deg = list(map(len, rows))
     stack = [e for e in range(n_answers) if deg[e] == 1]
-    _peel(stack, deg, value, n_answers, n_answers, n_answers, rows, holders, vals, atom_of,
+    _peel(stack, deg, value, n_answers, n_answers, n_answers, rows, holders, vals, K, sub,
           by_file)
 
     # 2. each user peels on with its own cache rows, on a copy; its targets
@@ -163,12 +153,12 @@ def cross_check(bundle, answers, users) -> None:
         lo, hi = span[u]
         mine = value.copy()
         stack = [e for e in range(lo, hi) if deg[e] == 1]
-        _peel(stack, deg.copy(), mine, n_answers, lo, hi, rows, holders, vals, atom_of,
+        _peel(stack, deg.copy(), mine, n_answers, lo, hi, rows, holders, vals, K, sub,
               {d: [decoded]})
         cols = []
         for j, x in decoded:
-            c = ids.get((d, j, x))
-            if c is None:
+            c = atom(d, j, x, K, sub)
+            if not holders[c]:
                 raise _undetermined((d, j, x))
             if mine[c] is None:
                 cols.append(c)
@@ -184,7 +174,7 @@ def cross_check(bundle, answers, users) -> None:
     if not core:
         return
     owner = [u for u, (lo, hi) in span.items() for _ in range(lo, hi)]
-    bit = [-1] * len(atom_of)   # column -> its bit in the core
+    bit = [-1] * columns        # column -> its bit in the core
     width = 0
     masks, values = [], []      # the core's answer rows
     extra = {}                  # user -> its cache rows there, as (mask, block)
@@ -232,10 +222,10 @@ def cross_check(bundle, answers, users) -> None:
         wrong = None
         for c in cols:
             v = _express(echelon, 1 << bit[c])
+            _, j, x = named = atom_triple(c, K, sub)
             if v is None:
-                raise _undetermined(atom_of[c])
-            i, j, x = atom = atom_of[c]
+                raise _undetermined(named)
             if wrong is None and decoded[(j, x)] != v:
-                wrong = atom
+                wrong = named
         if wrong is not None:
             raise _disagree(wrong)

@@ -37,6 +37,7 @@ from .core import (
     Permutation,
     QueryBundle,
     SlotInfo,
+    atom,
     new_query,
     shuffle,
     validate_demands,
@@ -216,24 +217,26 @@ def qset2_schedule(S: int, N: int):
     return per_db
 
 
-def materialize(records, perms: dict, info: SlotInfo) -> list:
-    """Per-database query lists of one generator block.
+def materialize(records, perms: dict, info: SlotInfo, K: int) -> list:
+    """Per-database query lists of one generator block of a K-subfile store.
 
-    Each record reference (file, pos) becomes subsubfile perms[file](pos) at
-    every subfile slot in info.subfiles(file): the block's own slot for alg1
-    and qset1, the file's omega pair for qset2.
+    Each record reference (file, pos) becomes the atom of subsubfile
+    perms[file](pos) at every subfile slot in info.subfiles(file): the
+    block's own slot for alg1 and qset1, the file's omega pair for qset2.
     """
-    by_file = {f: (info.subfiles(f), p.images) for f, p in perms.items()}
+    # per file, each slot's atom of x = 0, which x then offsets, and the images
+    by_file = {f: ([atom(f, j, 0, K, len(p.images)) for j in info.subfiles(f)], p.images)
+               for f, p in perms.items()}
     out = []
     for db_list in records:
         row = []
         for rec in db_list:
             atoms = []
             for f, pos in rec.refs:
-                slots, images = by_file[f]
+                offsets, images = by_file[f]
                 x = images[pos - 1]
-                for j in slots:
-                    atoms.append((f, j, x))
+                for o in offsets:
+                    atoms.append(o + x)
             atoms.sort()
             row.append(new_query((tuple(atoms),)))
         out.append(row)
@@ -249,17 +252,17 @@ def block_memo():
     `materialize`'s arguments.  The key is exactly what `materialize` reads:
     the schedule by identity (schedules are cached and never change; each
     one seen is held, so its id is not reused), each file with its
-    permutation's images, and the slot's `subfile` and `omega_pairs`.  The
+    permutation's images, the slot's `subfile` and `omega_pairs`, and K.  The
     blocks are shared, so no caller may edit one; they live as long as the
     memo."""
     blocks = {}
 
-    def memo(records, perms, info):
-        key = (id(records), info.subfile, info.omega_pairs,
+    def memo(records, perms, info, K):
+        key = (id(records), info.subfile, info.omega_pairs, K,
                *perms, *map(_images, perms.values()))
         hit = blocks.get(key)
         if hit is None:
-            hit = blocks[key] = (records, materialize(records, perms, info))
+            hit = blocks[key] = (records, materialize(records, perms, info, K))
         return hit[1]
     return memo
 
@@ -372,12 +375,12 @@ def replay_bundle(transcript: SessionTranscript, emission, memo=None) -> QueryBu
     comes from `materialize`, or from `memo` (a `block_memo`) when given."""
     build = materialize if memo is None else memo
     queries = {
-        user: build(records, transcript.perms[user], transcript.slots[user])
+        user: build(records, transcript.perms[user], transcript.slots[user], transcript.K)
         for user, records in transcript.records.items()
     }
     per_db = [[queries[user][db0][local] for user, local in order]
               for db0, order in enumerate(emission)]
-    return QueryBundle(S=transcript.S, per_db=per_db, emission=emission,
+    return QueryBundle(S=transcript.S, K=transcript.K, per_db=per_db, emission=emission,
                        slots=transcript.slots)
 
 
@@ -570,10 +573,11 @@ def check_decoded(bundle: QueryBundle, answers, N: int, demands, caches, decoded
     whose slot is j is the equation XOR_i W(i, j, t).  Raises
     UnresolvablePlanError where a block is undetermined or disagrees.
     """
+    K, sub = bundle.K, bundle.S ** (N - 1)
     users = {}
     for u, out in decoded.items():
         j = bundle.slots[u].subfile
-        rows = [(tuple([(i, j, t) for i in range(1, N + 1)]), line)
+        rows = [(tuple([atom(i, j, t, K, sub) for i in range(1, N + 1)]), line)
                 for t, line in (caches.get(u) or {}).items()]
         users[u] = (demands[u - 1], out, rows)
-    gf2.cross_check(bundle, answers, users)
+    gf2.cross_check(bundle, answers, N, sub, users)

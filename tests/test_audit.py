@@ -26,9 +26,11 @@ from mupir.core import (
     Permutation,
     Query,
     QueryBundle,
+    atom,
+    atom_triple,
     canonical_form,
 )
-from mupir.errors import RegimeError, TooLargeInstanceError
+from mupir.errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value
 from mupir.protocol import assemble_bundle, generate_alg2, generate_alg3
@@ -149,14 +151,14 @@ def _reference_peel_closure(sums):
     return exposed, pending
 
 
-def _reference_check_counts(user, per_db, info, S, N, reps, failures, tables):
+def _reference_check_counts(user, per_db, info, S, N, K, reps, failures, tables):
     want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
     types = Counter()
     sums = []
     for db0, queries in enumerate(per_db):
         for q in queries:
             groups = {}
-            for f, j, x in q.atoms:
+            for f, j, x in (atom_triple(a, K, S ** (N - 1)) for a in q.atoms):
                 key = (f, x)
                 groups[key] = groups.get(key, ()) + (j,)
             for (f, _), subfiles in groups.items():
@@ -194,7 +196,8 @@ def reference_check_structure(bundle, S, N):
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
         reps = partial(audit._REPS[kind], S, N)
-        sums = _reference_check_counts(user, per_db, info, S, N, reps, failures, tables)
+        sums = _reference_check_counts(user, per_db, info, S, N, bundle.K, reps, failures,
+                                       tables)
         if kind == "alg1":
             by_db = {}
             for db0, refs in sums:
@@ -216,10 +219,11 @@ def reference_check_structure(bundle, S, N):
                              per_db_counts=bundle.counts())
 
 
-def distributions_digest(dists):
+def distributions_digest(dists, K, sub):
     """sha256 of every (demand, database, key, value) row, sorted, with the
-    keys' atoms as plain tuples and the values as strings."""
-    rows = sorted((theta, s, tuple(tuple(map(tuple, q)) for q in key), str(v))
+    keys' atoms as plain (file, subfile, subsub) tuples and the values as
+    strings."""
+    rows = sorted((theta, s, tuple(tuple(atom_triple(a, K, sub) for a in q) for q in key), str(v))
                   for theta, counters in dists.items()
                   for s, counter in enumerate(counters) for key, v in counter.items())
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -256,9 +260,9 @@ class TestCheckStructure:
     def test_hand_built_four_database_bundle(self):
         # the (S=4, N=3, d=1) query sets written out explicitly: files a/b/c
         # as 1/2/3, a_i meaning subsubfile i of file 1, etc.
-        a = lambda i: (1, 1, i)
-        b = lambda i: (2, 1, i)
-        c = lambda i: (3, 1, i)
+        a = lambda i: atom(1, 1, i, 1, 16)
+        b = lambda i: atom(2, 1, i, 1, 16)
+        c = lambda i: atom(3, 1, i, 1, 16)
         dbs = [
             [[a(1)], [b(1)], [c(1)],
              [a(8), b(2), c(2)], [a(9), b(3), c(3)], [a(10), b(4), c(4)]],
@@ -274,7 +278,7 @@ class TestCheckStructure:
         per_db = [[Query(tuple(q)) for q in db] for db in dbs]
         emission = [[(1, i) for i in range(len(db))] for db in per_db]
         bundle = QueryBundle(
-            S=4, per_db=per_db, emission=emission,
+            S=4, K=1, per_db=per_db, emission=emission,
             slots={1: SlotInfo(kind="alg1", subfile=1, demand=1)},
         )
         report = check_structure(bundle, 4, 3)
@@ -296,13 +300,28 @@ class TestCheckStructure:
         bundle = art["bundle"]
         kept = [[(q, e) for q, e in zip(queries, order) if e[0] != 2]
                 for queries, order in zip(bundle.per_db, bundle.emission)]
-        stripped = QueryBundle(S=2, per_db=[[q for q, _ in db] for db in kept],
+        stripped = QueryBundle(S=2, K=3, per_db=[[q for q, _ in db] for db in kept],
                                emission=[[e for _, e in db] for db in kept],
                                slots=dict(bundle.slots))
         report = check_structure(stripped, 2, 2)
         assert not report.ok
         assert all(f.startswith("user 2:") for f in report.failures)
         assert "user 2: db 1 holds 0 sums of type (1,), expected 1" in report.failures
+
+    def test_user_without_a_slot_fails_alone(self):
+        # user 2 keeps its queries but loses its slot record: it fails as an
+        # unknown kind, and every other user's tables are unchanged, since
+        # the atoms are read in the bundle's K, never in len(slots)
+        _, art = run_mupir_session(2, 2, 3, 1, 0)
+        bundle = art["bundle"]
+        full = check_structure(bundle, 2, 2)
+        assert full.ok
+        slots = {u: info for u, info in bundle.slots.items() if u != 2}
+        report = check_structure(QueryBundle(S=2, K=3, per_db=bundle.per_db,
+                                             emission=bundle.emission, slots=slots), 2, 2)
+        assert report.failures == ["user 2: unknown generator kind None"]
+        assert report.type_tables == {key: n for key, n in full.type_tables.items()
+                                      if key[0] != 2}
 
     def test_mutations_detected(self):
         _, art = run_mupir_session(3, 3, 4, 1, seed=11)
@@ -417,7 +436,7 @@ class TestDistributionOracle:
         assert report.equal is False
         assert report.assignments == assignments
         assert report.mismatch == mismatch
-        assert distributions_digest(report.distributions) == digest
+        assert distributions_digest(report.distributions, K, S ** (N - 1)) == digest
 
     @pytest.mark.parametrize("S,N,K", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 3), (2, 2, None)])
     def test_every_count_is_positive(self, S, N, K):
@@ -647,6 +666,13 @@ class TestDistributionOracle:
         assert cli.main(["audit", "--mode", "distribution", "--scheme", "mupir",
                          "-S", "2", "-N", "3", "-K", "2"]) == 2
 
+    @pytest.mark.parametrize("scheme", ["single", "mupir"])
+    @pytest.mark.parametrize("S,N", [(1, 2), (2, 1), (1, 1)])
+    def test_fewer_than_two_databases_or_files_is_refused(self, scheme, S, N):
+        # as sessions are: one database sees every query, one file hides nothing
+        with pytest.raises(InvalidDimensionError, match=rf"got S={S}, N={N}"):
+            demand_distribution_oracle(S, N, scheme=scheme)
+
     def test_single_uniform_over_keys(self):
         # each database's view is exactly uniform over its possible keys
         report = demand_distribution_oracle(2, 2, scheme="single")
@@ -655,7 +681,7 @@ class TestDistributionOracle:
                 assert len(set(counter.values())) == 1
 
 
-def guess_from_one_database(queries, S, N):
+def guess_from_one_database(queries, S, N, K):
     """Guess non-base users' demands from one database's queries alone.
 
     1. Label the base slots: a base user's demanded file draws its tail
@@ -671,11 +697,12 @@ def guess_from_one_database(queries, S, N):
     exactly one such file.
     """
     H = h_value(S, N)
+    queries = [[atom_triple(a, K, S ** (N - 1)) for a in q.atoms] for q in queries]
     high = {}  # base slot -> files showing an index past H there
     for q in queries:
-        slots = {j for _, j, _ in q.atoms}
+        slots = {j for _, j, _ in q}
         if len(slots) == 1:
-            high.setdefault(slots.pop(), set()).update(f for f, _, x in q.atoms if x > H)
+            high.setdefault(slots.pop(), set()).update(f for f, _, x in q if x > H)
     labels = {}
     for slot, files in high.items():
         rest = set(range(1, N + 1)) - files
@@ -684,7 +711,7 @@ def guess_from_one_database(queries, S, N):
     partner = {}  # non-base slot -> {file: base slot}
     for q in queries:
         pairs = {}
-        for f, j, x in q.atoms:
+        for f, j, x in q:
             pairs.setdefault((f, x), set()).add(j)
         for (f, _), slots in pairs.items():
             if len(slots) == 2:
@@ -715,7 +742,8 @@ class TestSingleDatabaseLeak:
             bundle = art["bundle"]
             truth = {info.subfile: demand[c - 1]
                      for c, info in bundle.slots.items() if info.kind == "qset2"}
-            for slot, guess in guess_from_one_database(bundle.per_db[0], S, N).items():
+            for slot, guess in guess_from_one_database(bundle.per_db[0], S, N,
+                                                       len(demand)).items():
                 right += guess == truth[slot]
                 wrong += guess != truth[slot]
         assert wrong == 0
@@ -749,7 +777,7 @@ class TestReplayVerification:
         bundle = art["bundle"]
         q = bundle.per_db[0][0]
         atoms = list(q.atoms)
-        f, j, x = atoms[0]
-        atoms[0] = (f, j, 3 - x)
+        f, j, x = atom_triple(atoms[0], 2, 2)
+        atoms[0] = atom(f, j, 3 - x, 2, 2)
         bundle.per_db[0][0] = Query(tuple(atoms))
         assert not verify_replay(bundle, art["transcript"])

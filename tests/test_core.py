@@ -10,6 +10,8 @@ from mupir.core import (
     Query,
     QueryBundle,
     answer_bundle,
+    atom,
+    atom_triple,
     build_file_store,
     canonical_form,
     canonical_view,
@@ -53,8 +55,7 @@ class TestFileStore:
     def test_dimensions(self):
         store = build_file_store(3, 1, 4, 1, seed=7)
         assert store.subpackets == 16
-        assert len(store.data) == 3
-        assert len(store.data[0][0]) == 16
+        assert len(store.data) == 3 * 1 * 16  # flat: N files of K subfiles of 16
         assert 0 <= store.block(1, 1, 1) < 2 ** 8
 
     def test_invalid_dimensions(self):
@@ -80,6 +81,44 @@ class TestFileStore:
             for j in range(1, K + 1):
                 for x in range(1, S ** (N - 1) + 1):
                     assert store.block(i, j, x) == int.from_bytes(rng.randbytes(b), "little")
+
+
+shapes = st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 30))  # N, K, sub
+
+
+def triples(shape):
+    N, K, sub = shape
+    return st.tuples(st.integers(1, N), st.integers(1, K), st.integers(1, sub))
+
+
+class TestAtom:
+    """An atom is its subsubfile's index in the store's flat block tuple."""
+
+    @given(shapes.flatmap(lambda shape: st.tuples(st.just(shape), triples(shape))))
+    def test_atom_triple_inverts_atom(self, case):
+        (N, K, sub), t = case
+        a = atom(*t, K, sub)
+        assert 0 <= a < N * K * sub
+        assert atom_triple(a, K, sub) == t
+
+    @given(shapes.flatmap(lambda shape: st.tuples(st.just(shape),
+                                                  st.lists(triples(shape), max_size=20))))
+    def test_sorting_atoms_sorts_their_triples(self, case):
+        (_, K, sub), ts = case
+        atoms = sorted(atom(*t, K, sub) for t in ts)
+        assert [atom_triple(a, K, sub) for a in atoms] == sorted(ts)
+
+    @given(st.integers(2, 3), st.integers(1, 3), st.integers(2, 3), st.data())
+    def test_answer_bundle_xors_the_blocks_its_atoms_name(self, N, K, S, data):
+        store = build_file_store(N, K, S, 2, seed=(N, K, S))
+        n = N * K * store.subpackets
+        queries = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+                                     max_size=6))
+        bundle = QueryBundle(S=1, K=K, per_db=[[Query(tuple(q)) for q in queries]],
+                             emission=[[None] * len(queries)])
+        want = [xor_combine([store.block(*atom_triple(a, K, store.subpackets)) for a in q])
+                for q in queries]
+        assert answer_bundle(store, bundle) == [want]
 
 
 class TestShuffle:
@@ -181,21 +220,24 @@ class TestDemands:
 
 
 def _bundle_of(queries_per_db):
-    per_db = [[Query(tuple(q)) for q in db] for db in queries_per_db]
+    """A bundle of (file, subfile, subsub) triples, as atoms of 2 subfiles of 4."""
+    per_db = [[Query(tuple(atom(*t, 2, 4) for t in q)) for q in db] for db in queries_per_db]
     emission = [[None] * len(db) for db in per_db]
-    return QueryBundle(S=len(per_db), per_db=per_db, emission=emission)
+    return QueryBundle(S=len(per_db), K=2, per_db=per_db, emission=emission)
 
 
 def test_query_repr_equality_hash_and_canonical():
     # reports, canonical keys and replay compare queries by these; the hash
-    # is that of the one-field tuple (atoms,)
-    atoms = ((2, 1, 3), (1, 2, 1), (1, 1, 2))
+    # is that of the one-field tuple (atoms,).  With 2 subfiles of 3, the
+    # atoms are (2, 1, 3), (1, 2, 1) and (1, 1, 2).
+    atoms = (8, 3, 1)
+    assert atoms == tuple(atom(*t, 2, 3) for t in ((2, 1, 3), (1, 2, 1), (1, 1, 2)))
     q = Query(atoms)
-    assert repr(q) == "Query(atoms=((2, 1, 3), (1, 2, 1), (1, 1, 2)))"
+    assert repr(q) == "Query(atoms=(8, 3, 1))"
     assert q == Query(atoms=atoms) and q != Query(atoms[:2])
     assert hash(q) == hash(Query(atoms)) == hash((atoms,))
     assert len({q, Query(atoms), Query(atoms[:2])}) == 2
-    assert canonical_view([q]) == (((1, 1, 2), (1, 2, 1), (2, 1, 3)),)
+    assert canonical_view([q]) == ((1, 3, 8),)
     assert q.atoms is atoms
     with pytest.raises(AttributeError):
         q.atoms = ()
@@ -221,7 +263,7 @@ class TestCanonicalForm:
         perms = {i: sample_permutation(4, rng) for i in (1, 2, 3)}
         bundle = assemble_bundle(generate_alg1(2, 3, perms, 1 + seed % 3))
         shuffled = QueryBundle(
-            S=bundle.S,
+            S=bundle.S, K=bundle.K,
             per_db=[sorted(db, key=lambda q: rng.random()) for db in bundle.per_db],
             emission=bundle.emission,
         )
@@ -234,8 +276,10 @@ class TestCanonicalForm:
         from mupir.protocol import materialize, qset1_schedule
 
         perms = {i: identity(9) for i in (1, 2, 3)}
-        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
-        bundle = QueryBundle(S=3, per_db=per_db, emission=[[None] * len(d) for d in per_db])
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1),
+                             1)
+        bundle = QueryBundle(S=3, K=1, per_db=per_db,
+                             emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)
         sizes = sorted(len(q) for q in key[0])
         assert sizes == [1, 1, 1, 3, 3, 3, 3]
@@ -245,7 +289,8 @@ class TestCanonicalForm:
 def test_answer_bundle_matches_per_atom_reference(block_session):
     _, art = block_session
     store, bundle = art["store"], art["bundle"]
-    want = [[xor_combine([store.block(f, j, x) for f, j, x in q.atoms]) for q in queries]
+    triple = lambda a: atom_triple(a, store.K, store.subpackets)
+    want = [[xor_combine([store.block(*triple(a)) for a in q.atoms]) for q in queries]
             for queries in bundle.per_db]
     got = answer_bundle(store, bundle)
     assert got == want
@@ -253,4 +298,4 @@ def test_answer_bundle_matches_per_atom_reference(block_session):
     singles = [(q.atoms[0], a) for queries, row in zip(bundle.per_db, got)
                for q, a in zip(queries, row) if len(q.atoms) == 1]
     assert singles
-    assert all(a is store.block(*atom) for atom, a in singles)
+    assert all(a is store.block(*triple(first)) for first, a in singles)

@@ -5,10 +5,17 @@ import random
 import pytest
 
 from mupir import gf2
-from mupir.core import Query, QueryBundle
+from mupir.core import Query, QueryBundle, atom, atom_triple
 from mupir.errors import UnresolvablePlanError
 from mupir.gf2 import _echelon, _express, _insert, cross_check
 from mupir.protocol import check_decoded
+
+# the hand-built systems' atoms: two files of one subfile of 16 subsubfiles
+N, K, SUB = 2, 1, 16
+
+
+def a(i, j, x):
+    return atom(i, j, x, K, SUB)
 
 
 def _parity(x: int) -> int:
@@ -107,8 +114,8 @@ def test_target_fixed_only_by_sum_of_two_extra_rows():
 
 def _bundle(queries):
     """One database, one query per atom list over file i, subfile 1."""
-    per_db = [[Query(tuple((i, 1, x) for i, x in atoms)) for atoms in queries]]
-    return QueryBundle(S=1, per_db=per_db, emission=[[None] * len(queries)])
+    per_db = [[Query(tuple(a(i, 1, x) for i, x in atoms)) for atoms in queries]]
+    return QueryBundle(S=1, K=K, per_db=per_db, emission=[[None] * len(queries)])
 
 
 def test_cross_check_solves_with_cache_rows():
@@ -123,22 +130,22 @@ def test_cross_check_solves_with_cache_rows():
     bundle = _bundle([[(2, 2)], [(1, 2), (2, 1)]])
     answers = [[xor((2, 2)), xor((1, 2), (2, 1))]]
     # cache-like rows over both files: x(1,1)^x(2,1) and x(1,1)^x(2,2)
-    cache = [(((1, 1, 1), (2, 1, 1)), xor((1, 1), (2, 1))),
-             (((1, 1, 1), (2, 1, 2)), xor((1, 1), (2, 2)))]
+    cache = [((a(1, 1, 1), a(2, 1, 1)), xor((1, 1), (2, 1))),
+             ((a(1, 1, 1), a(2, 1, 2)), xor((1, 1), (2, 2)))]
 
     def decoded(i):
         return {(1, x): blocks[(i, x)] for x in (1, 2)}
 
     # one user per file, each holding the same cache rows
-    cross_check(bundle, answers, {1: (1, decoded(1), cache), 2: (2, decoded(2), cache)})
+    cross_check(bundle, answers, N, SUB, {1: (1, decoded(1), cache), 2: (2, decoded(2), cache)})
     with pytest.raises(UnresolvablePlanError, match=r"disagree at \(2,1,1\)"):
         wrong = decoded(2)
         wrong[(1, 1)] ^= 1
-        cross_check(bundle, answers, {2: (2, wrong, cache)})
+        cross_check(bundle, answers, N, SUB, {2: (2, wrong, cache)})
     # without the cache only (2,1,2) is determined
-    cross_check(bundle, answers, {2: (2, {(1, 2): blocks[(2, 2)]}, [])})
+    cross_check(bundle, answers, N, SUB, {2: (2, {(1, 2): blocks[(2, 2)]}, [])})
     with pytest.raises(UnresolvablePlanError, match="undetermined"):
-        cross_check(bundle, answers, {1: (1, decoded(1), [])})
+        cross_check(bundle, answers, N, SUB, {1: (1, decoded(1), [])})
 
 
 def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch):
@@ -153,12 +160,12 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
         atoms, value = [], 0
         for t in range(n):
             if mask >> t & 1:
-                atoms.append((1, 1, t + 1) if t < targets else (2, 1, t - targets + 1))
+                atoms.append(a(1, 1, t + 1) if t < targets else a(2, 1, t - targets + 1))
                 value ^= blocks[t]
         return tuple(atoms), value
 
     answers = [equation(m) for m in masks]
-    bundle = QueryBundle(S=1, per_db=[[Query(a) for a, _ in answers]],
+    bundle = QueryBundle(S=1, K=K, per_db=[[Query(atoms) for atoms, _ in answers]],
                          emission=[[None] * len(answers)])
     answers = [[v for _, v in answers]]
     cache = [equation(m) for m in extra]
@@ -168,15 +175,15 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
     want = _brute_force(n, masks + extra, 0)
     if any(want[t] is None for t in range(targets)):
         with pytest.raises(UnresolvablePlanError, match="undetermined"):
-            cross_check(bundle, answers, {1: (1, decoded, cache)})
+            cross_check(bundle, answers, N, SUB, {1: (1, decoded, cache)})
         return len(built)
-    cross_check(bundle, answers, {1: (1, decoded, cache)})
+    cross_check(bundle, answers, N, SUB, {1: (1, decoded, cache)})
     echelons = len(built)
     t = rng.randrange(targets)
     wrong = dict(decoded)
     wrong[(1, t + 1)] ^= 1 << rng.randrange(16)
     with pytest.raises(UnresolvablePlanError, match=rf"disagree at \(1,1,{t + 1}\)"):
-        cross_check(bundle, answers, {1: (1, wrong, cache)})
+        cross_check(bundle, answers, N, SUB, {1: (1, wrong, cache)})
     return echelons
 
 
@@ -252,14 +259,14 @@ def test_cross_check_keeps_each_users_cache_rows_to_itself():
     # User 2 demands the same file with no cache rows and comes after user
     # 1, so a shared echelon that kept user 1's rows would fix x0 for it too.
     x = [0x0101, 0x0202, 0x0404, 0x0808]
-    bundle = QueryBundle(S=1, per_db=[[Query(((2, 1, 3),))]], emission=[[None]])
+    bundle = QueryBundle(S=1, K=K, per_db=[[Query((a(2, 1, 3),))]], emission=[[None]])
     answers = [[x[3]]]
-    cache = [(((1, 1, 1), (2, 1, 1), (2, 1, 2)), x[0] ^ x[1] ^ x[2]),
-             (((2, 1, 1), (2, 1, 2), (2, 1, 3)), x[1] ^ x[2] ^ x[3])]
+    cache = [((a(1, 1, 1), a(2, 1, 1), a(2, 1, 2)), x[0] ^ x[1] ^ x[2]),
+             ((a(2, 1, 1), a(2, 1, 2), a(2, 1, 3)), x[1] ^ x[2] ^ x[3])]
     user1 = (1, {(1, 1): x[0]}, cache)
-    cross_check(bundle, answers, {1: user1})
+    cross_check(bundle, answers, N, SUB, {1: user1})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, answers, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
+        cross_check(bundle, answers, N, SUB, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
 
 
 def test_cross_check_user_peel_never_uses_another_users_cache_rows():
@@ -268,13 +275,13 @@ def test_cross_check_user_peel_never_uses_another_users_cache_rows():
     # are x1 and x0^x1, which would fix x0 for user 1 too if its peel could
     # push them.
     x0, x1 = 0x0101, 0x0202
-    bundle = QueryBundle(S=1, per_db=[[Query(((2, 1, 2),))]], emission=[[None]])
+    bundle = QueryBundle(S=1, K=K, per_db=[[Query((a(2, 1, 2),))]], emission=[[None]])
     answers = [[0x0404]]
-    user1 = (1, {(1, 1): x0}, [(((2, 1, 1),), x1)])
-    user2 = (1, {(1, 1): x0}, [(((2, 1, 1),), x1), (((1, 1, 1), (2, 1, 1)), x0 ^ x1)])
-    cross_check(bundle, answers, {2: user2})
+    user1 = (1, {(1, 1): x0}, [((a(2, 1, 1),), x1)])
+    user2 = (1, {(1, 1): x0}, [((a(2, 1, 1),), x1), ((a(1, 1, 1), a(2, 1, 1)), x0 ^ x1)])
+    cross_check(bundle, answers, N, SUB, {2: user2})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, answers, {1: user1, 2: user2})
+        cross_check(bundle, answers, N, SUB, {1: user1, 2: user2})
 
 
 def test_cross_check_undetermined_target_is_named(monkeypatch):
@@ -282,12 +289,12 @@ def test_cross_check_undetermined_target_is_named(monkeypatch):
     # a target in no equation at all is too
     bundle = _bundle([[(1, 1), (2, 1)]])
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, [[5]], {1: (1, {(1, 1): 3}, [])})
+        cross_check(bundle, [[5]], N, SUB, {1: (1, {(1, 1): 3}, [])})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,2\) undetermined"):
-        cross_check(bundle, [[5]], {1: (1, {(1, 2): 3}, [])})
+        cross_check(bundle, [[5]], N, SUB, {1: (1, {(1, 2): 3}, [])})
 
 
-def _reference_core(bundle, users):
+def _reference_core(bundle, sub, users):
     """Sizes of the answer rows the reduction must see.  `users` maps each
     user to (its file, its cache rows as atom sets).  Peel the answers
     (sets of atoms), then each user's own cache rows; the targets still
@@ -312,7 +319,8 @@ def _reference_core(bundle, users):
     left = set()
     for d, rows in users.values():
         mine = peel(answer_rows + rows, known)
-        left |= {a for row in answer_rows + rows for a in row if a[0] == d} - mine
+        left |= {c for row in answer_rows + rows for c in row
+                 if atom_triple(c, bundle.K, sub)[0] == d} - mine
     residual = [(row - known, True) for row in answer_rows if row - known]
     residual += [(row - known, False) for _, rows in users.values() for row in rows
                  if row - known]
@@ -330,8 +338,9 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
     bundle, tr = art["bundle"], art["transcript"]
     caches = art.get("caches", {})
     decoded = art["decoded"] if caches else {1: {(1, x): b for x, b in art["decoded"].items()}}
+    sub = tr.S ** (tr.N - 1)
     users = {u: (tr.demand[u - 1],
-                 [{(i, bundle.slots[u].subfile, t) for i in range(1, tr.N + 1)}
+                 [{atom(i, bundle.slots[u].subfile, t, tr.K, sub) for i in range(1, tr.N + 1)}
                   for t in caches[u]] if caches else [])
              for u in decoded}
     seen = []
@@ -339,6 +348,6 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
                         lambda masks, values: seen.append(masks) or _echelon(masks, values))
     check_decoded(bundle, art["answers"], tr.N, tr.demand, caches, decoded)
     got = sorted(m.bit_count() for masks in seen for m in masks)
-    assert got == _reference_core(bundle, users)
+    assert got == _reference_core(bundle, sub, users)
     # N = K peels every target: nothing is left to reduce
     assert (got == []) == (kind == "qset1")

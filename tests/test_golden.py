@@ -1,7 +1,8 @@
 """Golden session outputs: a refactor must leave reports and queries byte-identical.
 
 Each digest is sha256 over `to_json(report)` followed by every database's
-queries, in emission order, as plain int tuples of (file, subfile, subsub).
+queries, in emission order, as plain int tuples of (file, subfile, subsub)
+(each atom named back by `atom_triple`).
 The digests were recorded from the code before the schedule records were
 merged; a change that alters a report, a query or the emission order for
 the same config and seed fails here.
@@ -10,6 +11,7 @@ import hashlib
 
 import pytest
 
+from mupir.core import atom_triple
 from mupir.harness import run_mupir_session, run_single_session, to_json
 
 GOLDEN = {
@@ -36,8 +38,9 @@ SEED = 0
 
 def session_digest(report, bundle) -> str:
     h = hashlib.sha256(to_json(report).encode())
+    sub = report["params"]["S"] ** (report["params"]["N"] - 1)
     for queries in bundle.per_db:
-        atoms = tuple(tuple(tuple(int(v) for v in atom) for atom in q.atoms) for q in queries)
+        atoms = tuple(tuple(atom_triple(a, bundle.K, sub) for a in q.atoms) for q in queries)
         h.update(repr(atoms).encode())
     return h.hexdigest()
 

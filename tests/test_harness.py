@@ -302,6 +302,16 @@ class TestCli:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err.startswith("config error: "), argv
 
+    @pytest.mark.parametrize("dims", [("-S", "1", "-N", "2"), ("-S", "2", "-N", "1")])
+    def test_single_oracle_refuses_one_database_or_file(self, capsys, dims):
+        # the oracle refuses what a `pir` session refuses, with exit code 2
+        assert main(["pir", *dims]) == 2
+        capsys.readouterr()
+        assert main(["audit", "--mode", "distribution", "--scheme", "single", *dims]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs S >= 2 and N >= 2" in captured.err
+
     def test_oracle_guard_exit(self, capsys):
         rc = main(["audit", "--mode", "distribution", "--scheme", "mupir",
                    "-S", "3", "-N", "3", "-K", "3"])

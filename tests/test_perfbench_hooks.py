@@ -11,7 +11,8 @@ hooks are also pinned to one call per oracle branch, the work the traced
 `perfbench/run.py::load_mupir` reads its modules from `sys.modules` after
 `import mupir`, so each must be one the package imports, and
 `perfbench/run.py::cache_counts` reads both schedule caches' `cache_info()`
-on every traced op.
+on every traced op.  The correctness gate's mismatch counts and the traced
+XOR count are pinned on real sessions too.
 """
 import ast
 import importlib.util
@@ -104,3 +105,30 @@ def test_import_mupir_loads_every_module_the_benchmark_reads():
         capture_output=True, text=True, timeout=60, env=env, check=True)
     loaded = set(proc.stdout.split())
     assert [n for n in names if "mupir." + n not in loaded] == []
+
+
+def test_correctness_gate_reads_sessions(monkeypatch):
+    # the benchmark's outputs_incorrect check counts decoded blocks that
+    # differ from the store, and its XOR count reads each query's atoms; a
+    # format change must not leave either reading nothing
+    workloads = load_workloads(monkeypatch)
+    report, art = harness.run_mupir_session(2, 2, 3, 1, seed=0)
+    store, decoded, sub = art["store"], art["decoded"], 2
+    assert workloads._mupir_mismatches(store, report["demand"], decoded, 3, sub) == 0
+    flipped = {u: dict(out) for u, out in decoded.items()}
+    flipped[2][(3, sub)] ^= 1
+    assert workloads._mupir_mismatches(store, report["demand"], flipped, 3, sub) >= 1
+
+    report, art = harness.run_single_session(3, 3, 1, seed=0)
+    store, decoded, sub, d = art["store"], art["decoded"], 9, report["demand"][0]
+    assert workloads._single_mismatches(store, d, decoded, sub) == 0
+    assert workloads._single_mismatches(store, d, {**decoded, 5: decoded[5] ^ 1}, sub) >= 1
+
+    for art in (harness.run_mupir_session(2, 2, 3, 1, seed=0)[1], art):
+        sp = workloads.Spans()
+        workloads._count_answer_work(sp, art["bundle"], 4)
+        xors = sum(len(q.atoms) - 1 for queries in art["bundle"].per_db for q in queries)
+        assert xors > 0
+        assert sp.values["core.answer_xors"] == xors
+        assert sp.values["core.xor_bytes_computed"] == 4 * xors
+        assert sp.values["core.answer_queries"] == art["bundle"].total_queries()

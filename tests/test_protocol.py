@@ -13,6 +13,8 @@ from mupir.core import (
     Query,
     QueryBundle,
     SlotInfo,
+    atom,
+    atom_triple,
     build_file_store,
     xor_combine,
 )
@@ -98,7 +100,8 @@ class TestPlacement:
 class TestQset1:
     def test_counts_and_split(self):
         perms = {i: identity(9) for i in (1, 2, 3)}
-        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1))
+        per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1),
+                             3)
         assert [len(db) for db in per_db] == [7, 8, 8]
         assert sum(len(db) for db in per_db) == q_value(3, 3)
 
@@ -114,7 +117,8 @@ class TestQset1:
 
     def test_small_case_count(self):
         perms = {1: identity(2), 2: identity(2)}
-        per_db = materialize(qset1_schedule(2, 2, 1), perms, SlotInfo(kind="qset1", subfile=1))
+        per_db = materialize(qset1_schedule(2, 2, 1), perms, SlotInfo(kind="qset1", subfile=1),
+                             2)
         assert sum(len(db) for db in per_db) == q_value(2, 2) == 3
 
     def test_demand_tail_untouched(self):
@@ -134,17 +138,17 @@ class TestQset2:
     def test_counts(self):
         perms = {i: identity(9) for i in (1, 2, 3)}
         omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
-        per_db = materialize(qset2_schedule(3, 3), perms, omega)
+        per_db = materialize(qset2_schedule(3, 3), perms, omega, 3)
         assert [len(db) for db in per_db] == [9, 9, 9]
 
     def test_atom_pairing(self):
         perms = {i: identity(2) for i in (1, 2)}
         omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
-        per_db = materialize(qset2_schedule(2, 2), perms, omega)
+        per_db = materialize(qset2_schedule(2, 2), perms, omega, 3)
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
         for db in per_db:
             for q in db:
-                groups = Counter((f, x) for f, _, x in q.atoms)
+                groups = Counter((f, x) for f, _, x in (atom_triple(a, 3, 2) for a in q.atoms))
                 assert all(c == 2 for c in groups.values())
                 assert len(q.atoms) == 2 * len(groups)
 
@@ -153,7 +157,7 @@ class TestQset2:
             SlotInfo(kind="qset2", omega_pairs=((1, 2, 2),))
 
 
-def reference_materialize(records, perms, subfiles):
+def reference_materialize(records, perms, subfiles, K):
     """The per-atom reference for `materialize`: every reference's
     subsubfile through the permutation's call, one atom at a time."""
     out = []
@@ -163,7 +167,7 @@ def reference_materialize(records, perms, subfiles):
             atoms = []
             for f, pos in rec.refs:
                 for j in subfiles(f):
-                    atoms.append((f, j, perms[f](pos)))
+                    atoms.append(atom(f, j, perms[f](pos), K, perms[f].n))
             row.append(Query(tuple(sorted(atoms))))
         out.append(row)
     return out
@@ -178,8 +182,8 @@ def test_materialize_matches_per_atom_reference(block_session):
         kinds.add(info.kind)
         if info.kind == "qset2":
             assert all(len(info.subfiles(f)) == 2 for f in range(1, tr.N + 1))
-        want = reference_materialize(records, tr.perms[user], info.subfiles)
-        assert materialize(records, tr.perms[user], info) == want
+        want = reference_materialize(records, tr.perms[user], info.subfiles, tr.K)
+        assert materialize(records, tr.perms[user], info, tr.K) == want
     assert kind in kinds
 
 
@@ -189,7 +193,7 @@ def test_materialize_and_replay_build_real_queries(block_session):
     _, art = block_session
     tr, bundle = art["transcript"], art["bundle"]
     lists = [queries for user, records in tr.records.items()
-             for queries in materialize(records, tr.perms[user], tr.slots[user])]
+             for queries in materialize(records, tr.perms[user], tr.slots[user], tr.K)]
     lists += bundle.per_db + replay_bundle(tr, bundle.emission).per_db
     queries = [q for qs in lists for q in qs]
     assert queries
@@ -483,7 +487,7 @@ class TestDecodeDetail:
         answers = [list(row) for row in art["answers"]]
         for rows in (per_db, emission, answers):
             rows[1].pop(0)
-        dropped = QueryBundle(S=bundle.S, per_db=per_db, emission=emission,
+        dropped = QueryBundle(S=bundle.S, K=bundle.K, per_db=per_db, emission=emission,
                               slots=dict(bundle.slots))
         with pytest.raises(UnresolvablePlanError, match=message):
             resolve_symbols(art["transcript"], dropped, answers)
@@ -503,10 +507,11 @@ class TestDecodeDetail:
                 assert peeled[u] == own == art["decoded"][u]
 
 
-def _peel_reach(bundle, rows=()):
-    """Every atom that peeling the bundle's answers, then `rows` (atom
-    sets), reaches: a row with one atom left unknown fixes it."""
-    rows = [set(q.atoms) for queries in bundle.per_db for q in queries] + list(rows)
+def _peel_reach(bundle, sub, rows=()):
+    """Every atom, as a triple, that peeling the bundle's answers, then
+    `rows` (triple sets), reaches: a row with one atom left unknown fixes it."""
+    rows = [{atom_triple(a, bundle.K, sub) for a in q.atoms}
+            for queries in bundle.per_db for q in queries] + list(rows)
     known = set()
     changed = True
     while changed:
@@ -542,7 +547,7 @@ class TestSessionOracle:
         _, art = _session(3, 4, 4, seed=11)
         tr = art["transcript"]
         j = tr.slots[2].subfile  # user 2's qset1 block exposes user 1's file there
-        assert (tr.demand[0], j, 1) in _peel_reach(art["bundle"])
+        assert (tr.demand[0], j, 1) in _peel_reach(art["bundle"], 27)
         self._flip(art, 1, j, 1)
 
     def test_flipped_cache_tail_block_is_caught(self):
@@ -551,15 +556,15 @@ class TestSessionOracle:
         j, x = tr.slots[1].subfile, 3 ** 3  # the own slot's last position, x > H
         assert x > tr.H
         atom = (tr.demand[0], j, x)
-        assert atom not in _peel_reach(art["bundle"])
-        assert atom in _peel_reach(art["bundle"], _cache_rows(art, 1, tr.N))
+        assert atom not in _peel_reach(art["bundle"], 27)
+        assert atom in _peel_reach(art["bundle"], 27, _cache_rows(art, 1, tr.N))
         self._flip(art, 1, j, x)
 
     def test_flipped_core_block_is_caught(self):
         _, art = _session(3, 3, 5, seed=11)
         tr = art["transcript"]
         core = [(u, j, x) for u in range(1, 6)
-                for reach in [_peel_reach(art["bundle"], _cache_rows(art, u, tr.N))]
+                for reach in [_peel_reach(art["bundle"], 9, _cache_rows(art, u, tr.N))]
                 for j in range(1, 6) for x in range(1, 10)
                 if (tr.demand[u - 1], j, x) not in reach]
         assert core  # peeling reaches 196 of the 225 targets here

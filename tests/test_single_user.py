@@ -7,6 +7,7 @@ import pytest
 from mupir.audit import check_structure, count_rate
 from mupir.core import (
     answer_bundle,
+    atom_triple,
     build_file_store,
     canonical_view,
     sample_permutation,
@@ -25,6 +26,11 @@ def _random_perms(S, N, seed):
     return {i: sample_permutation(sub, rng) for i in range(1, N + 1)}
 
 
+def _files(q, sub):
+    """The sorted files a single-user (K = 1) query sums over."""
+    return tuple(sorted({atom_triple(a, 1, sub)[0] for a in q.atoms}))
+
+
 class TestGeneration:
     def test_table_counts_four_databases(self):
         for d in (1, 2, 3):
@@ -36,7 +42,8 @@ class TestGeneration:
     def test_hand_example_two_by_two(self):
         perms = {1: identity(2), 2: identity(2)}
         bundle = assemble_bundle(generate_alg1(2, 2, perms, 2))
-        keys = [list(canonical_view(db)) for db in bundle.per_db]
+        keys = [[tuple(atom_triple(a, 1, 2) for a in q) for q in canonical_view(db)]
+                for db in bundle.per_db]
         assert keys[0] == [((1, 1, 1),), ((2, 1, 1),)]
         assert keys[1] == [((1, 1, 1), (2, 1, 2))]
 
@@ -84,7 +91,7 @@ class TestStructuralProperties:
         perms = _random_perms(S, N, seed=5)
         bundle = assemble_bundle(generate_alg1(S, N, perms, 1))
         for db0, queries in enumerate(bundle.per_db):
-            by_type = Counter(tuple(sorted({f for f, _, _ in q.atoms})) for q in queries)
+            by_type = Counter(_files(q, S ** (N - 1)) for q in queries)
             for t, cnt in by_type.items():
                 assert cnt == phi(db0 + 1, S, len(t))
 
@@ -97,9 +104,7 @@ class TestStructuralProperties:
                 bundle = assemble_bundle(generate_alg1(S, N, perms, d))
                 per_db = []
                 for queries in bundle.per_db:
-                    by_type = Counter(
-                        tuple(sorted({f for f, _, _ in q.atoms})) for q in queries
-                    )
+                    by_type = Counter(_files(q, S ** (N - 1)) for q in queries)
                     per_db.append(sorted(
                         (len(t), c) for t, c in by_type.items()
                     ))
