@@ -237,8 +237,11 @@ def run_session(config: dict):
     (report, artifacts).  Every session starts here, and this is where
     defaults apply: a field the config leaves out takes its `_DEFAULTS`
     value, and K takes N (a single-user session has K = 1, and refuses any
-    other).  A session whose store would pass `STORE_BUDGET_BYTES` is
-    refused before anything is built."""
+    other).  A field outside `CONFIG_KEYS`, or a session whose store would
+    pass `STORE_BUDGET_BYTES`, is refused before anything is built."""
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown field {key!r}")
     cfg = {**_DEFAULTS, **config}
     scheme, S, N, spec = cfg["scheme"], cfg["S"], cfg["N"], cfg["demands"]
     if scheme not in ("single", "mupir"):

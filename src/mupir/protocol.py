@@ -18,8 +18,9 @@ single-user one (alg1) included, is a schedule of `Record`s with `refs`
 `SessionTranscript`; one `materialize` turns a block's records into queries,
 and one `replay_bundle` interleaves the blocks per database in a given
 emission order, which `assemble_bundle` draws when the session sends.  One
-`resolve_symbols` peels every block: a record's fresh reference is its answer
-XOR its known old picks XOR its source's answer, when it has a source.
+`resolve_symbols` peels every block: a fresh record's first reference is its
+answer XOR its source's answer, when it has a source, else XOR its other
+references, all resolved in earlier rounds.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from heapq import heappop, heappush
 from itertools import combinations, permutations
 from math import comb
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     FileStore,
@@ -53,35 +54,22 @@ from . import gf2
 from .params import f_rep, h_value, phi, psi
 
 
-@dataclass(frozen=True)
-class Record:
-    """One scheduled query of any generator block: its sum size k, every
-    (file, position) reference, and its peel linkage.
+class Record(NamedTuple):
+    """One scheduled query of any generator block: every (file, position)
+    reference it sums, and its peel linkage.
 
-    Positions refer to the (secret) per-file permutations.  A record with a
-    fresh reference resolves (fresh_file, fresh_pos) as its answer XOR its
-    `old_picks` (positions exposed in earlier rounds) XOR the answer of its
-    `source` ((db, index) of the consumed smaller query), when it has one;
-    a record with no fresh reference resolves nothing.  Schedules are cached
-    and shared across sessions, hence frozen.
+    Positions refer to the (secret) per-file permutations; the sum size is
+    len(refs).  A `fresh` record resolves refs[0], its fresh reference: as
+    its answer XOR the values of refs[1:] (positions exposed in earlier
+    rounds), or, when it has a `source` ((db, index) of the consumed smaller
+    query, whose refs are exactly refs[1:]), as its answer XOR the source's
+    answer.  A record that is not fresh resolves nothing.  Schedules are
+    cached and shared across sessions, hence immutable.
     """
 
-    k: int
     refs: tuple
-    fresh_file: Optional[int] = None
-    fresh_pos: Optional[int] = None
-    old_picks: tuple = ()
+    fresh: bool = False
     source: Optional[tuple] = None
-
-
-@dataclass
-class _DraftQuery:
-    """Mutable query under construction; rebalancing swaps edit it in place."""
-
-    type_set: tuple
-    fresh_file: int
-    fresh_pos: int
-    old_picks: list
 
 
 class _ReusePicker:
@@ -145,7 +133,7 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
             def emit(U, fresh_file, fresh_pos):
                 olds = [reuse(u) for u in U if u != fresh_file]
                 picker[fresh_file].bump(fresh_pos, +1)
-                block.append(_DraftQuery(U, fresh_file, fresh_pos, olds))
+                block.append(Record(((fresh_file, fresh_pos),) + tuple(sorted(olds)), True))
 
             for i in range(1, N + 1):
                 for _ in range(quotas[i - 1]):
@@ -158,32 +146,29 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                     # earlier query of this block that references i, and emit
                     # the leftover type using that query's fresh reference
                     # instead.
-                    chosen = next(((n_, r) for n_, U in enumerate(pool) for r in block
-                                   if i in r.type_set and r.fresh_file != i
-                                   and r.fresh_file in U), None)
+                    chosen = next(((n_, b) for n_, U in enumerate(pool)
+                                   for b, r in enumerate(block)
+                                   if r.refs[0][0] != i and r.refs[0][0] in U
+                                   and any(f == i for f, _ in r.refs)), None)
                     if chosen is None:
                         raise InfeasibleSwapError(
                             f"no rebalancing swap for file {i} at db {s}, k={k}"
                         )
-                    n_, r = chosen
-                    v1 = r.fresh_file
-                    emit(pool.pop(n_), v1, r.fresh_pos)
+                    n_, b = chosen
+                    (v1, p1), *olds = block[b].refs
+                    emit(pool.pop(n_), v1, p1)
                     # donor: old i-reference becomes the fresh one, its
                     # fresh v1-reference downgrades to an old pick
-                    old_i = next(p for p in r.old_picks if p[0] == i)
-                    r.old_picks.remove(old_i)
+                    old_i = next(p for p in olds if p[0] == i)
+                    olds.remove(old_i)
                     picker[i].bump(old_i[1], -1)
-                    picker[v1].bump(r.fresh_pos, -1)
+                    picker[v1].bump(p1, -1)
                     t[i] += 1
                     picker[i].bump(t[i], +1)
-                    r.old_picks.append(reuse(v1))
-                    r.fresh_file, r.fresh_pos = i, t[i]
+                    olds.append(reuse(v1))
+                    block[b] = Record(((i, t[i]),) + tuple(sorted(olds)), True)
             assert not pool, (S, N, s, k)
-            for q in block:
-                olds = tuple(sorted(q.old_picks))
-                per_db[s - 1].append(Record(
-                    k=k, refs=((q.fresh_file, q.fresh_pos),) + olds,
-                    fresh_file=q.fresh_file, fresh_pos=q.fresh_pos, old_picks=olds))
+            per_db[s - 1] += block
     return tuple(map(tuple, per_db)), t
 
 
@@ -270,10 +255,10 @@ def block_memo():
 def placement(store: FileStore, P: Permutation):
     """Broadcast all cache lines, then assign user u the lines of slot p_u.
 
-    Returns (broadcast, caches): the broadcast is the full line list (what a
-    database actually transmits); caches maps user u to its cache, the lines
-    {t: XOR_i W(i, p_u, t)} for t in H+1..S^(N-1).  The slot p_u they cover
-    is the user's `SlotInfo.subfile`.
+    Returns (broadcast, caches): the broadcast is every line a database
+    transmits, {j: {t: XOR_i W(i, j, t)}} for slots j in 1..K and t in
+    H+1..S^(N-1); caches maps user u to broadcast[p_u], the lines of its
+    slot, which is the user's `SlotInfo.subfile`.
     """
     N, K, S = store.N, store.K, store.S
     if N > K:
@@ -281,17 +266,10 @@ def placement(store: FileStore, P: Permutation):
     if P.n != K:
         raise DemandError(f"user permutation must be over [K]={K}, got n={P.n}")
     H = h_value(S, N)
-    sub = store.subpackets
-    broadcast = []
-    lines_by_subfile = {}
-    for j in range(1, K + 1):
-        lines = {}
-        for tt in range(H + 1, sub + 1):
-            line = xor_combine([store.block(i, j, tt) for i in range(1, N + 1)])
-            lines[tt] = line
-            broadcast.append(((j, tt), line))
-        lines_by_subfile[j] = lines
-    return broadcast, {u: lines_by_subfile[P(u)] for u in range(1, K + 1)}
+    broadcast = {j: {tt: xor_combine([store.block(i, j, tt) for i in range(1, N + 1)])
+                     for tt in range(H + 1, store.subpackets + 1)}
+                 for j in range(1, K + 1)}
+    return broadcast, {u: broadcast[P(u)] for u in range(1, K + 1)}
 
 
 def rho_options(demands, base, c) -> list:
@@ -449,16 +427,18 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
 def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers) -> dict:
     """Peel every per-slot reference value out of the answer blocks.
 
-    Every record with a fresh reference resolves it as its answer XOR its
-    known old picks XOR its source's answer (alg1 records pick no old
-    references, qset1/qset2 records have no source).  Keys: ("w", file,
-    subfile, x) for direct subsubfile values exposed by alg1 and qset1
-    blocks, ("om", user, file, x) for paired-difference values of qset2.
+    Every fresh record resolves its fresh reference refs[0] as its answer
+    XOR its source's answer, when it has a source (alg1), else XOR the
+    values of refs[1:], which smaller fresh records resolved first (qset1,
+    qset2).  Keys: ("w", file, subfile, x) for direct subsubfile values
+    exposed by alg1 and qset1 blocks, ("om", user, file, x) for
+    paired-difference values of qset2.
     """
     index = bundle.answer_index()
     values = {}
 
-    def sym_for(user, info, file, pos):
+    def sym_for(user, info, ref):
+        file, pos = ref
         x = transcript.perms[user][file].images[pos - 1]
         if info.omega_pairs is None:
             return ("w", file, info.subfile, x)
@@ -467,14 +447,14 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     work = [(user, db0, local, rec)
             for user in sorted(transcript.records)
             for db0, db_list in enumerate(transcript.records[user])
-            for local, rec in enumerate(db_list) if rec.fresh_file is not None]
-    work.sort(key=lambda w: w[3].k)  # old picks were exposed in earlier rounds
-    for user, db0, local, rec in work:
+            for local, rec in enumerate(db_list) if rec.fresh]
+    work.sort(key=lambda w: len(w[3].refs))  # refs[1:] were exposed in earlier rounds
+    for user, db0, local, (refs, _, source) in work:
         info = transcript.slots[user]
         try:
             acc = answers[db0][index[(user, db0, local)]]
-            if rec.source is not None:
-                sdb, sidx = rec.source
+            if source is not None:
+                sdb, sidx = source
                 acc ^= answers[sdb - 1][index[(user, sdb - 1, sidx)]]
         except KeyError:
             what = "source answer" if (user, db0, local) in index else "answer"
@@ -482,13 +462,13 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
                 f"{what} of record (user {user}, db {db0 + 1}, local {local}) is missing"
             ) from None
         try:
-            for u, p in rec.old_picks:
-                acc ^= values[sym_for(user, info, u, p)]
+            for ref in (refs[1:] if source is None else ()):
+                acc ^= values[sym_for(user, info, ref)]
         except KeyError as exc:
             raise UnresolvablePlanError(
                 f"old reference {exc} not resolved before use"
             ) from exc
-        key = sym_for(user, info, rec.fresh_file, rec.fresh_pos)
+        key = sym_for(user, info, refs[0])
         if key in values:
             raise UnresolvablePlanError(f"reference {key} resolved twice")
         values[key] = acc

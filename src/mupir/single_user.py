@@ -25,8 +25,9 @@ from .protocol import Record, SessionTranscript, decode_user
 @lru_cache(maxsize=None)
 def _alg1_schedule(S: int, N: int, d: int):
     """Position-level schedule for demand d: per database, a tuple of
-    Records in insertion order.  A demand-bearing record resolves its fresh
-    demand reference as its answer XOR its `source` answer; seeds and fills
+    Records in insertion order.  A demand-bearing record's refs are its
+    fresh demand reference followed by its source's refs, and it resolves
+    that reference as its answer XOR its `source` answer; seeds and fills
     resolve nothing, and no reference is reused within a database."""
     if not 1 <= d <= N:
         raise DemandError(f"demand {d} outside [1,{N}]")
@@ -34,10 +35,7 @@ def _alg1_schedule(S: int, N: int, d: int):
     t = [0] * (N + 1)
     for i in range(1, N + 1):
         t[i] = 1
-        per_db[0].append(
-            Record(k=1, refs=((i, 1),), fresh_file=d if i == d else None,
-                   fresh_pos=1 if i == d else None)
-        )
+        per_db[0].append(Record(((i, 1),), i == d))
     for k in range(2, N + 1):
         for j in range(1, S + 1):
             consumed = False
@@ -46,13 +44,10 @@ def _alg1_schedule(S: int, N: int, d: int):
                 if i == j:
                     continue
                 for idx, rec in enumerate(per_db[i - 1]):
-                    if rec.k != k - 1 or any(f == d for f, _ in rec.refs):
+                    if len(rec.refs) != k - 1 or any(f == d for f, _ in rec.refs):
                         continue
                     t[d] += 1
-                    per_db[j - 1].append(
-                        Record(k=k, refs=tuple(sorted(rec.refs + ((d, t[d]),))),
-                               fresh_file=d, fresh_pos=t[d], source=(i, idx))
-                    )
+                    per_db[j - 1].append(Record(((d, t[d]),) + rec.refs, True, (i, idx)))
                     consumed = True
             if consumed:
                 for fileset in combinations([i for i in range(1, N + 1) if i != d], k):
@@ -61,7 +56,7 @@ def _alg1_schedule(S: int, N: int, d: int):
                         for u in fileset:
                             t[u] += 1
                             refs.append((u, t[u]))
-                        per_db[j - 1].append(Record(k=k, refs=tuple(refs)))
+                        per_db[j - 1].append(Record(tuple(refs)))
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
     return tuple(tuple(db) for db in per_db)
 

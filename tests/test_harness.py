@@ -77,6 +77,18 @@ class TestRunSession:
             with pytest.raises(ConfigError, match="field 'demands': cannot parse"):
                 run_session({"scheme": "mupir", "S": 2, "N": 2, "demands": demands})
 
+    def test_misspelled_field_is_refused_before_building(self, monkeypatch):
+        # a hand-built config skips parse_config, so run_session checks keys
+        def no_store(*args):
+            raise AssertionError("store built for a refused config")
+
+        monkeypatch.setattr(harness, "build_file_store", no_store)
+        for scheme in ("mupir", "single"):
+            with pytest.raises(ConfigError, match="unknown field 'sead'"):
+                run_session({"scheme": scheme, "S": 2, "N": 2, "sead": 5})
+        with pytest.raises(ConfigError, match="unknown field 'blockbytes'"):
+            run_session({"scheme": "mupir", "S": 2, "N": 2, "blockbytes": 4})
+
     def test_defaults_apply_once(self):
         # a config's missing fields take the defaults table, and K takes N
         assert parse_config("scheme = mupir\nS = 2\nN = 3\n") == {

@@ -41,6 +41,7 @@ from mupir.protocol import (
     replay_bundle,
     resolve_symbols,
 )
+from mupir.single_user import _alg1_schedule
 
 from conftest import identity
 
@@ -64,7 +65,7 @@ class TestPlacement:
         for block_bytes in (1, 2, 4096):
             store = build_file_store(3, 5, 3, block_bytes, seed=0)
             broadcast, caches = placement(store, identity(5))
-            assert len(broadcast) == 5 * 4
+            assert sum(map(len, broadcast.values())) == 5 * 4
             for u in caches:
                 assert Fraction(len(caches[u]), 5 * store.subpackets) == M
 
@@ -112,7 +113,7 @@ class TestQset1:
         fresh = Counter()
         for db in qset1_schedule(3, 3, 2):
             for rec in db:
-                fresh[rec.fresh_file] += 1
+                fresh[rec.refs[0][0]] += 1
         assert fresh == Counter({1: 9, 2: 5, 3: 9})
 
     def test_small_case_count(self):
@@ -129,7 +130,7 @@ class TestQset1:
         for d in (1, 2, 3):
             for db in qset1_schedule(3, 3, d):
                 for rec in db:
-                    for f, pos in [(rec.fresh_file, rec.fresh_pos)] + list(rec.old_picks):
+                    for f, pos in rec.refs:
                         if f == d:
                             assert pos <= H
 
@@ -200,8 +201,8 @@ def test_materialize_and_replay_build_real_queries(block_session):
     assert all(type(q) is Query and list(q.atoms) == sorted(q.atoms) for q in queries)
 
 
-# sha256 over every record's (k, refs, fresh_file, fresh_pos, old_picks,
-# source), taken over qset1_schedule(S, N, d) for d = 1..N and then
+# sha256 over every record's (sum size, refs, fresh file, fresh position,
+# other refs, source), taken over qset1_schedule(S, N, d) for d = 1..N and then
 # qset2_schedule(S, N); recorded from the engine before its emit path and
 # reuse picker were rewritten, all but (3, 7), which was recorded from the
 # rewritten engine.  (2, 8) and (3, 7) are pairs where the swap fires (63
@@ -228,9 +229,29 @@ def test_schedule_digest(S, N):
     for per_db in blocks:
         for db_list in per_db:
             for r in db_list:
-                fields = (r.k, r.refs, r.fresh_file, r.fresh_pos, r.old_picks, r.source)
+                fields = (len(r.refs), r.refs, *r.refs[0], r.refs[1:], r.source)
                 h.update(repr(fields).encode())
     assert h.hexdigest() == SCHEDULE_DIGESTS[(S, N)]
+
+
+@pytest.mark.parametrize("S,N", [(2, 3), (3, 3), (4, 4), (3, 5), (2, 8)])
+def test_peel_linkage(S, N):
+    # resolve_symbols relies on both: a source's answer stands for exactly
+    # the sourced record's other refs, and an unsourced fresh record's other
+    # refs are resolved, in an earlier round, by fresh records of its block
+    blocks = ([_alg1_schedule(S, N, d) for d in range(1, N + 1)]
+              + [qset1_schedule(S, N, d) for d in range(1, N + 1)]
+              + [qset2_schedule(S, N)])
+    for per_db in blocks:
+        records = [rec for db_list in per_db for rec in db_list]
+        resolved_at = {rec.refs[0]: len(rec.refs) for rec in records if rec.fresh}
+        for rec in records:
+            if rec.source is not None:
+                sdb, sidx = rec.source
+                assert rec.fresh and rec.refs[1:] == per_db[sdb - 1][sidx].refs
+            elif rec.fresh:
+                assert all(resolved_at.get(ref, N + 1) < len(rec.refs)
+                           for ref in rec.refs[1:])
 
 
 class TestSwapRebalancing:
@@ -246,14 +267,14 @@ class TestSwapRebalancing:
             1 if (s, k) == (1, 1) else {1: 1, 2: 2, 3: 0}[i] if (s, k) == (1, 2) else 0
         )
         per_db, t = _run_symmetric_rounds(3, 3, self._mult, quota)
-        block = [q for q in per_db[0] if q.k == 2]
+        block = [q for q in per_db[0] if len(q.refs) == 2]
         types = Counter(tuple(sorted(f for f, _ in q.refs)) for q in block)
         assert types == Counter({(1, 2): 1, (1, 3): 1, (2, 3): 1})
-        fresh = Counter(q.fresh_file for q in block)
+        fresh = Counter(q.refs[0][0] for q in block)
         assert fresh == Counter({1: 1, 2: 2})
         for q in block:
-            assert q.fresh_pos > 1
-            assert all(pos == 1 for _, pos in q.old_picks)
+            assert q.refs[0][1] > 1
+            assert all(pos == 1 for _, pos in q.refs[1:])
 
     def test_swap_error_when_unsalvageable(self):
         quota = lambda s, k, i: (

@@ -1,4 +1,5 @@
 """Single-user scheme: generation counts, decoding, structural symmetry."""
+import hashlib
 import random
 from collections import Counter
 
@@ -15,7 +16,7 @@ from mupir.core import (
 from mupir.errors import DemandError, UnresolvablePlanError
 from mupir.params import phi, pir_rate
 from mupir.protocol import assemble_bundle, replay_bundle, resolve_symbols
-from mupir.single_user import decode_single, generate_alg1
+from mupir.single_user import _alg1_schedule, decode_single, generate_alg1
 
 from conftest import identity
 
@@ -29,6 +30,24 @@ def _random_perms(S, N, seed):
 def _files(q, sub):
     """The sorted files a single-user (K = 1) query sums over."""
     return tuple(sorted({atom_triple(a, 1, sub)[0] for a in q.atoms}))
+
+
+# sha256 over every alg1 record's (sorted refs, fresh, source), taken over
+# _alg1_schedule(S, N, d) for each pair in ALG1_PAIRS and then d = 1..N;
+# recorded from the record that kept its sum size and fresh (file,
+# position) next to its refs, fresh being a fresh file that is not None.
+ALG1_PAIRS = ((2, 3), (3, 3), (4, 5), (3, 6))
+ALG1_DIGEST = "b901a5990cbdb83df2f5053db5687f1ca6de45e0d1b8781f32c53b5c8caada63"
+
+
+def test_alg1_schedule_digest():
+    h = hashlib.sha256()
+    for S, N in ALG1_PAIRS:
+        for d in range(1, N + 1):
+            for db_list in _alg1_schedule(S, N, d):
+                for r in db_list:
+                    h.update(repr((tuple(sorted(r.refs)), r.fresh, r.source)).encode())
+    assert h.hexdigest() == ALG1_DIGEST
 
 
 class TestGeneration:
@@ -148,7 +167,7 @@ class TestDecoding:
         # database 1 lists the demand seed twice: an error, not an assert
         tr = generate_alg1(2, 3, _random_perms(2, 3, seed=4), 2)
         db1 = tr.records[1][0]
-        seed = next(rec for rec in db1 if rec.fresh_file is not None)
+        seed = next(rec for rec in db1 if rec.fresh)
         tr.records = {1: (db1 + (seed,),) + tr.records[1][1:]}
         bundle = assemble_bundle(tr)
         answers = answer_bundle(build_file_store(3, 1, 2, 1, seed=0), bundle)
