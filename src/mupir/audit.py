@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, permutations, product
 from math import prod
+from operator import itemgetter
 
 from .core import (
     Permutation,
@@ -25,6 +26,7 @@ from .core import (
     canonical_form,
     canonical_view,
     collector_paused,
+    query_refs,
 )
 from .errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
@@ -76,19 +78,41 @@ def _slot_queries(bundle: QueryBundle):
     return by_user
 
 
+_sum_refs = itemgetter(1)  # a (db, references) sum's references
+
+
 def _peel_closure(sums):
-    """References resolvable from the sums, (db, frozenset of references).
+    """References resolvable from the sums, (db, frozenset of references),
+    each reference one int (`core.query_refs`).
 
     A one-reference sum resolves its reference.  Source rule, applied once:
     a sum resolves a reference whose removal leaves a sum sent whole by
     another database.  Then, to a fixpoint: a sum with exactly one unknown
     reference resolves it.  Returns (exposed, each unresolved sum's unknowns).
+
+    The sum that removing r from a sum of total t leaves has total t - r, so
+    the source rule looks among the sums of that total only; one of them is
+    that sum when it is one shorter and a subset.
     """
-    sent = {}  # sum -> the database sending it, or -1 when several do
-    for db, refs in sums:
-        sent[refs] = db if sent.get(refs, db) == db else -1
-    exposed = {r for db, refs in sums for r in refs
-               if len(refs) == 1 or sent.get(refs - {r}, db) != db}
+    totals = list(map(sum, map(_sum_refs, sums)))
+    by_total = {}  # total -> [(sum, the database sending it)]
+    for (db, refs), t in zip(sums, totals):
+        hit = by_total.get(t)
+        if hit is None:
+            by_total[t] = [(refs, db)]
+        else:
+            hit.append((refs, db))
+    get = by_total.get
+    exposed = set()
+    for (db, refs), t in zip(sums, totals):
+        n = len(refs) - 1
+        if not n:
+            exposed |= refs
+            continue
+        for r in refs:
+            for other, other_db in get(t - r, ()):
+                if other_db != db and len(other) == n and other <= refs:
+                    exposed.add(r)
     pending = [refs for _, refs in sums]
     changed = True
     while changed:
@@ -106,41 +130,49 @@ def _peel_closure(sums):
 
 
 def _check_counts(user, per_db, info, S, N, K, reps, failures, tables):
-    """Per database: every reference (file, subsub) touches exactly its
-    block's subfile slots, no sum repeats a file, and each k-subset type
-    occurs as often as `reps` prescribes, with no other type.  So each file
-    is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  Returns each
-    query's (database, frozenset of references) and each database's references."""
+    """Per database: every reference touches exactly its block's subfile
+    slots, no sum repeats a file, and each k-subset type occurs as often as
+    `reps` prescribes, with no other type.  So each file is referenced
+    exactly sum_k C(N-1, k-1) * reps(s, k) times.  A reference is one int,
+    the atom of its subsubfile at slot 1: `core.query_refs` groups each
+    query's atoms into references, and only a failure message decodes one.
+    A query's type, wanted slots and file repeat depend only on its files,
+    so each is worked out once per distinct tuple of files.  Returns each
+    query's (database, frozenset of references) and each database's
+    references."""
     want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
+    want_get = want_slots.get
     sub = S ** (N - 1)
-    keys, sums, tally = [], [], []
+    typed = {}  # files, in reference order -> (fileset, wanted slots, repeats a file)
+    sums, tally, types = [], [], {}  # types: (db, fileset) -> count
     for db0, queries in enumerate(per_db):
-        seen = []
+        seen, filesets = [], []
         tally.append(seen)
         for q in queries:
-            groups = {}
-            for a in q.atoms:
-                f, j, x = atom_triple(a, K, sub)
-                key = (f, x)
-                groups[key] = groups.get(key, ()) + (j,)
-            files = []
-            for (f, _), subfiles in groups.items():
-                files.append(f)
-                if len(subfiles) > 1:
-                    subfiles = tuple(sorted(subfiles))
-                if subfiles != want_slots.get(f):
-                    failures.append(
-                        f"user {user} db {db0 + 1}: reference to file {f} "
-                        f"uses slots {list(subfiles)}"
-                    )
-            distinct = set(files)
-            if len(distinct) != len(files):
+            files, slots, refs = query_refs(q.atoms, K, sub)
+            key = tuple(files)
+            hit = typed.get(key)
+            if hit is None:
+                distinct = set(files)
+                hit = typed[key] = (tuple(sorted(distinct)), list(map(want_get, files)),
+                                    len(distinct) != len(files))
+            fileset, wanted, repeated = hit
+            if slots != wanted:
+                for f, subfiles in zip(files, slots):
+                    if len(subfiles) > 1:
+                        subfiles = tuple(sorted(subfiles))
+                    if subfiles != want_get(f):
+                        failures.append(
+                            f"user {user} db {db0 + 1}: reference to file {f} "
+                            f"uses slots {list(subfiles)}"
+                        )
+            if repeated:
                 failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
-            keys.append((db0 + 1, tuple(sorted(distinct))))
-            refs = frozenset(groups)
+            filesets.append(fileset)
             sums.append((db0, refs))
             seen += refs
-    types = Counter(keys)
+        for fileset, n in Counter(filesets).items():
+            types[(db0 + 1, fileset)] = n
     for k in range(1, N + 1):
         for s in range(1, S + 1):
             want = reps(s, k)
@@ -157,41 +189,52 @@ def _check_counts(user, per_db, info, S, N, K, reps, failures, tables):
     return sums, tally
 
 
-def _check_no_repeats(user, tally, failures):
-    """Single-user privacy: no reference repeats within a database."""
+def _file_subsub(r, K, sub) -> tuple:
+    """A reference's (file, subsub), for a failure message."""
+    f, _, x = atom_triple(r, K, sub)
+    return f, x
+
+
+def _check_no_repeats(user, tally, K, sub, failures):
+    """Single-user privacy: no reference repeats within a database.  The
+    repeats of a database are named in (file, subsub) order."""
     for db0, refs in enumerate(tally):
         if len(set(refs)) < len(refs):
-            failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
-                            for r, n in Counter(refs).items() if n > 1)
+            failures.extend(f"user {user} db {db0 + 1}: reference {_file_subsub(r, K, sub)} "
+                            f"appears {n} times" for r, n in sorted(Counter(refs).items())
+                            if n > 1)
 
 
-def _wanted_exposure(info, S, N) -> dict:
-    """file -> subsubfiles a block's peeling must expose: every subsubfile
-    of the demand for alg1, every one but the demand's tail (past H) for
-    qset1, every one of every file for qset2."""
+def _wanted_counts(info, S, N) -> dict:
+    """file -> n: a block's peeling must expose subsubfiles 1..n of the
+    file: every subsubfile of the demand for alg1, every one but the
+    demand's tail (past H) for qset1, every one of every file for qset2."""
     sub = S ** (N - 1)
     if info.kind == "alg1":
-        return {info.demand: set(range(1, sub + 1))}
-    return {i: set(range(1, (h_value(S, N) if i == info.demand else sub) + 1))
-            for i in range(1, N + 1)}
+        return {info.demand: sub}
+    return {i: h_value(S, N) if i == info.demand else sub for i in range(1, N + 1)}
 
 
-def _check_peel_exposure(user, sums, want, failures):
-    """Peeling: every sum with a reference to a file of `want` resolves it,
-    and each such file exposes exactly its wanted subsubfiles."""
+def _check_peel_exposure(user, sums, info, S, N, K, failures):
+    """Peeling: every sum with a reference to a file `_wanted_counts` names
+    resolves it, and each such file exposes exactly its wanted subsubfiles."""
+    sub = S ** (N - 1)
+    want = {}  # file -> (its wanted references, all its references)
+    for i, n in _wanted_counts(info, S, N).items():
+        every = [atom(i, 1, x, K, sub) for x in range(1, sub + 1)]
+        want[i] = frozenset(every[:n]), frozenset(every)
+    touched = frozenset().union(*(every for _, every in want.values()))
     exposed, unknowns = _peel_closure(sums)
-    # one pass first: most unresolved sums (alg1's side sums) touch no wanted file
-    if not want.keys().isdisjoint(f for unknown in unknowns for f, _ in unknown):
-        unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
+    unresolved = sum(1 for unknown in unknowns if not touched.isdisjoint(unknown))
+    if unresolved:
         failures.append(f"user {user}: {unresolved} sums cannot be peeled")
-    got = {i: set() for i in want}
-    for f, x in exposed:
-        if f in got:
-            got[f].add(x)
-    for i, wanted in sorted(want.items()):
-        if got[i] != wanted:
+    for i, (refs, every) in sorted(want.items()):
+        got = exposed & every
+        if got != refs:
             failures.append(
-                f"user {user}: file {i} exposes {sorted(got[i])}, expected {sorted(wanted)}"
+                f"user {user}: file {i} exposes "
+                f"{sorted(_file_subsub(r, K, sub)[1] for r in got)}, "
+                f"expected {sorted(_file_subsub(r, K, sub)[1] for r in refs)}"
             )
 
 
@@ -199,6 +242,7 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
     """Verify repetition tables, no-repeat/pairing rules and peelability,
     each generator block against the tables for its own kind."""
     failures, tables = [], {}
+    sub = S ** (N - 1)
     for user, per_db in sorted(_slot_queries(bundle).items()):
         info = bundle.slots.get(user)
         kind = info.kind if info else None
@@ -208,8 +252,8 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
         reps = partial(_REPS[kind], S, N)
         sums, tally = _check_counts(user, per_db, info, S, N, bundle.K, reps, failures, tables)
         if kind == "alg1":
-            _check_no_repeats(user, tally, failures)
-        _check_peel_exposure(user, sums, _wanted_exposure(info, S, N), failures)
+            _check_no_repeats(user, tally, bundle.K, sub, failures)
+        _check_peel_exposure(user, sums, info, S, N, bundle.K, failures)
     return AuditReport(
         ok=not failures,
         failures=failures,
@@ -291,7 +335,7 @@ def _compare_distributions(dists, S):
     return True, None
 
 
-def _count_branch(generate, per_user, first, views, memo) -> tuple:
+def _count_branch(generate, per_user, first, views, keys, memo) -> tuple:
     """One branch's multiset of user views, cross-checked against its bundle.
 
     A branch fixes everything but the users' per-file permutations:
@@ -310,9 +354,11 @@ def _count_branch(generate, per_user, first, views, memo) -> tuple:
     exactly the schedule, permutations and slot each block is built from,
     so a branch's blocks are the ones its labels' first options built, and
     a branch whose inputs differ from its labels' is materialised for real
-    and fails the cross-check.  Nothing is expanded here: the branch's
-    distribution is a function of its labels alone, which `_expand_views`
-    turns into keys once per distinct multiset.
+    and fails the cross-check.  The factored key, per database the sorted
+    union of the labels' first lists, depends on the sorted labels alone, so
+    `keys` holds it per multiset for the walk.  Nothing is expanded here: the
+    branch's distribution is a function of its labels alone, which
+    `_expand_views` turns into keys once per distinct multiset.
     Returns the sorted tuple of the users' labels.
     """
     transcript = generate(first)
@@ -327,16 +373,20 @@ def _count_branch(generate, per_user, first, views, memo) -> tuple:
                      for opt in opts]
             views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
         labels.append(label)
-    key = tuple(tuple(sorted(chain.from_iterable(lists)))
-                for lists in zip(*(views[label][0] for label in labels)))
+    # labels of one kind leave the same fields None, so they sort
+    multiset = tuple(sorted(labels))
+    key = keys.get(multiset)
+    if key is None:
+        key = keys[multiset] = tuple(
+            tuple(sorted(chain.from_iterable(lists)))
+            for lists in zip(*(views[label][0] for label in multiset)))
     if key != canonical_form(bundle):
         slots = tuple(transcript.slots[c].subfile for c in sorted(transcript.slots))
         raise RuntimeError(
             f"factored oracle key differs from the generated bundle's "
             f"(demand {transcript.demand}, slots {slots})"
         )
-    # labels of one kind leave the same fields None, so they sort
-    return tuple(sorted(labels))
+    return multiset
 
 
 def _expand_views(multiset, views, S, index) -> list:
@@ -403,7 +453,8 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
     scheme whose base set is uniform over the covering ones.  The branches
     are walked lazily and their assignments summed, into the report's
     `assignments`; the oracle refuses at the first branch that takes the sum
-    past `guard`, before any permutation is built.  `_count_branch` reduces
+    past `guard`, before any permutation is built; a negative guard is
+    refused before any branch is walked.  `_count_branch` reduces
     each branch to its multiset of user view labels, which each theta weighs
     by its number of branches; after the walk `_expand_views` expands each
     distinct multiset once, across branches and thetas, and each theta's
@@ -415,6 +466,8 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
     with collector_paused():
         if S < 2 or N < 2:
             raise InvalidDimensionError(f"the oracle needs S >= 2 and N >= 2, got S={S}, N={N}")
+        if guard < 0:
+            raise ValueError(f"the oracle guard must be >= 0, got {guard}")
         sub = S ** (N - 1)
         if scheme == "single":
             if K not in (None, 1):
@@ -466,7 +519,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
             (all of them when t is None)."""
             return list(product(*(tails if i == t else free for i in range(1, N + 1))))
 
-        dists, drawn, views, memo = {}, {}, {}, block_memo()
+        dists, drawn, views, keys, memo = {}, {}, {}, {}, block_memo()
         for theta, base, nonbase, rho_lists in walked:
             if theta not in dists:
                 dists[theta] = [{} for _ in range(S)]
@@ -476,7 +529,7 @@ def demand_distribution_oracle(S: int, N: int, K: int = None, *, scheme: str,
             for P in slot_maps:
                 for rho_pick in product(*rho_lists):
                     generate = generator(theta, P, base, dict(zip(nonbase, rho_pick)))
-                    multiset = _count_branch(generate, per_user, first, views, memo)
+                    multiset = _count_branch(generate, per_user, first, views, keys, memo)
                     weights = drawn.get(multiset)
                     if weights is None:
                         weights = drawn[multiset] = {}

@@ -26,6 +26,7 @@ from mupir.core import (
     Permutation,
     Query,
     QueryBundle,
+    SlotInfo,
     atom,
     atom_triple,
     canonical_form,
@@ -185,6 +186,17 @@ def _reference_check_counts(user, per_db, info, S, N, K, reps, failures, tables)
     return sums
 
 
+def _reference_wanted_exposure(info, S, N):
+    """file -> subsubfiles a block's peeling must expose: every subsubfile
+    of the demand for alg1, every one but the demand's tail (past H) for
+    qset1, every one of every file for qset2."""
+    sub = S ** (N - 1)
+    if info.kind == "alg1":
+        return {info.demand: set(range(1, sub + 1))}
+    return {i: set(range(1, (h_value(S, N) if i == info.demand else sub) + 1))
+            for i in range(1, N + 1)}
+
+
 def reference_check_structure(bundle, S, N):
     """The structure audit as first written, with a regrouping pass for the
     no-repeat rule and one scan of the exposed set per file."""
@@ -205,7 +217,7 @@ def reference_check_structure(bundle, S, N):
             for db0, refs in sorted(by_db.items()):
                 failures.extend(f"user {user} db {db0 + 1}: reference {r} appears {n} times"
                                 for r, n in Counter(refs).items() if n > 1)
-        want = audit._wanted_exposure(info, S, N)
+        want = _reference_wanted_exposure(info, S, N)
         exposed, unknowns = _reference_peel_closure(sums)
         unresolved = sum(1 for unknown in unknowns if any(f in want for f, _ in unknown))
         if unresolved:
@@ -242,6 +254,26 @@ def run_distribution_cli(S, N, K, timeout=20):
     )
 
 
+def four_database_sets():
+    """The (S=4, N=3, d=1) alg1 query sets as lists of atoms, files a/b/c
+    as 1/2/3 in a one-subfile store of 16 subsubfiles."""
+    a, b, c = (lambda x, f=f: atom(f, 1, x, 1, 16) for f in (1, 2, 3))
+    return [
+        [[a(1)], [b(1)], [c(1)], [a(8), b(2), c(2)], [a(9), b(3), c(3)], [a(10), b(4), c(4)]],
+        [[a(2), b(1)], [a(3), c(1)], [b(2), c(2)], [a(11), b(3), c(3)], [a(12), b(4), c(4)]],
+        [[a(4), b(1)], [a(5), c(1)], [b(3), c(3)], [a(13), b(2), c(2)], [a(14), b(4), c(4)]],
+        [[a(6), b(1)], [a(7), c(1)], [b(4), c(4)], [a(15), b(2), c(2)], [a(16), b(3), c(3)]],
+    ]
+
+
+def alg1_bundle(dbs):
+    """A one-user (S=4) alg1 bundle of the given per-database atom lists."""
+    per_db = [[Query(tuple(sorted(q))) for q in db] for db in dbs]
+    return QueryBundle(S=4, K=1, per_db=per_db,
+                       emission=[[(1, i) for i in range(len(db))] for db in per_db],
+                       slots={1: SlotInfo(kind="alg1", subfile=1, demand=1)})
+
+
 class TestCheckStructure:
     def test_passes_on_generated_bundles(self):
         for S, N, K in [(2, 2, 2), (3, 3, 3), (2, 2, 4), (3, 3, 5), (4, 3, 4)]:
@@ -258,29 +290,7 @@ class TestCheckStructure:
         assert report.type_tables[(1, 1, (1, 2, 3))] == 3
 
     def test_hand_built_four_database_bundle(self):
-        # the (S=4, N=3, d=1) query sets written out explicitly: files a/b/c
-        # as 1/2/3, a_i meaning subsubfile i of file 1, etc.
-        a = lambda i: atom(1, 1, i, 1, 16)
-        b = lambda i: atom(2, 1, i, 1, 16)
-        c = lambda i: atom(3, 1, i, 1, 16)
-        dbs = [
-            [[a(1)], [b(1)], [c(1)],
-             [a(8), b(2), c(2)], [a(9), b(3), c(3)], [a(10), b(4), c(4)]],
-            [[a(2), b(1)], [a(3), c(1)], [b(2), c(2)],
-             [a(11), b(3), c(3)], [a(12), b(4), c(4)]],
-            [[a(4), b(1)], [a(5), c(1)], [b(3), c(3)],
-             [a(13), b(2), c(2)], [a(14), b(4), c(4)]],
-            [[a(6), b(1)], [a(7), c(1)], [b(4), c(4)],
-             [a(15), b(2), c(2)], [a(16), b(3), c(3)]],
-        ]
-        from mupir.core import Query, QueryBundle, SlotInfo
-
-        per_db = [[Query(tuple(q)) for q in db] for db in dbs]
-        emission = [[(1, i) for i in range(len(db))] for db in per_db]
-        bundle = QueryBundle(
-            S=4, K=1, per_db=per_db, emission=emission,
-            slots={1: SlotInfo(kind="alg1", subfile=1, demand=1)},
-        )
+        bundle = alg1_bundle(four_database_sets())
         report = check_structure(bundle, 4, 3)
         assert report.ok, report.failures
         assert report.type_tables[(1, 1, (1, 2, 3))] == 3
@@ -344,7 +354,7 @@ class TestCheckStructure:
             mutated, op = mutate_bundle(art["bundle"], rng, S ** (N - 1))
             assert not check_structure(mutated, S, N).ok, op
 
-    @pytest.mark.parametrize("dims", [(4, 5), (3, 3), (2, 3, 5), (3, 4, 4)],
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 3), (2, 3, 5), (3, 4, 4), (2, 2, 3), (3, 3, 5)],
                              ids=lambda d: "-".join(map(str, d)))
     def test_matches_reference_on_mutated_bundles(self, dims):
         if len(dims) == 2:
@@ -373,6 +383,69 @@ class TestCheckStructure:
             mutated, op = mutate_bundle(bundle, rng, 2)
             if op in ("drop", "duplicate"):
                 assert not check_structure(mutated, 2, 2).ok
+
+
+class TestPeelClosure:
+    def test_source_rule_needs_the_sub_sum_from_another_database(self):
+        s = lambda *refs: frozenset(refs)
+        assert audit._peel_closure([(0, s(1, 2, 3)), (0, s(2, 3))]) == (
+            set(), [s(1, 2, 3), s(2, 3)])
+        assert audit._peel_closure([(0, s(1, 2, 3)), (1, s(2, 3))])[0] == {1}
+        # {2, 4} has the total 10 - 4 and is a subset, but it is not {1, 2, 3}
+        assert audit._peel_closure([(0, s(1, 2, 3, 4)), (1, s(2, 4))])[0] == set()
+
+    def test_matches_the_reference_closure_on_random_sums(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            sums = [(rng.randrange(3), frozenset(rng.sample(range(8), rng.randint(1, 4))))
+                    for _ in range(rng.randint(1, 8))]
+            assert audit._peel_closure(sums) == _reference_peel_closure(sums), sums
+
+
+class TestFailureMessages:
+    """References are ints inside the audit; each message still names them
+    as (file, subsub) pairs, slot lists and subsubfile lists."""
+
+    def test_a_repeated_reference(self):
+        # db 2 sends a_3 twice and a_2 never, so a_2 is never exposed
+        dbs = four_database_sets()
+        dbs[1][0] = [atom(1, 1, 3, 1, 16), atom(2, 1, 1, 1, 16)]
+        assert check_structure(alg1_bundle(dbs), 4, 3).failures == [
+            "user 1 db 2: reference (1, 3) appears 2 times",
+            "user 1: file 1 exposes [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], "
+            "expected [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]",
+        ]
+
+    def test_a_dropped_query(self):
+        # without b_1 the three sums a_2+b_1, a_4+b_1, a_6+b_1 cannot be peeled
+        dbs = four_database_sets()
+        del dbs[0][1]
+        assert check_structure(alg1_bundle(dbs), 4, 3).failures == [
+            "user 1: db 1 holds 0 sums of type (2,), expected 1",
+            "user 1: 3 sums cannot be peeled",
+            "user 1: file 1 exposes [1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], "
+            "expected [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]",
+        ]
+
+    def test_a_qset2_reference_on_a_wrong_slot(self):
+        # (2, 2, 3): user 3 is the qset2 block, its pairs on slots 1 and 2;
+        # one atom of its first query moves to slot 3
+        _, art = run_mupir_session(2, 2, 3, 1, 0)
+        bundle = art["bundle"]
+        assert bundle.slots[3].kind == "qset2"
+        db0 = 0
+        pos = next(n for n, (user, _) in enumerate(bundle.emission[db0]) if user == 3)
+        atoms = list(bundle.per_db[db0][pos].atoms)
+        f, j, x = atom_triple(atoms[-1], 3, 2)
+        assert j == 2
+        atoms[-1] = atom(f, 3, x, 3, 2)
+        per_db = [list(queries) for queries in bundle.per_db]
+        per_db[db0][pos] = Query(tuple(sorted(atoms)))
+        mutated = QueryBundle(S=2, K=3, per_db=per_db, emission=bundle.emission,
+                              slots=dict(bundle.slots))
+        report = check_structure(mutated, 2, 2)
+        assert f"user 3 db 1: reference to file {f} uses slots [1, 3]" in report.failures
+        assert report.failures == reference_check_structure(mutated, 2, 2).failures
 
 
 class TestCountRate:
@@ -630,6 +703,23 @@ class TestDistributionOracle:
         with pytest.raises(TooLargeInstanceError, match="mupir oracle needs more than"):
             demand_distribution_oracle(2, 3, K=8, scheme="mupir")
         assert len(calls) < 100
+
+    def test_negative_guard_is_refused_before_any_branch(self, monkeypatch, capsys):
+        def no_walk(*args):
+            raise AssertionError("a branch was walked")
+
+        monkeypatch.setattr(audit, "_covering_demands", no_walk)
+        monkeypatch.setattr(audit, "rho_options", no_walk)
+        for scheme, K in [("mupir", 2), ("mupir", 3), ("single", None)]:
+            with pytest.raises(ValueError, match=r"^the oracle guard must be >= 0, got -1$") as err:
+                demand_distribution_oracle(2, 2, K=K, scheme=scheme, guard=-1)
+            assert err.type is ValueError
+        assert cli.main(["audit", "--mode", "distribution", "--scheme", "mupir",
+                         "-S", "2", "-N", "2", "-K", "2", "--guard", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: the oracle guard must be >= 0, got -1\n"
+        assert demand_distribution_oracle(2, 2, K=1, scheme="single", guard=8).assignments == 8
 
     def test_guard_message_for_a_count_past_the_int_str_limit(self):
         # (5, 6, 6): the exact count has more than 4300 digits
