@@ -15,15 +15,11 @@ peel, then eliminate only what is left):
    is kept.
 2. Each user peels on, by the same routine, from a copy of that state with
    its own cache rows: what it finds is checked only against its blocks.
-3. A target still unknown lies in the core: the answer rows peeling left,
-   with every known block substituted, plus each user's cache rows.  The
-   connected components that hold such targets are walked one after the
-   other and their answer rows brought once, for all users, to a forward
-   echelon form whose rows carry their blocks; each user adds its cache
-   rows to a copy, and a target's value is what its unit vector reduces
-   to.  The elimination never mixes two components, and walking them keeps
-   each one's columns together, which keeps fill-in low.  At N = K nothing
-   is left for this step.
+3. A target still unknown lies in the core: every row peeling left, with
+   every known block substituted.  Its answer rows are brought once, for
+   all users, to a forward echelon form whose rows carry their blocks;
+   each user adds its cache rows to a copy, and a target's value is what
+   its unit vector reduces to.  At N = K nothing is left for this step.
 """
 from __future__ import annotations
 
@@ -165,48 +161,31 @@ def cross_check(bundle, answers, N, sub, users) -> None:
         if cols:
             core[u] = cols
 
-    # 3. the core: from each target left, walk its connected component (the
-    # rows peeling left, every known column substituted, linked by their
-    # unknown columns) and number its columns after those of the components
-    # before it.  No row of one component ever meets a row of another in
-    # the elimination, so one echelon over all of them reduces each on its
-    # own, and a single-user core's 81 tiny components cost one pass.
+    # 3. the core: every row peeling left, with each known column
+    # substituted.  One pass numbers the unknown columns as first met; it
+    # takes the rows last to first, cache rows before answer rows, which
+    # measured the fewest row operations in the elimination.
     if not core:
         return
     owner = [u for u, (lo, hi) in span.items() for _ in range(lo, hi)]
-    bit = [-1] * columns        # column -> its bit in the core
-    width = 0
+    bit = {}                    # unknown column -> its bit in the core
     masks, values = [], []      # the core's answer rows
     extra = {}                  # user -> its cache rows there, as (mask, block)
-    for c in (c for cols in core.values() for c in cols):
-        if bit[c] >= 0:
+    for e in reversed(range(len(rows))):
+        if not deg[e]:
             continue
-        bit[c] = width
-        width += 1
-        stack = [c]
-        while stack:
-            for e in holders[stack.pop()]:
-                if not deg[e]:
-                    continue
-                deg[e] = 0  # taken
-                mask, v = 0, vals[e]
-                for c2 in rows[e]:
-                    b = bit[c2]
-                    if b < 0:
-                        w = value[c2]
-                        if w is not None:
-                            v ^= w
-                            continue
-                        b = bit[c2] = width
-                        width += 1
-                        if len(holders[c2]) > 1:  # else only this row holds it
-                            stack.append(c2)
-                    mask ^= 1 << b
-                if e < n_answers:
-                    masks.append(mask)
-                    values.append(v)
-                else:
-                    extra.setdefault(owner[e - n_answers], []).append((mask, v))
+        mask, v = 0, vals[e]
+        for c in rows[e]:
+            w = value[c]
+            if w is None:
+                mask ^= 1 << bit.setdefault(c, len(bit))
+            else:
+                v ^= w
+        if e < n_answers:
+            masks.append(mask)
+            values.append(v)
+        else:
+            extra.setdefault(owner[e - n_answers], []).append((mask, v))
 
     # 4. reduce the core once; each user adds its own cache rows to a copy,
     # so one user's cache never determines another user's block

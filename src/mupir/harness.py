@@ -101,10 +101,6 @@ def _parse_demands(spec, scheme, N, K):
 def random_valid_demands(N, K, rng):
     """Uniform-ish valid demand vector: a permutation for N=K, a covering
     vector for N<K."""
-    if N == K:
-        d = list(range(1, N + 1))
-        shuffle(d, rng)
-        return tuple(d)
     d = list(range(1, N + 1)) + [rng.randrange(1, N + 1) for _ in range(K - N)]
     shuffle(d, rng)
     return tuple(d)

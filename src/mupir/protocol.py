@@ -39,6 +39,7 @@ from .core import (
     QueryBundle,
     SlotInfo,
     atom,
+    atom_triple,
     new_query,
     shuffle,
     validate_demands,
@@ -430,27 +431,26 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     Every fresh record resolves its fresh reference refs[0] as its answer
     XOR its source's answer, when it has a source (alg1), else XOR the
     values of refs[1:], which smaller fresh records resolved first (qset1,
-    qset2).  Keys: ("w", file, subfile, x) for direct subsubfile values
-    exposed by alg1 and qset1 blocks, ("om", user, file, x) for
-    paired-difference values of qset2.
+    qset2).  A value is keyed by the atom of its subsubfile at the block's
+    own slot, atom(file, p_u, x, K, sub): there it is W itself for alg1 and
+    qset1 blocks, and W XOR its omega partner for qset2.  Each user has its
+    own slot, so no two blocks share a key.
     """
     index = bundle.answer_index()
+    K, sub = transcript.K, transcript.S ** (transcript.N - 1)
+    # per user and file, the own-slot atom of x = 0, which x then offsets, and
+    # the images that turn a position into x
+    at = {user: {f: (atom(f, transcript.slots[user].subfile, 0, K, sub), p.images)
+                 for f, p in transcript.perms[user].items()}
+          for user in transcript.records}
     values = {}
-
-    def sym_for(user, info, ref):
-        file, pos = ref
-        x = transcript.perms[user][file].images[pos - 1]
-        if info.omega_pairs is None:
-            return ("w", file, info.subfile, x)
-        return ("om", user, file, x)
-
     work = [(user, db0, local, rec)
             for user in sorted(transcript.records)
             for db0, db_list in enumerate(transcript.records[user])
             for local, rec in enumerate(db_list) if rec.fresh]
     work.sort(key=lambda w: len(w[3].refs))  # refs[1:] were exposed in earlier rounds
     for user, db0, local, (refs, _, source) in work:
-        info = transcript.slots[user]
+        mine = at[user]
         try:
             acc = answers[db0][index[(user, db0, local)]]
             if source is not None:
@@ -462,15 +462,19 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
                 f"{what} of record (user {user}, db {db0 + 1}, local {local}) is missing"
             ) from None
         try:
-            for ref in (refs[1:] if source is None else ()):
-                acc ^= values[sym_for(user, info, ref)]
+            for f, pos in (refs[1:] if source is None else ()):
+                o, images = mine[f]
+                acc ^= values[o + images[pos - 1]]
         except KeyError as exc:
             raise UnresolvablePlanError(
-                f"old reference {exc} not resolved before use"
+                f"old reference {atom_triple(exc.args[0], K, sub)} not resolved before use"
             ) from exc
-        key = sym_for(user, info, refs[0])
+        f, pos = refs[0]
+        o, images = mine[f]
+        key = o + images[pos - 1]
         if key in values:
-            raise UnresolvablePlanError(f"reference {key} resolved twice")
+            raise UnresolvablePlanError(
+                f"reference {atom_triple(key, K, sub)} resolved twice")
         values[key] = acc
     return values
 
@@ -480,14 +484,16 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     """Recover every subsubfile of the user's demanded file by the peeling
     plan the transcript records.
 
-    Returns {(subfile j, x): block}.  `cache` is the user's {t: line} dict
-    from `placement`.  None means no cache lines, as in a single-user
-    session, where K = 1 and H = S^(N-1) leave only step 1: take the
-    demand's symbols.  With `run_oracle` the GF(2) oracle then
-    re-derives every block from the answers and this user's cache lines
-    alone (`check_decoded` for this one user), and must agree.  A session
-    decodes all its users with `run_oracle=False` and checks them together
-    in one `check_decoded`, which peels the shared answers once.
+    Returns {(subfile j, x): block}.  `symbols` is what `resolve_symbols`
+    returns, computed here when not given: each block's values keyed by
+    own-slot atoms.  `cache` is the user's {t: line} dict from `placement`.
+    None means no cache lines, as in a single-user session, where K = 1 and
+    H = S^(N-1) leave only step 1: take the demand's values.  With
+    `run_oracle` the GF(2) oracle then re-derives every block from the
+    answers and this user's cache lines alone (`check_decoded` for this one
+    user), and must agree.  A session decodes all its users with
+    `run_oracle=False` and checks them together in one `check_decoded`,
+    which peels the shared answers once.
     """
     if symbols is None:
         symbols = resolve_symbols(transcript, bundle, answers)
@@ -496,47 +502,49 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     H = transcript.H
     d = transcript.demand[user - 1]
     slots = transcript.slots
-    base = [c for c in sorted(slots) if slots[c].omega_pairs is None]
     lines = cache or {}
+    own = slots[user]
+    ju = own.subfile
     out = {}
     try:
         # 1. slots generated with qset1: full non-demand exposure, H for demand
-        for c in base:
-            dc = transcript.demand[c - 1]
-            j = slots[c].subfile
-            upto = sub if dc != d else H
-            for x in range(1, upto + 1):
-                out[(j, x)] = symbols[("w", d, j, x)]
-        # 2. own-slot tail via cache lines
-        own = slots[user]
-        ju = own.subfile
+        for c, info in sorted(slots.items()):
+            if info.omega_pairs is None:
+                j = info.subfile
+                o = atom(d, j, 0, K, sub)
+                for x in range(1, (H if transcript.demand[c - 1] == d else sub) + 1):
+                    out[(j, x)] = symbols[o + x]
+        # 2. own-slot tail via cache lines: each other file's value on every
+        # slot its reference touches (for qset2, the partner's W and the
+        # difference, whose XOR is the own slot's W)
+        tail = [atom(i, j, 0, K, sub) for i in range(1, N + 1) if i != d
+                for j in own.subfiles(i)]
         for tt in range(H + 1, sub + 1):
-            acc = lines[tt]
-            for i in range(1, N + 1):
-                if i == d:
-                    continue
-                if own.omega_pairs is None:
-                    acc ^= symbols[("w", i, ju, tt)]
-                else:
-                    acc ^= (symbols[("om", user, i, tt)]
-                            ^ symbols[("w", i, own.subfiles(i)[0], tt)])
+            acc = lines.get(tt)
+            if acc is None:
+                raise UnresolvablePlanError(f"user {user} has no cache line {tt}")
+            for o in tail:
+                acc ^= symbols[o + tt]
             out[(ju, tt)] = acc
         # 3. split own paired difference against the demand twin's slot
         if own.omega_pairs is not None:
             jt = own.subfiles(d)[0]
+            o = atom(d, ju, 0, K, sub)
             for x in range(1, H + 1):
-                out[(ju, x)] = symbols[("om", user, d, x)] ^ out[(jt, x)]
+                out[(ju, x)] = symbols[o + x] ^ out[(jt, x)]
             for x in range(H + 1, sub + 1):
-                out[(jt, x)] = symbols[("om", user, d, x)] ^ out[(ju, x)]
+                out[(jt, x)] = symbols[o + x] ^ out[(ju, x)]
         # 4. remaining slots via their paired differences
         for v in range(1, K + 1):
             if slots[v].omega_pairs is None or v == user:
                 continue
             ref, jv = slots[v].subfiles(d)
+            o = atom(d, jv, 0, K, sub)
             for x in range(1, sub + 1):
-                out[(jv, x)] = symbols[("om", v, d, x)] ^ out[(ref, x)]
+                out[(jv, x)] = symbols[o + x] ^ out[(ref, x)]
     except KeyError as exc:
-        raise UnresolvablePlanError(f"peeling plan missing value for {exc}") from exc
+        raise UnresolvablePlanError(
+            f"peeling plan missing value for {atom_triple(exc.args[0], K, sub)}") from exc
     assert len(out) == K * sub
     if run_oracle:
         check_decoded(bundle, answers, N, transcript.demand, {user: cache}, {user: out})

@@ -8,6 +8,7 @@ from mupir import gf2
 from mupir.core import Query, QueryBundle, atom, atom_triple
 from mupir.errors import UnresolvablePlanError
 from mupir.gf2 import _echelon, _express, _insert, cross_check
+from mupir.harness import run_mupir_session
 from mupir.protocol import check_decoded
 
 # the hand-built systems' atoms: two files of one subfile of 16 subsubfiles
@@ -297,10 +298,9 @@ def test_cross_check_undetermined_target_is_named(monkeypatch):
 def _reference_core(bundle, sub, users):
     """Sizes of the answer rows the reduction must see.  `users` maps each
     user to (its file, its cache rows as atom sets).  Peel the answers
-    (sets of atoms), then each user's own cache rows; the targets still
-    unknown pick their connected components of what is left (answer rows
-    and every user's cache rows, known atoms removed), and every answer
-    row of those components counts."""
+    (sets of atoms), then each user's own cache rows; when a target is
+    still unknown, every answer row left counts, known atoms removed, and
+    none does when every target is peeled."""
     answer_rows = [set(q.atoms) for queries in bundle.per_db for q in queries]
 
     def peel(rows, known):
@@ -321,14 +321,9 @@ def _reference_core(bundle, sub, users):
         mine = peel(answer_rows + rows, known)
         left |= {c for row in answer_rows + rows for c in row
                  if atom_triple(c, bundle.K, sub)[0] == d} - mine
-    residual = [(row - known, True) for row in answer_rows if row - known]
-    residual += [(row - known, False) for _, rows in users.values() for row in rows
-                 if row - known]
-    reached, frontier = set(), left
-    while frontier:
-        reached |= frontier
-        frontier = {a for row, _ in residual if row & frontier for a in row} - reached
-    return sorted(len(row) for row, is_answer in residual if is_answer and row & reached)
+    if not left:
+        return []
+    return sorted(len(row - known) for row in answer_rows if row - known)
 
 
 def test_reduction_masks_match_column_reference(block_session, monkeypatch):
@@ -351,3 +346,10 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
     assert got == _reference_core(bundle, sub, users)
     # N = K peels every target: nothing is left to reduce
     assert (got == []) == (kind == "qset1")
+
+
+def test_reduction_masks_match_column_reference_past_components(monkeypatch):
+    # at (3,3,5) seed 7, 2 of the 26 answer rows peeling leaves share no
+    # column with any target's component; the core still takes them
+    _, art = run_mupir_session(3, 3, 5, 1, seed=7)
+    test_reduction_masks_match_column_reference(("qset2", art), monkeypatch)

@@ -13,6 +13,7 @@ from mupir.core import (
     Query,
     QueryBundle,
     SlotInfo,
+    answer_bundle,
     atom,
     atom_triple,
     build_file_store,
@@ -419,17 +420,12 @@ class TestDecodeDetail:
         symbols = art["symbols"]
         own_slot = tr.slots[1].subfile
         H = tr.H
-        exposed_own = sorted(
-            x for (tag, f, j, x) in symbols
-            if tag == "w" and f == 2 and j == own_slot
-        )
+        triples = [atom_triple(key, tr.K, 9) for key in symbols]
+        exposed_own = sorted(x for (f, j, x) in triples if f == 2 and j == own_slot)
         assert exposed_own == list(range(1, H + 1))
         for other in (2, 3):
             slot = tr.slots[other].subfile
-            exposed = sorted(
-                x for (tag, f, j, x) in symbols
-                if tag == "w" and f == 2 and j == slot
-            )
+            exposed = sorted(x for (f, j, x) in triples if f == 2 and j == slot)
             assert exposed == list(range(1, 10))
 
     def test_pair_split_user(self):
@@ -472,7 +468,7 @@ class TestDecodeDetail:
         report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3), block_bytes=4)
         tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
         symbols = dict(art["symbols"])
-        key = ("w", 2, tr.slots[2].subfile, 1)
+        key = atom(2, tr.slots[2].subfile, 1, tr.K, 9)
         symbols[key] ^= 0xFFFFFFFF  # every bit of the 4-byte block
         cache = art["caches"][1]
         out = decode_user(1, tr, bundle, answers, cache, symbols=symbols,
@@ -484,13 +480,30 @@ class TestDecodeDetail:
         _, art = run_single_session(3, 3, 4, seed=42)
         tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
         symbols = resolve_symbols(tr, bundle, answers)
-        key = ("w", tr.demand[0], 1, 1)
+        key = atom(tr.demand[0], 1, 1, 1, 9)
         symbols[key] ^= 0xFFFFFFFF
         out = decode_user(1, tr, bundle, answers, None, symbols=symbols,
                           run_oracle=False)
         assert out[(1, 1)] == symbols[key]
         with pytest.raises(UnresolvablePlanError, match="disagree"):
             decode_user(1, tr, bundle, answers, None, symbols=symbols)
+
+    def test_oracle_catches_tampered_paired_difference(self):
+        # a non-base user's own-slot value is a paired difference: flipping
+        # it flips the own-slot block the peel returns, and only the oracle
+        # sees it
+        report, art = _session(3, 3, 5, seed=7, block_bytes=4)
+        store, tr, bundle, answers = art["store"], art["transcript"], art["bundle"], art["answers"]
+        u = next(c for c, info in sorted(tr.slots.items()) if info.kind == "qset2")
+        d, j = tr.demand[u - 1], tr.slots[u].subfile
+        symbols = dict(art["symbols"])
+        symbols[atom(d, j, 1, tr.K, 9)] ^= 0xFFFFFFFF
+        cache = art["caches"][u]
+        out = decode_user(u, tr, bundle, answers, cache, symbols=symbols, run_oracle=False)
+        assert out[(j, 1)] == store.block(d, j, 1) ^ 0xFFFFFFFF
+        with pytest.raises(UnresolvablePlanError, match=rf"disagree at \({d},{j},1\)$"):
+            decode_user(u, tr, bundle, answers, cache, symbols=symbols)
+
 
     @pytest.mark.parametrize("session,message", [
         (lambda: run_single_session(2, 3, 1, seed=0),
@@ -526,6 +539,45 @@ class TestDecodeDetail:
             for u in range(1, tr.K + 1):
                 own = decode_user(u, tr, bundle, answers, art["caches"][u])
                 assert peeled[u] == own == art["decoded"][u]
+
+
+class TestPlanFailureMessages:
+    """Each peeling-plan failure names its subsubfile as (f, j, x).  With
+    identity permutations a reference's position is its subsubfile x."""
+
+    def test_old_reference_not_resolved(self):
+        # user 1's qset1 block loses the k = 1 record of database 1 that
+        # first exposes a position: the first record reusing it names it
+        store = build_file_store(3, 3, 3, 1, seed=1)
+        tr = generate_alg2(3, 3, 3, (2, 1, 3), identity(3),
+                           {c: {i: identity(9) for i in (1, 2, 3)} for c in (1, 2, 3)})
+        db1, *rest = tr.records[1]
+        dropped = next(rec for rec in db1 if len(rec.refs) == 1)
+        assert any(dropped.refs[0] in rec.refs[1:] for db in tr.records[1] for rec in db)
+        tr.records = dict(tr.records)
+        tr.records[1] = (tuple(rec for rec in db1 if rec is not dropped), *rest)
+        bundle = assemble_bundle(tr)
+        f, x = dropped.refs[0]
+        with pytest.raises(UnresolvablePlanError,
+                           match=rf"^old reference \({f}, 1, {x}\) not resolved before use$"):
+            resolve_symbols(tr, bundle, answer_bundle(store, bundle))
+
+    def test_peeling_plan_missing_value(self):
+        report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3))
+        tr = art["transcript"]
+        j = tr.slots[2].subfile
+        symbols = dict(art["symbols"])
+        del symbols[atom(2, j, 1, tr.K, 9)]
+        with pytest.raises(UnresolvablePlanError,
+                           match=rf"^peeling plan missing value for \(2, {j}, 1\)$"):
+            decode_user(1, tr, art["bundle"], art["answers"], art["caches"][1],
+                        symbols=symbols)
+
+    def test_missing_cache_line(self):
+        # a multi-user decode given no cache lines names the first one it needs
+        report, art = _session(3, 3, 3, seed=42, demand=(2, 1, 3))
+        with pytest.raises(UnresolvablePlanError, match=r"^user 1 has no cache line 6$"):
+            decode_user(1, art["transcript"], art["bundle"], art["answers"], None)
 
 
 def _peel_reach(bundle, sub, rows=()):

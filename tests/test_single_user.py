@@ -171,9 +171,11 @@ class TestDecoding:
         tr.records = {1: (db1 + (seed,),) + tr.records[1][1:]}
         bundle = assemble_bundle(tr)
         answers = answer_bundle(build_file_store(3, 1, 2, 1, seed=0), bundle)
-        with pytest.raises(UnresolvablePlanError, match="resolved twice"):
+        f, pos = seed.refs[0]
+        message = rf"^reference \({f}, 1, {tr.perms[1][f].images[pos - 1]}\) resolved twice$"
+        with pytest.raises(UnresolvablePlanError, match=message):
             resolve_symbols(tr, bundle, answers)
-        with pytest.raises(UnresolvablePlanError, match="resolved twice"):
+        with pytest.raises(UnresolvablePlanError, match=message):
             decode_single(tr, bundle, answers)
 
     def test_answer_linearity(self):
