@@ -343,18 +343,17 @@ def _count_branch(generate, per_user, first, views, keys, memo) -> tuple:
     slot's demanded file and is free on every other file (all free for a
     qset2 slot, which has no demand).  A user's queries depend only on its
     own permutations, its slot record and its schedule, so its view is
-    labelled by the plain tuple (kind, subfile, demand, omega_pairs), and
-    `views` caches, for the whole walk, each label's per-database canonical
-    lists: per database, the distinct lists with their multiplicities, plus
-    the first option's lists.  `generate(first)` runs once, on the first
-    assignment (every user's first option), for its validation and its
-    transcript, and `assemble_bundle` builds that assignment's bundle, which
-    cross-checks its factored key.  The bundle and the label views take
-    their blocks from the walk's `memo` (a `protocol.block_memo`), keyed by
-    exactly the schedule, permutations and slot each block is built from,
-    so a branch's blocks are the ones its labels' first options built, and
-    a branch whose inputs differ from its labels' is materialised for real
-    and fails the cross-check.  The factored key, per database the sorted
+    labelled by its `SlotInfo`, and `views` caches, for the whole walk, each
+    label's per-database canonical lists: per database, the distinct lists
+    with their multiplicities, plus the first option's lists.
+    `generate(first)` runs once, on the first assignment (every user's first
+    option), for its validation and its transcript, and `assemble_bundle`
+    builds that assignment's bundle, which cross-checks its factored key.
+    The bundle and the label views take their blocks from the walk's `memo`
+    (a `protocol.block_memo`), keyed by exactly the schedule, permutations
+    and slot each block is built from, so a branch's blocks are the ones its
+    labels' first options built, and a branch whose inputs differ from its
+    labels' is materialised for real and fails the cross-check.  The factored key, per database the sorted
     union of the labels' first lists, depends on the sorted labels alone, so
     `keys` holds it per multiset for the walk.  Nothing is expanded here: the
     branch's distribution is a function of its labels alone, which
@@ -366,13 +365,12 @@ def _count_branch(generate, per_user, first, views, keys, memo) -> tuple:
     labels = []
     for c, opts in enumerate(per_user, start=1):
         info = transcript.slots[c]
-        label = (info.kind, info.subfile, info.demand, info.omega_pairs)
-        if label not in views:
+        if info not in views:
             block = partial(memo, transcript.records[c], info=info, K=transcript.K)
             lists = [list(map(canonical_view, block(dict(enumerate(opt, start=1)))))
                      for opt in opts]
-            views[label] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
-        labels.append(label)
+            views[info] = (lists[0], [tuple(Counter(col).items()) for col in zip(*lists)])
+        labels.append(info)
     # labels of one kind leave the same fields None, so they sort
     multiset = tuple(sorted(labels))
     key = keys.get(multiset)

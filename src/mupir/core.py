@@ -221,32 +221,24 @@ class Query(NamedTuple):
 new_query = partial(tuple.__new__, Query)
 
 
-@dataclass(frozen=True)
-class SlotInfo:
+class SlotInfo(NamedTuple):
     """One user's generator block: the session's one record of that user's
     slot p_u and, for qset2, of its alignment with the base users' slots.
     Every holder keys it by user, so it does not name the user itself.
-    Generation, materialisation, replay, decoding and the audits all read it."""
+    Generation, materialisation, replay, decoding and the audits all read it;
+    a named tuple hashes and sorts as the plain tuple it is."""
 
     kind: str
-    subfile: Optional[int] = None        # the user's own subfile slot p_u
-    demand: Optional[int] = None         # alg1/qset1: demanded file
-    omega_pairs: Optional[tuple] = None  # qset2: (file, partner slot, own slot) each
-
-    def __post_init__(self):
-        for _, j1, j2 in self.omega_pairs or ():
-            if j1 == j2:
-                raise DemandError(f"omega pair with identical subfiles: {j1}")
+    subfile: Optional[int] = None         # the user's own subfile slot p_u
+    demand: Optional[int] = None          # alg1/qset1: demanded file
+    partners: Optional[tuple] = None      # qset2: partners[i - 1] pairs with file i
 
     def subfiles(self, file: int) -> tuple:
         """The subfile slots each reference to `file` touches: the block's
-        own slot, or for qset2 the file's omega pair (empty if it has none)."""
-        if self.omega_pairs is None:
+        own slot, or for qset2 the file's partner slot and its own."""
+        if self.partners is None:
             return (self.subfile,)
-        for f, j1, j2 in self.omega_pairs:
-            if f == file:
-                return (j1, j2)
-        return ()
+        return (self.partners[file - 1], self.subfile)
 
 
 @dataclass

@@ -208,7 +208,8 @@ def materialize(records, perms: dict, info: SlotInfo, K: int) -> list:
 
     Each record reference (file, pos) becomes the atom of subsubfile
     perms[file](pos) at every subfile slot in info.subfiles(file): the
-    block's own slot for alg1 and qset1, the file's omega pair for qset2.
+    block's own slot for alg1 and qset1, the file's partner slot and the
+    block's own for qset2.
     """
     # per file, each slot's atom of x = 0, which x then offsets, and the images
     by_file = {f: ([atom(f, j, 0, K, len(p.images)) for j in info.subfiles(f)], p.images)
@@ -238,13 +239,13 @@ def block_memo():
     `materialize`'s arguments.  The key is exactly what `materialize` reads:
     the schedule by identity (schedules are cached and never change; each
     one seen is held, so its id is not reused), each file with its
-    permutation's images, the slot's `subfile` and `omega_pairs`, and K.  The
+    permutation's images, the slot's `subfile` and `partners`, and K.  The
     blocks are shared, so no caller may edit one; they live as long as the
     memo."""
     blocks = {}
 
     def memo(records, perms, info, K):
-        key = (id(records), info.subfile, info.omega_pairs, K,
+        key = (id(records), info.subfile, info.partners, K,
                *perms, *map(_images, perms.values()))
         hit = blocks.get(key)
         if hit is None:
@@ -276,7 +277,9 @@ def placement(store: FileStore, P: Permutation):
 def rho_options(demands, base, c) -> list:
     """Every file-to-base-user alignment non-base user c may draw, in
     permutation order: its demanded file pairs with the base user demanding
-    it (its twin), every other file with a base user not demanding that file.
+    it (its twin), every other file with a distinct base user not demanding
+    that file.  These are the private draws; `_generate` accepts every
+    alignment that decodes, repeated partners included, so it accepts more.
 
     For N >= 3 such an alignment always exists.  For N = 2 none does, so the
     one option aligns both files with the twin, which keeps every user
@@ -394,15 +397,13 @@ def generate_alg3(S, N, K, demands, P: Permutation, base, rho,
     return _generate(S, N, K, demands, P, base, rho, user_perms)
 
 
-# SlotInfo is frozen, so sessions share one instance per distinct slot
-# record instead of paying a frozen dataclass's __init__ for each.
-_slot_info = lru_cache(maxsize=4096)(SlotInfo)
-
-
 def _generate(S, N, K, demands, P, base, rho, user_perms):
     """The transcript of validated demands: a qset1 block on its own slot
     P(c) for each base user c, a qset2 block for every other user, whose
-    file i pairs the slot of base user rho[c][i] with P(c)."""
+    file i pairs the slot of base user rho[c][i] with P(c).  Each alignment
+    is checked here, file by file: every partner must be a base user that
+    demands the file exactly when it is the user's own demand, which is
+    what `decode_user` needs of it."""
     H = h_value(S, N)
     slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
     slots, records = {}, {}
@@ -412,14 +413,18 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
         if c in base:
             if not user_perms[c][d].tail_fixed_from(H):
                 raise DemandError(f"permutation for user {c}, file {d} must fix positions > {H}")
-            slots[c] = _slot_info(kind="qset1", subfile=own, demand=d)
+            slots[c] = SlotInfo("qset1", own, d)
             records[c] = qset1_schedule(S, N, d)
             continue
-        align = rho[c]
-        if align[d] not in base or demands[align[d] - 1] != d:
-            raise DemandError(f"rho for user {c} must pair its demand with a base twin")
-        pairs = tuple([(i, slot_of[align[i] - 1], own) for i in range(1, N + 1)])
-        slots[c] = _slot_info(kind="qset2", subfile=own, omega_pairs=pairs)
+        align, partners = rho.get(c, {}), []
+        for i in range(1, N + 1):
+            b = align.get(i)
+            if b not in base or (demands[b - 1] == i) != (i == d):
+                raise DemandError(
+                    f"rho for user {c}: file {i}'s partner {b} must be a base user "
+                    f"{'' if i == d else 'not '}demanding file {i}")
+            partners.append(slot_of[b - 1])
+        slots[c] = SlotInfo("qset2", own, partners=tuple(partners))
         records[c] = qset2_schedule(S, N)
     return SessionTranscript(S=S, N=N, K=K, demand=demands, perms=user_perms,
                              records=records, slots=slots, H=H)
@@ -433,7 +438,7 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     values of refs[1:], which smaller fresh records resolved first (qset1,
     qset2).  A value is keyed by the atom of its subsubfile at the block's
     own slot, atom(file, p_u, x, K, sub): there it is W itself for alg1 and
-    qset1 blocks, and W XOR its omega partner for qset2.  Each user has its
+    qset1 blocks, and W XOR its partner slot's W for qset2.  Each user has its
     own slot, so no two blocks share a key.
     """
     index = bundle.answer_index()
@@ -508,11 +513,11 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     out = {}
     try:
         # 1. slots generated with qset1: full non-demand exposure, H for demand
-        for c, info in sorted(slots.items()):
-            if info.omega_pairs is None:
+        for info in slots.values():
+            if info.partners is None:
                 j = info.subfile
                 o = atom(d, j, 0, K, sub)
-                for x in range(1, (H if transcript.demand[c - 1] == d else sub) + 1):
+                for x in range(1, (H if info.demand == d else sub) + 1):
                     out[(j, x)] = symbols[o + x]
         # 2. own-slot tail via cache lines: each other file's value on every
         # slot its reference touches (for qset2, the partner's W and the
@@ -527,8 +532,8 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
                 acc ^= symbols[o + tt]
             out[(ju, tt)] = acc
         # 3. split own paired difference against the demand twin's slot
-        if own.omega_pairs is not None:
-            jt = own.subfiles(d)[0]
+        if own.partners is not None:
+            jt = own.partners[d - 1]
             o = atom(d, ju, 0, K, sub)
             for x in range(1, H + 1):
                 out[(ju, x)] = symbols[o + x] ^ out[(jt, x)]
@@ -536,16 +541,18 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
                 out[(jt, x)] = symbols[o + x] ^ out[(ju, x)]
         # 4. remaining slots via their paired differences
         for v in range(1, K + 1):
-            if slots[v].omega_pairs is None or v == user:
+            if slots[v].partners is None or v == user:
                 continue
             ref, jv = slots[v].subfiles(d)
             o = atom(d, jv, 0, K, sub)
             for x in range(1, sub + 1):
                 out[(jv, x)] = symbols[o + x] ^ out[(ref, x)]
     except KeyError as exc:
-        raise UnresolvablePlanError(
-            f"peeling plan missing value for {atom_triple(exc.args[0], K, sub)}") from exc
-    assert len(out) == K * sub
+        key = exc.args[0]  # an atom of `symbols`, or a (j, x) of `out`
+        block = (d, *key) if isinstance(key, tuple) else atom_triple(key, K, sub)
+        raise UnresolvablePlanError(f"peeling plan missing value for {block}") from exc
+    if len(out) != K * sub:
+        raise UnresolvablePlanError(f"user {user} decoded {len(out)} of {K * sub} blocks")
     if run_oracle:
         check_decoded(bundle, answers, N, transcript.demand, {user: cache}, {user: out})
     return out

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -41,6 +42,7 @@ from mupir.protocol import (
     qset2_schedule,
     replay_bundle,
     resolve_symbols,
+    rho_options,
 )
 from mupir.single_user import _alg1_schedule
 
@@ -139,13 +141,13 @@ class TestQset1:
 class TestQset2:
     def test_counts(self):
         perms = {i: identity(9) for i in (1, 2, 3)}
-        omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 2), (2, 3, 2), (3, 1, 2)))
+        omega = SlotInfo(kind="qset2", subfile=2, partners=(1, 3, 1))
         per_db = materialize(qset2_schedule(3, 3), perms, omega, 3)
         assert [len(db) for db in per_db] == [9, 9, 9]
 
     def test_atom_pairing(self):
         perms = {i: identity(2) for i in (1, 2)}
-        omega = SlotInfo(kind="qset2", omega_pairs=((1, 1, 3), (2, 2, 3)))
+        omega = SlotInfo(kind="qset2", subfile=3, partners=(1, 2))
         per_db = materialize(qset2_schedule(2, 2), perms, omega, 3)
         assert sum(len(db) for db in per_db) == 2 * 2  # N * S^(N-1)
         for db in per_db:
@@ -153,10 +155,6 @@ class TestQset2:
                 groups = Counter((f, x) for f, _, x in (atom_triple(a, 3, 2) for a in q.atoms))
                 assert all(c == 2 for c in groups.values())
                 assert len(q.atoms) == 2 * len(groups)
-
-    def test_rejects_degenerate_pair(self):
-        with pytest.raises(DemandError):
-            SlotInfo(kind="qset2", omega_pairs=((1, 2, 2),))
 
 
 def reference_materialize(records, perms, subfiles, K):
@@ -396,9 +394,15 @@ class TestSessions:
         # user 4's file 2 aligned with user 4 itself: both halves of the
         # pair would be its own slot, and the paired difference is zero
         perms = {c: {i: identity(4) for i in (1, 2, 3)} for c in (1, 2, 3, 4)}
-        with pytest.raises(DemandError, match="identical subfiles"):
+        with pytest.raises(DemandError, match=r"^rho for user 4: file 2's partner 4 must be a "
+                                              r"base user not demanding file 2$"):
             generate_alg3(2, 3, 4, (1, 2, 3, 1), identity(4), (1, 2, 3),
                           {4: {1: 1, 2: 4, 3: 2}}, perms)
+
+    def test_rho_missing_a_user_is_rejected(self):
+        perms = {c: {i: identity(4) for i in (1, 2, 3)} for c in (1, 2, 3, 4)}
+        with pytest.raises(DemandError, match=r"^rho for user 4: file 1's partner None must "):
+            generate_alg3(2, 3, 4, (1, 2, 3, 1), identity(4), (1, 2, 3), {}, perms)
 
     def test_replay_bit_identical(self):
         for demand in [(2, 1, 3), None]:
@@ -408,6 +412,74 @@ class TestSessions:
         report, art = _session(2, 2, 4, seed=6)
         bundle = art["bundle"]
         assert replay_bundle(art["transcript"], bundle.emission).per_db == bundle.per_db
+
+
+def _decodes(tr, store, caches) -> bool:
+    """Whether the transcript's session decodes: every user's peel decode
+    is exact, the GF(2) cross-check agrees and the structure audit passes.
+    A peeling plan that cannot finish counts as not decoding."""
+    bundle = assemble_bundle(tr)
+    answers = answer_bundle(store, bundle)
+    try:
+        symbols = resolve_symbols(tr, bundle, answers)
+        decoded = {u: decode_user(u, tr, bundle, answers, caches[u], symbols=symbols,
+                                  run_oracle=False) for u in caches}
+        check_decoded(bundle, answers, tr.N, tr.demand, caches, decoded)
+    except UnresolvablePlanError:
+        return False
+    sub = tr.S ** (tr.N - 1)
+    decode_ok = all(got[(j, x)] == store.block(tr.demand[u - 1], j, x)
+                    for u, got in decoded.items()
+                    for j in range(1, tr.K + 1) for x in range(1, sub + 1))
+    return decode_ok and check_structure(bundle, tr.S, tr.N).ok
+
+
+class TestAlignmentCheck:
+    """`generate_alg3` accepts exactly the alignments that decode."""
+
+    @pytest.mark.parametrize("S, N, K, demand, decodable", [
+        (2, 3, 4, (1, 2, 3, 1), [(1, 1, 1), (1, 1, 2), (1, 3, 1), (1, 3, 2)]),
+        (2, 2, 3, (1, 2, 1), [(1, 1)]),
+    ])
+    def test_accepts_exactly_the_alignments_that_decode(self, S, N, K, demand, decodable):
+        # every map of files to users for user K, the one non-base user; a
+        # refused map is written into its slot record by hand, as the
+        # generator would have written it, and must then fail to decode
+        _, art = _session(S, N, K, seed=0, demand=demand)
+        tr = art["transcript"]
+        base = tuple(u for u, info in sorted(tr.slots.items()) if info.kind == "qset1")
+        assert base == tuple(range(1, K))
+        slot_of = {u: info.subfile for u, info in tr.slots.items()}
+        P = Permutation(tuple(slot_of[u] for u in range(1, K + 1)))
+        accepted = []
+        for m in product(range(1, K + 1), repeat=N):
+            tr.slots = dict(tr.slots)
+            tr.slots[K] = tr.slots[K]._replace(partners=tuple(slot_of[b] for b in m))
+            try:
+                generated = generate_alg3(S, N, K, demand, P, base,
+                                          {K: dict(enumerate(m, start=1))}, tr.perms)
+            except DemandError:
+                assert not _decodes(tr, art["store"], art["caches"]), m
+                continue
+            assert generated.slots == tr.slots
+            assert _decodes(tr, art["store"], art["caches"]), m
+            accepted.append(m)
+        assert accepted == decodable
+
+    @pytest.mark.parametrize("S, N, K", [(2, 3, 5), (2, 4, 5), (3, 3, 5)])
+    def test_every_drawable_alignment_is_accepted(self, S, N, K):
+        sub = S ** (N - 1)
+        perms = {c: {i: identity(sub) for i in range(1, N + 1)} for c in range(1, K + 1)}
+        for demand in product(range(1, N + 1), repeat=K):
+            if len(set(demand)) < N:
+                continue
+            base, _ = choose_base_and_rho(demand, N, K, random.Random(0))
+            others = [c for c in range(1, K + 1) if c not in base]
+            for choice in product(*(rho_options(demand, base, c) for c in others)):
+                tr = generate_alg3(S, N, K, demand, identity(K), base,
+                                   dict(zip(others, choice)), perms)
+                assert [tr.slots[c].partners for c in others] == [
+                    tuple(align[i] for i in range(1, N + 1)) for align in choice]
 
 
 class TestDecodeDetail:
@@ -572,6 +644,20 @@ class TestPlanFailureMessages:
                            match=rf"^peeling plan missing value for \(2, {j}, 1\)$"):
             decode_user(1, tr, art["bundle"], art["answers"], art["caches"][1],
                         symbols=symbols)
+
+    def test_missing_decoded_block(self):
+        # user 4's file 2 paired with user 5's slot: user 2 reads the file
+        # there before any step has decoded it
+        _, art = _session(2, 3, 5, seed=0, demand=(1, 2, 3, 1, 1))
+        tr = art["transcript"]
+        j = tr.slots[5].subfile
+        first, _, last = tr.slots[4].partners
+        tr.slots = dict(tr.slots)
+        tr.slots[4] = tr.slots[4]._replace(partners=(first, j, last))
+        with pytest.raises(UnresolvablePlanError,
+                           match=rf"^peeling plan missing value for \(2, {j}, 1\)$"):
+            decode_user(2, tr, art["bundle"], art["answers"], art["caches"][2],
+                        symbols=art["symbols"])
 
     def test_missing_cache_line(self):
         # a multi-user decode given no cache lines names the first one it needs
