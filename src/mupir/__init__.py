@@ -39,7 +39,6 @@ from .audit import (
     check_structure,
     count_rate,
     demand_distribution_oracle,
-    mutate_bundle,
     verify_replay,
 )
 from .harness import (

@@ -8,7 +8,6 @@ distribution of canonical query keys across demand vectors.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,6 @@ from operator import itemgetter
 
 from .core import (
     Permutation,
-    Query,
     QueryBundle,
     atom,
     atom_triple,
@@ -52,9 +50,10 @@ class AuditReport:
     per_db_counts: tuple
 
 
-def count_rate(bundle: QueryBundle, S: int, N: int, K: int) -> Fraction:
-    """Measured rate: answer blocks downloaded over blocks per file."""
-    return Fraction(bundle.total_queries(), K * S ** (N - 1))
+def count_rate(bundle: QueryBundle) -> Fraction:
+    """Measured rate: answer blocks downloaded over the bundle's blocks per
+    file, K * sub."""
+    return Fraction(bundle.total_queries(), bundle.K * bundle.sub)
 
 
 # Copies of each k-subset type at database s, per generator kind.
@@ -65,12 +64,31 @@ _REPS = {
 }
 
 
+def _shape_failures(bundle: QueryBundle) -> list:
+    """One failure per database whose query list and emission list do not
+    pair up: a list past the bundle's S databases, a missing list, or two
+    lists of different lengths.  `_slot_queries` reads only the pairs, so
+    this is where the rest fails."""
+    S, per_db, emission = bundle.S, bundle.per_db, bundle.emission
+    failures = []
+    for db0 in range(max(S, len(per_db), len(emission))):
+        if db0 >= S:
+            failures.append(f"db {db0 + 1}: past the bundle's {S} databases")
+        elif db0 >= len(per_db) or db0 >= len(emission):
+            failures.append(f"db {db0 + 1}: no query list or no emission list")
+        elif len(per_db[db0]) != len(emission[db0]):
+            failures.append(f"db {db0 + 1}: {len(per_db[db0])} queries but "
+                            f"{len(emission[db0])} emission entries")
+    return failures
+
+
 def _slot_queries(bundle: QueryBundle):
-    """Group queries by originating generator block, preserving order.  Every
-    user of `bundle.slots` has a block, empty when none of its queries was
-    emitted, so that a missing block fails its count tables."""
+    """Group queries by originating generator block, preserving order, over
+    the bundle's S databases and each one's (query, emission entry) pairs.
+    Every user of `bundle.slots` has a block, empty when none of its queries
+    was emitted, so that a missing block fails its count tables."""
     by_user = {user: [[] for _ in range(bundle.S)] for user in bundle.slots}
-    for db0, (queries, order) in enumerate(zip(bundle.per_db, bundle.emission)):
+    for db0, (queries, order) in enumerate(zip(bundle.per_db[:bundle.S], bundle.emission)):
         for q, (user, _) in zip(queries, order):
             if user not in by_user:  # a user with no slot fails as an unknown kind
                 by_user[user] = [[] for _ in range(bundle.S)]
@@ -129,20 +147,21 @@ def _peel_closure(sums):
     return exposed, pending
 
 
-def _check_counts(user, per_db, info, S, N, K, reps, failures, tables):
+def _check_counts(user, per_db, info, bundle, failures, tables):
     """Per database: every reference touches exactly its block's subfile
     slots, no sum repeats a file, and each k-subset type occurs as often as
-    `reps` prescribes, with no other type.  So each file is referenced
-    exactly sum_k C(N-1, k-1) * reps(s, k) times.  A reference is one int,
-    the atom of its subsubfile at slot 1: `core.query_refs` groups each
-    query's atoms into references, and only a failure message decodes one.
-    A query's type, wanted slots and file repeat depend only on its files,
-    so each is worked out once per distinct tuple of files.  Returns each
-    query's (database, frozenset of references) and each database's
-    references."""
+    `_REPS` prescribes for the block's kind, with no other type.  So each
+    file is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  A
+    reference is one int, the atom of its subsubfile at slot 1:
+    `core.query_refs` groups each query's atoms into references, and only a
+    failure message decodes one.  A query's type, wanted slots and file
+    repeat depend only on its files, so each is worked out once per distinct
+    tuple of files.  Returns each query's (database, frozenset of
+    references) and each database's references."""
+    S, N, K, sub = bundle.S, bundle.N, bundle.K, bundle.sub
+    reps = partial(_REPS[info.kind], S, N)
     want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
     want_get = want_slots.get
-    sub = S ** (N - 1)
     typed = {}  # files, in reference order -> (fileset, wanted slots, repeats a file)
     sums, tally, types = [], [], {}  # types: (db, fileset) -> count
     for db0, queries in enumerate(per_db):
@@ -189,38 +208,38 @@ def _check_counts(user, per_db, info, S, N, K, reps, failures, tables):
     return sums, tally
 
 
-def _file_subsub(r, K, sub) -> tuple:
+def _file_subsub(r, bundle) -> tuple:
     """A reference's (file, subsub), for a failure message."""
-    f, _, x = atom_triple(r, K, sub)
+    f, _, x = atom_triple(r, bundle.K, bundle.sub)
     return f, x
 
 
-def _check_no_repeats(user, tally, K, sub, failures):
+def _check_no_repeats(user, tally, bundle, failures):
     """Single-user privacy: no reference repeats within a database.  The
     repeats of a database are named in (file, subsub) order."""
     for db0, refs in enumerate(tally):
         if len(set(refs)) < len(refs):
-            failures.extend(f"user {user} db {db0 + 1}: reference {_file_subsub(r, K, sub)} "
+            failures.extend(f"user {user} db {db0 + 1}: reference {_file_subsub(r, bundle)} "
                             f"appears {n} times" for r, n in sorted(Counter(refs).items())
                             if n > 1)
 
 
-def _wanted_counts(info, S, N) -> dict:
+def _wanted_counts(info, bundle) -> dict:
     """file -> n: a block's peeling must expose subsubfiles 1..n of the
     file: every subsubfile of the demand for alg1, every one but the
     demand's tail (past H) for qset1, every one of every file for qset2."""
-    sub = S ** (N - 1)
+    S, N, sub = bundle.S, bundle.N, bundle.sub
     if info.kind == "alg1":
         return {info.demand: sub}
     return {i: h_value(S, N) if i == info.demand else sub for i in range(1, N + 1)}
 
 
-def _check_peel_exposure(user, sums, info, S, N, K, failures):
+def _check_peel_exposure(user, sums, info, bundle, failures):
     """Peeling: every sum with a reference to a file `_wanted_counts` names
     resolves it, and each such file exposes exactly its wanted subsubfiles."""
-    sub = S ** (N - 1)
+    K, sub = bundle.K, bundle.sub
     want = {}  # file -> (its wanted references, all its references)
-    for i, n in _wanted_counts(info, S, N).items():
+    for i, n in _wanted_counts(info, bundle).items():
         every = [atom(i, 1, x, K, sub) for x in range(1, sub + 1)]
         want[i] = frozenset(every[:n]), frozenset(every)
     touched = frozenset().union(*(every for _, every in want.values()))
@@ -233,27 +252,27 @@ def _check_peel_exposure(user, sums, info, S, N, K, failures):
         if got != refs:
             failures.append(
                 f"user {user}: file {i} exposes "
-                f"{sorted(_file_subsub(r, K, sub)[1] for r in got)}, "
-                f"expected {sorted(_file_subsub(r, K, sub)[1] for r in refs)}"
+                f"{sorted(_file_subsub(r, bundle)[1] for r in got)}, "
+                f"expected {sorted(_file_subsub(r, bundle)[1] for r in refs)}"
             )
 
 
-def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
+def check_structure(bundle: QueryBundle) -> AuditReport:
     """Verify repetition tables, no-repeat/pairing rules and peelability,
-    each generator block against the tables for its own kind."""
-    failures, tables = [], {}
-    sub = S ** (N - 1)
+    each generator block against the tables for its own kind, in the
+    bundle's own shape (S, N, K).  A database whose queries and emission
+    entries do not pair up fails by name first (`_shape_failures`)."""
+    failures, tables = _shape_failures(bundle), {}
     for user, per_db in sorted(_slot_queries(bundle).items()):
         info = bundle.slots.get(user)
         kind = info.kind if info else None
         if kind not in _REPS:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
-        reps = partial(_REPS[kind], S, N)
-        sums, tally = _check_counts(user, per_db, info, S, N, bundle.K, reps, failures, tables)
+        sums, tally = _check_counts(user, per_db, info, bundle, failures, tables)
         if kind == "alg1":
-            _check_no_repeats(user, tally, bundle.K, sub, failures)
-        _check_peel_exposure(user, sums, info, S, N, bundle.K, failures)
+            _check_no_repeats(user, tally, bundle, failures)
+        _check_peel_exposure(user, sums, info, bundle, failures)
     return AuditReport(
         ok=not failures,
         failures=failures,
@@ -263,44 +282,16 @@ def check_structure(bundle: QueryBundle, S: int, N: int) -> AuditReport:
 
 
 def verify_replay(bundle: QueryBundle, transcript: SessionTranscript) -> bool:
-    """True iff each database's emission order names every record of the
-    transcript exactly once and each query equals its record's replay."""
-    if len(bundle.emission) != transcript.S:
+    """True iff the bundle has the transcript's shape (S, N, K), each
+    database's emission order names every record of the transcript exactly
+    once and each query equals its record's replay."""
+    shape = (transcript.S, transcript.N, transcript.K)
+    if (bundle.S, bundle.N, bundle.K) != shape or len(bundle.emission) != transcript.S:
         return False
     for db0, order in enumerate(bundle.emission):
         if sorted(order) != transcript.record_keys(db0):
             return False
     return replay_bundle(transcript, bundle.emission).per_db == bundle.per_db
-
-
-def mutate_bundle(bundle: QueryBundle, rng: random.Random, sub: int):
-    """Apply one random drop / duplicate / atom-swap; returns (bundle', op)."""
-    per_db = [list(q) for q in bundle.per_db]
-    emission = [list(o) for o in bundle.emission]
-    op = rng.choice(["drop", "duplicate", "swap"])
-    db0 = rng.randrange(len(per_db))
-    while not per_db[db0]:
-        db0 = rng.randrange(len(per_db))
-    pos = rng.randrange(len(per_db[db0]))
-    if op == "drop":
-        per_db[db0].pop(pos)
-        emission[db0].pop(pos)
-    elif op == "duplicate":
-        per_db[db0].append(per_db[db0][pos])
-        emission[db0].append(emission[db0][pos])
-    else:
-        q = per_db[db0][pos]
-        ai = rng.randrange(len(q.atoms))
-        f, j, x = atom_triple(q.atoms[ai], bundle.K, sub)
-        new_sub = rng.randrange(1, sub)
-        if new_sub >= x:
-            new_sub += 1
-        atoms = list(q.atoms)
-        atoms[ai] = atom(f, j, new_sub, bundle.K, sub)
-        per_db[db0][pos] = Query(tuple(sorted(atoms)))
-    mutated = QueryBundle(S=bundle.S, K=bundle.K, per_db=per_db, emission=emission,
-                          slots=dict(bundle.slots))
-    return mutated, op
 
 
 @dataclass

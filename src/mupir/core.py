@@ -245,6 +245,9 @@ class SlotInfo(NamedTuple):
 class QueryBundle:
     """Per-database query lists for one session, plus their emission order.
 
+    The bundle carries its store's shape: S databases, N files of K
+    subfiles of `sub` subsubfiles, the layout its atoms are in.  Every check
+    and rate of a bundle reads the shape from here.
     ``per_db[s-1]`` is the (emission-ordered) query list sent to database s.
     ``emission[s-1]`` is aligned with it: entry n is (user, local index) of
     the generator record that query n was made from.  It is the one record
@@ -252,10 +255,16 @@ class QueryBundle:
     """
 
     S: int
-    K: int           # subfiles per file, the store shape its atoms are in
+    N: int
+    K: int
     per_db: list
     emission: list
     slots: dict = field(default_factory=dict)  # user -> SlotInfo
+
+    @property
+    def sub(self) -> int:
+        """Subsubfiles per subfile, S^(N-1)."""
+        return self.S ** (self.N - 1)
 
     def total_queries(self) -> int:
         return sum(len(q) for q in self.per_db)

@@ -4,10 +4,10 @@ decoding plan.
 Equations are XOR constraints over unknown subsubfiles, one column per atom:
 each answer is the XOR of its query's atoms, and each cache line of a user
 the XOR of every file's subsubfile at one position of that user's slot.
-`cross_check` reads only those (the bundle's atoms, the answers and the
-cache lines), never the peeling plan or its symbols, and re-derives every
-decoded block once per session, cheapest first (inactivation decoding:
-peel, then eliminate only what is left):
+`cross_check` reads only those (the bundle's shape and atoms, the answers
+and the cache lines), never the peeling plan or its symbols, and re-derives
+every decoded block once per session, cheapest first (inactivation
+decoding: peel, then eliminate only what is left):
 
 1. Peel the answers: an answer equation with one unknown left fixes it.  The
    value is checked against every user who demands that file, and from then
@@ -104,17 +104,18 @@ def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, K, sub, by_
                 stack.append(e2)
 
 
-def cross_check(bundle, answers, N, sub, users) -> None:
+def cross_check(bundle, answers, users) -> None:
     """Re-derive every decoded block from the equations alone and compare.
 
-    The atoms are those of N files of `bundle.K` subfiles of `sub`
-    subsubfiles.  `users` maps each user to (its demanded file i, its
-    decoded blocks {(subfile j, x): block}, its cache rows [(atoms,
-    block)]); the targets are the atoms of its decoded blocks.  Raises
-    UnresolvablePlanError at the first target the equations do not
-    determine, or whose value differs from the decoded block.
+    The atoms are those of the bundle's store: `bundle.N` files of
+    `bundle.K` subfiles of `bundle.sub` subsubfiles.  `users` maps each user
+    to (its demanded file i, its decoded blocks {(subfile j, x): block}, its
+    cache rows [(atoms, block)]); the targets are the atoms of its decoded
+    blocks.  Raises UnresolvablePlanError at the first target the equations
+    do not determine, or whose value differs from the decoded block.
     """
-    K, columns = bundle.K, N * bundle.K * sub  # one column per atom
+    K, sub = bundle.K, bundle.sub
+    columns = bundle.N * K * sub  # one column per atom
     # equations: the answers in bundle order, then each user's cache rows
     rows = [q.atoms for queries in bundle.per_db for q in queries]
     vals = [block for row in answers for block in row]

@@ -135,10 +135,9 @@ def _user_perms(K, N, sub, rng, tail_fixed=lambda c, i: None) -> dict:
 def _audit_and_report(scheme, params, seed, bundle, transcript, decode_ok, artifacts):
     """The tail both schemes share: structure audit, replay check, measured
     rate and the report."""
-    S, N, K = transcript.S, transcript.N, transcript.K
-    audit = check_structure(bundle, S, N)
+    audit = check_structure(bundle)
     replay_ok = verify_replay(bundle, transcript)
-    rate = count_rate(bundle, S, N, K)
+    rate = count_rate(bundle)
     report = {
         "scheme": scheme,
         "params": params,
@@ -210,7 +209,7 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
                            run_oracle=False)
             for u in range(1, K + 1)
         }
-        check_decoded(bundle, answers, N, demands, caches, decoded_all)
+        check_decoded(bundle, answers, demands, caches, decoded_all)
         decode_ok = all(
             got[(j, x)] == store.block(demands[u - 1], j, x)
             for u, got in decoded_all.items()

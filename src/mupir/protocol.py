@@ -362,8 +362,8 @@ def replay_bundle(transcript: SessionTranscript, emission, memo=None) -> QueryBu
     }
     per_db = [[queries[user][db0][local] for user, local in order]
               for db0, order in enumerate(emission)]
-    return QueryBundle(S=transcript.S, K=transcript.K, per_db=per_db, emission=emission,
-                       slots=transcript.slots)
+    return QueryBundle(S=transcript.S, N=transcript.N, K=transcript.K, per_db=per_db,
+                       emission=emission, slots=transcript.slots)
 
 
 def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None, memo=None) -> QueryBundle:
@@ -554,25 +554,25 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     if len(out) != K * sub:
         raise UnresolvablePlanError(f"user {user} decoded {len(out)} of {K * sub} blocks")
     if run_oracle:
-        check_decoded(bundle, answers, N, transcript.demand, {user: cache}, {user: out})
+        check_decoded(bundle, answers, transcript.demand, {user: cache}, {user: out})
     return out
 
 
-def check_decoded(bundle: QueryBundle, answers, N: int, demands, caches, decoded) -> None:
+def check_decoded(bundle: QueryBundle, answers, demands, caches, decoded) -> None:
     """The session's GF(2) cross-check of every user in `decoded` ({user:
     {(subfile j, x): block}}), run once after all of them have peel-decoded.
 
-    It reads only the bundle's atoms and slots, the answers and each user's
-    cache lines (`caches`: {user: {t: line} or None}), never the
+    It reads only the bundle's shape, atoms and slots, the answers and each
+    user's cache lines (`caches`: {user: {t: line} or None}), never the
     transcript's records or the peeled symbols.  Cache line t of a user
     whose slot is j is the equation XOR_i W(i, j, t).  Raises
     UnresolvablePlanError where a block is undetermined or disagrees.
     """
-    K, sub = bundle.K, bundle.S ** (N - 1)
+    N, K, sub = bundle.N, bundle.K, bundle.sub
     users = {}
     for u, out in decoded.items():
         j = bundle.slots[u].subfile
         rows = [(tuple([atom(i, j, t, K, sub) for i in range(1, N + 1)]), line)
                 for t, line in (caches.get(u) or {}).items()]
         users[u] = (demands[u - 1], out, rows)
-    gf2.cross_check(bundle, answers, N, sub, users)
+    gf2.cross_check(bundle, answers, users)

@@ -1,13 +1,48 @@
 """Shared fixtures and helpers."""
+import random
+
 import pytest
 
-from mupir.core import Permutation
+from mupir.core import Permutation, Query, QueryBundle, atom, atom_triple
 from mupir.harness import run_mupir_session, run_single_session
 
 
 def identity(n):
     """The identity permutation of [n]."""
     return Permutation(tuple(range(1, n + 1)))
+
+
+def mutate_bundle(bundle: QueryBundle, rng: random.Random):
+    """Apply one random drop / duplicate / atom-swap; returns (bundle', op).
+    A dropped or duplicated query takes its emission entry along, so the
+    two lists stay aligned."""
+    sub = bundle.sub
+    per_db = [list(q) for q in bundle.per_db]
+    emission = [list(o) for o in bundle.emission]
+    op = rng.choice(["drop", "duplicate", "swap"])
+    db0 = rng.randrange(len(per_db))
+    while not per_db[db0]:
+        db0 = rng.randrange(len(per_db))
+    pos = rng.randrange(len(per_db[db0]))
+    if op == "drop":
+        per_db[db0].pop(pos)
+        emission[db0].pop(pos)
+    elif op == "duplicate":
+        per_db[db0].append(per_db[db0][pos])
+        emission[db0].append(emission[db0][pos])
+    else:
+        q = per_db[db0][pos]
+        ai = rng.randrange(len(q.atoms))
+        f, j, x = atom_triple(q.atoms[ai], bundle.K, sub)
+        new_sub = rng.randrange(1, sub)
+        if new_sub >= x:
+            new_sub += 1
+        atoms = list(q.atoms)
+        atoms[ai] = atom(f, j, new_sub, bundle.K, sub)
+        per_db[db0][pos] = Query(tuple(sorted(atoms)))
+    mutated = QueryBundle(S=bundle.S, N=bundle.N, K=bundle.K, per_db=per_db,
+                          emission=emission, slots=dict(bundle.slots))
+    return mutated, op
 
 
 # one session per generator block kind: single-user (alg1), N = K (qset1

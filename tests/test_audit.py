@@ -1,4 +1,5 @@
 """Audits: structure tables, mutation detection, distribution oracles."""
+import dataclasses
 import hashlib
 import os
 import random
@@ -19,7 +20,6 @@ from mupir.audit import (
     check_structure,
     count_rate,
     demand_distribution_oracle,
-    mutate_bundle,
     verify_replay,
 )
 from mupir.core import (
@@ -33,11 +33,12 @@ from mupir.core import (
 )
 from mupir.errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
-from mupir.params import h_value
+from mupir.params import h_value, pir_rate, proposed_rate
 from mupir.protocol import assemble_bundle, generate_alg2, generate_alg3
 from mupir.single_user import generate_alg1
 
-from conftest import identity
+from conftest import identity, mutate_bundle
+from test_golden import BLOCK_BYTES, GOLDEN, SEED
 
 
 def reference_mupir_oracle(S, N, K):
@@ -269,7 +270,7 @@ def four_database_sets():
 def alg1_bundle(dbs):
     """A one-user (S=4) alg1 bundle of the given per-database atom lists."""
     per_db = [[Query(tuple(sorted(q))) for q in db] for db in dbs]
-    return QueryBundle(S=4, K=1, per_db=per_db,
+    return QueryBundle(S=4, N=3, K=1, per_db=per_db,
                        emission=[[(1, i) for i in range(len(db))] for db in per_db],
                        slots={1: SlotInfo(kind="alg1", subfile=1, demand=1)})
 
@@ -278,20 +279,20 @@ class TestCheckStructure:
     def test_passes_on_generated_bundles(self):
         for S, N, K in [(2, 2, 2), (3, 3, 3), (2, 2, 4), (3, 3, 5), (4, 3, 4)]:
             _, art = run_mupir_session(S, N, K, 1, seed=S + N + K)
-            report = check_structure(art["bundle"], S, N)
+            report = check_structure(art["bundle"])
             assert report.ok, report.failures[:3]
 
     def test_alg1_table_pass(self):
         perms = {i: identity(16) for i in (1, 2, 3)}
         bundle = assemble_bundle(generate_alg1(4, 3, perms, 1))
-        report = check_structure(bundle, 4, 3)
+        report = check_structure(bundle)
         assert report.ok
         # the distinguished database carries its triple sums three times
         assert report.type_tables[(1, 1, (1, 2, 3))] == 3
 
     def test_hand_built_four_database_bundle(self):
         bundle = alg1_bundle(four_database_sets())
-        report = check_structure(bundle, 4, 3)
+        report = check_structure(bundle)
         assert report.ok, report.failures
         assert report.type_tables[(1, 1, (1, 2, 3))] == 3
         assert report.per_db_counts == (6, 5, 5, 5)
@@ -301,7 +302,7 @@ class TestCheckStructure:
         bundle = art["bundle"]
         bundle.per_db[0].pop(0)
         bundle.emission[0].pop(0)
-        report = check_structure(bundle, 3, 3)
+        report = check_structure(bundle)
         assert not report.ok
 
     def test_missing_block_fails(self):
@@ -310,10 +311,10 @@ class TestCheckStructure:
         bundle = art["bundle"]
         kept = [[(q, e) for q, e in zip(queries, order) if e[0] != 2]
                 for queries, order in zip(bundle.per_db, bundle.emission)]
-        stripped = QueryBundle(S=2, K=3, per_db=[[q for q, _ in db] for db in kept],
+        stripped = QueryBundle(S=2, N=2, K=3, per_db=[[q for q, _ in db] for db in kept],
                                emission=[[e for _, e in db] for db in kept],
                                slots=dict(bundle.slots))
-        report = check_structure(stripped, 2, 2)
+        report = check_structure(stripped)
         assert not report.ok
         assert all(f.startswith("user 2:") for f in report.failures)
         assert "user 2: db 1 holds 0 sums of type (1,), expected 1" in report.failures
@@ -324,11 +325,11 @@ class TestCheckStructure:
         # the atoms are read in the bundle's K, never in len(slots)
         _, art = run_mupir_session(2, 2, 3, 1, 0)
         bundle = art["bundle"]
-        full = check_structure(bundle, 2, 2)
+        full = check_structure(bundle)
         assert full.ok
         slots = {u: info for u, info in bundle.slots.items() if u != 2}
-        report = check_structure(QueryBundle(S=2, K=3, per_db=bundle.per_db,
-                                             emission=bundle.emission, slots=slots), 2, 2)
+        report = check_structure(QueryBundle(S=2, N=2, K=3, per_db=bundle.per_db,
+                                             emission=bundle.emission, slots=slots))
         assert report.failures == ["user 2: unknown generator kind None"]
         assert report.type_tables == {key: n for key, n in full.type_tables.items()
                                       if key[0] != 2}
@@ -336,11 +337,10 @@ class TestCheckStructure:
     def test_mutations_detected(self):
         _, art = run_mupir_session(3, 3, 4, 1, seed=11)
         bundle, tr = art["bundle"], art["transcript"]
-        sub = 9
         rng = random.Random(99)
         for _ in range(200):
-            mutated, op = mutate_bundle(bundle, rng, sub)
-            structure_ok = check_structure(mutated, 3, 3).ok
+            mutated, op = mutate_bundle(bundle, rng)
+            structure_ok = check_structure(mutated).ok
             replay_ok = verify_replay(mutated, tr)
             assert not (structure_ok and replay_ok), op
 
@@ -351,8 +351,8 @@ class TestCheckStructure:
         _, art = run_single_session(S, N, 1, seed=11)
         rng = random.Random(11)
         for _ in range(300):
-            mutated, op = mutate_bundle(art["bundle"], rng, S ** (N - 1))
-            assert not check_structure(mutated, S, N).ok, op
+            mutated, op = mutate_bundle(art["bundle"], rng)
+            assert not check_structure(mutated).ok, op
 
     @pytest.mark.parametrize("dims", [(4, 5), (3, 3), (2, 3, 5), (3, 4, 4), (2, 2, 3), (3, 3, 5)],
                              ids=lambda d: "-".join(map(str, d)))
@@ -363,16 +363,16 @@ class TestCheckStructure:
             _, art = run_mupir_session(*dims, 1, seed=13)
         S, N = dims[:2]
         rng = random.Random(13)
-        bundles = [art["bundle"]] + [mutate_bundle(art["bundle"], rng, S ** (N - 1))[0]
+        bundles = [art["bundle"]] + [mutate_bundle(art["bundle"], rng)[0]
                                      for _ in range(150)]
         failing = 0
         for bundle in bundles:
-            got, want = check_structure(bundle, S, N), reference_check_structure(bundle, S, N)
+            got, want = check_structure(bundle), reference_check_structure(bundle, S, N)
             assert (got.ok, got.type_tables, got.per_db_counts) == (
                 want.ok, want.type_tables, want.per_db_counts)
             assert sorted(got.failures) == sorted(want.failures)
             failing += not got.ok
-        assert bundles[0] is art["bundle"] and check_structure(bundles[0], S, N).ok
+        assert bundles[0] is art["bundle"] and check_structure(bundles[0]).ok
         assert failing > len(bundles) // 2
 
     def test_drop_and_duplicate_always_fail_structure(self):
@@ -380,9 +380,64 @@ class TestCheckStructure:
         bundle = art["bundle"]
         rng = random.Random(1)
         for _ in range(50):
-            mutated, op = mutate_bundle(bundle, rng, 2)
+            mutated, op = mutate_bundle(bundle, rng)
             if op in ("drop", "duplicate"):
-                assert not check_structure(mutated, 2, 2).ok
+                assert not check_structure(mutated).ok
+
+
+def _malformed(bundle, how):
+    """A copy of the bundle whose query and emission lists at database 2
+    (or past its last database) no longer pair up, or, for "duplicate", do
+    but repeat a query."""
+    per_db = [list(queries) for queries in bundle.per_db]
+    emission = [list(order) for order in bundle.emission]
+    if how in ("extra-query", "duplicate"):
+        per_db[1].append(per_db[1][0])
+    if how in ("extra-emission-entry", "duplicate"):
+        emission[1].append(emission[1][0])
+    if how in ("extra-query-list", "extra-database"):
+        per_db.append([per_db[0][0]])
+    if how == "extra-database":
+        emission.append([emission[0][0]])
+    return QueryBundle(S=bundle.S, N=bundle.N, K=bundle.K, per_db=per_db, emission=emission,
+                       slots=dict(bundle.slots))
+
+
+class TestBundleShape:
+    """A query without its emission entry, or a database past S, is never
+    audited as a block, so the structure audit fails it by name."""
+
+    FAILURES = {
+        "extra-query": "db 2: 5 queries but 4 emission entries",
+        "extra-emission-entry": "db 2: 4 queries but 5 emission entries",
+        "extra-query-list": "db 4: past the bundle's 3 databases",
+        "extra-database": "db 4: past the bundle's 3 databases",
+    }
+
+    @pytest.mark.parametrize("how", sorted(FAILURES))
+    def test_unpaired_lists_fail_by_database(self, how):
+        _, art = run_single_session(3, 3, 1, seed=0)
+        bundle = art["bundle"]
+        assert bundle.counts() == (5, 4, 4) and check_structure(bundle).ok
+        report = check_structure(_malformed(bundle, how))
+        assert not report.ok
+        assert report.failures == [self.FAILURES[how]]
+
+    def test_missing_lists_fail_by_database(self):
+        _, art = run_mupir_session(2, 2, 3, 1, seed=0)
+        bundle = dataclasses.replace(art["bundle"], per_db=art["bundle"].per_db[:1],
+                                     emission=art["bundle"].emission[:1])
+        report = check_structure(bundle)
+        assert report.failures[0] == "db 2: no query list or no emission list"
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 3), (3, 3, 5)],
+                             ids=lambda d: "-".join(map(str, d)))
+    def test_a_duplicate_with_its_entry_still_fails(self, dims):
+        run = run_single_session if len(dims) == 2 else run_mupir_session
+        _, art = run(*dims, 1, seed=0)
+        report = check_structure(_malformed(art["bundle"], "duplicate"))
+        assert not report.ok
+        assert not any(f.startswith("db ") for f in report.failures)
 
 
 class TestPeelClosure:
@@ -410,7 +465,7 @@ class TestFailureMessages:
         # db 2 sends a_3 twice and a_2 never, so a_2 is never exposed
         dbs = four_database_sets()
         dbs[1][0] = [atom(1, 1, 3, 1, 16), atom(2, 1, 1, 1, 16)]
-        assert check_structure(alg1_bundle(dbs), 4, 3).failures == [
+        assert check_structure(alg1_bundle(dbs)).failures == [
             "user 1 db 2: reference (1, 3) appears 2 times",
             "user 1: file 1 exposes [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], "
             "expected [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]",
@@ -420,7 +475,7 @@ class TestFailureMessages:
         # without b_1 the three sums a_2+b_1, a_4+b_1, a_6+b_1 cannot be peeled
         dbs = four_database_sets()
         del dbs[0][1]
-        assert check_structure(alg1_bundle(dbs), 4, 3).failures == [
+        assert check_structure(alg1_bundle(dbs)).failures == [
             "user 1: db 1 holds 0 sums of type (2,), expected 1",
             "user 1: 3 sums cannot be peeled",
             "user 1: file 1 exposes [1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], "
@@ -441,9 +496,9 @@ class TestFailureMessages:
         atoms[-1] = atom(f, 3, x, 3, 2)
         per_db = [list(queries) for queries in bundle.per_db]
         per_db[db0][pos] = Query(tuple(sorted(atoms)))
-        mutated = QueryBundle(S=2, K=3, per_db=per_db, emission=bundle.emission,
+        mutated = QueryBundle(S=2, N=2, K=3, per_db=per_db, emission=bundle.emission,
                               slots=dict(bundle.slots))
-        report = check_structure(mutated, 2, 2)
+        report = check_structure(mutated)
         assert f"user 3 db 1: reference to file {f} uses slots [1, 3]" in report.failures
         assert report.failures == reference_check_structure(mutated, 2, 2).failures
 
@@ -451,11 +506,23 @@ class TestFailureMessages:
 class TestCountRate:
     def test_examples(self):
         _, art = run_mupir_session(3, 3, 3, 1, seed=0, demand=(2, 1, 3))
-        assert count_rate(art["bundle"], 3, 3, 3) == Fraction(23, 9)
+        assert count_rate(art["bundle"]) == Fraction(23, 9)
         _, art = run_mupir_session(3, 3, 5, 1, seed=0, demand=(2, 3, 2, 1, 3))
-        assert count_rate(art["bundle"], 3, 3, 5) == Fraction(41, 15)
+        assert count_rate(art["bundle"]) == Fraction(41, 15)
         _, art = run_single_session(4, 3, 1, seed=0)
-        assert count_rate(art["bundle"], 4, 3, 1) == Fraction(21, 16)
+        assert count_rate(art["bundle"]) == Fraction(21, 16)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+    def test_golden_sessions_rate_exactly_and_pass(self, case):
+        scheme, *dims = case
+        if scheme == "mupir":
+            _, art = run_mupir_session(*dims, BLOCK_BYTES, SEED)
+            want = proposed_rate(*dims)
+        else:
+            _, art = run_single_session(*dims, BLOCK_BYTES, SEED)
+            want = pir_rate(*dims)
+        assert count_rate(art["bundle"]) == want
+        assert check_structure(art["bundle"]).ok
 
 
 class TestDistributionOracle:
@@ -857,10 +924,21 @@ class TestReplayVerification:
             rng = random.Random(5)
             ops = set()
             for _ in range(150):
-                mutated, op = mutate_bundle(art["bundle"], rng, 9)
+                mutated, op = mutate_bundle(art["bundle"], rng)
                 assert not verify_replay(mutated, art["transcript"]), op
                 ops.add(op)
             assert ops == {"drop", "duplicate", "swap"}
+
+    def test_replay_refuses_a_bundle_of_another_shape(self):
+        # the structure audit reads S, N and K from the bundle, so replay is
+        # what ties them to the transcript's
+        for run, args in [(run_mupir_session, (2, 2, 3, 1)), (run_single_session, (3, 3, 1))]:
+            _, art = run(*args, seed=8)
+            bundle, tr = art["bundle"], art["transcript"]
+            assert verify_replay(bundle, tr)
+            for name in ("S", "N", "K"):
+                other = dataclasses.replace(bundle, **{name: getattr(bundle, name) + 1})
+                assert not verify_replay(other, tr), name
 
     def test_replay_detects_tampering(self):
         _, art = run_mupir_session(2, 2, 2, 1, seed=8)

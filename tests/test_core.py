@@ -129,11 +129,13 @@ class TestAtom:
         n = N * K * store.subpackets
         queries = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
                                      max_size=6))
-        bundle = QueryBundle(S=1, K=K, per_db=[[Query(tuple(q)) for q in queries]],
-                             emission=[[None] * len(queries)])
+        # every query goes to database 1 of the store's S
+        per_db = [[Query(tuple(q)) for q in queries]] + [[] for _ in range(S - 1)]
+        bundle = QueryBundle(S=S, N=N, K=K, per_db=per_db,
+                             emission=[[None] * len(db) for db in per_db])
         want = [xor_combine([store.block(*atom_triple(a, K, store.subpackets)) for a in q])
                 for q in queries]
-        assert answer_bundle(store, bundle) == [want]
+        assert answer_bundle(store, bundle) == [want] + [[] for _ in range(S - 1)]
 
 
 class TestShuffle:
@@ -235,10 +237,12 @@ class TestDemands:
 
 
 def _bundle_of(queries_per_db):
-    """A bundle of (file, subfile, subsub) triples, as atoms of 2 subfiles of 4."""
+    """A bundle of (file, subfile, subsub) triples, as atoms of 2 subfiles of 4
+    (S = 2, N = 3); a database not listed gets no queries."""
     per_db = [[Query(tuple(atom(*t, 2, 4) for t in q)) for q in db] for db in queries_per_db]
+    per_db += [[] for _ in range(2 - len(per_db))]
     emission = [[None] * len(db) for db in per_db]
-    return QueryBundle(S=len(per_db), K=2, per_db=per_db, emission=emission)
+    return QueryBundle(S=2, N=3, K=2, per_db=per_db, emission=emission)
 
 
 def test_query_repr_equality_hash_and_canonical():
@@ -278,7 +282,7 @@ class TestCanonicalForm:
         perms = {i: sample_permutation(4, rng) for i in (1, 2, 3)}
         bundle = assemble_bundle(generate_alg1(2, 3, perms, 1 + seed % 3))
         shuffled = QueryBundle(
-            S=bundle.S, K=bundle.K,
+            S=bundle.S, N=bundle.N, K=bundle.K,
             per_db=[sorted(db, key=lambda q: rng.random()) for db in bundle.per_db],
             emission=bundle.emission,
         )
@@ -293,7 +297,7 @@ class TestCanonicalForm:
         perms = {i: identity(9) for i in (1, 2, 3)}
         per_db = materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1),
                              1)
-        bundle = QueryBundle(S=3, K=1, per_db=per_db,
+        bundle = QueryBundle(S=3, N=3, K=1, per_db=per_db,
                              emission=[[None] * len(d) for d in per_db])
         key = canonical_form(bundle)
         sizes = sorted(len(q) for q in key[0])

@@ -11,8 +11,10 @@ from mupir.gf2 import _echelon, _express, _insert, cross_check
 from mupir.harness import run_mupir_session
 from mupir.protocol import check_decoded
 
-# the hand-built systems' atoms: two files of one subfile of 16 subsubfiles
-N, K, SUB = 2, 1, 16
+# the hand-built systems' atoms: two files of one subfile of 16 subsubfiles,
+# in a store of S = 16 databases, since S^(N-1) = S at N = 2
+N, K, S = 2, 1, 16
+SUB = S ** (N - 1)
 
 
 def a(i, j, x):
@@ -113,10 +115,16 @@ def test_target_fixed_only_by_sum_of_two_extra_rows():
     assert _express(_rows(blocks, [], [0b011, 0b010]), 1) == 0x11
 
 
+def _sent(atom_lists):
+    """A bundle of the hand-built store's shape: one query per atom tuple,
+    all sent to database 1."""
+    per_db = [[Query(atoms) for atoms in atom_lists]] + [[] for _ in range(S - 1)]
+    return QueryBundle(S=S, N=N, K=K, per_db=per_db, emission=[[None] * len(q) for q in per_db])
+
+
 def _bundle(queries):
-    """One database, one query per atom list over file i, subfile 1."""
-    per_db = [[Query(tuple(a(i, 1, x) for i, x in atoms)) for atoms in queries]]
-    return QueryBundle(S=1, K=K, per_db=per_db, emission=[[None] * len(queries)])
+    """One query per atom list over file i, subfile 1."""
+    return _sent([tuple(a(i, 1, x) for i, x in atoms) for atoms in queries])
 
 
 def test_cross_check_solves_with_cache_rows():
@@ -138,15 +146,15 @@ def test_cross_check_solves_with_cache_rows():
         return {(1, x): blocks[(i, x)] for x in (1, 2)}
 
     # one user per file, each holding the same cache rows
-    cross_check(bundle, answers, N, SUB, {1: (1, decoded(1), cache), 2: (2, decoded(2), cache)})
+    cross_check(bundle, answers, {1: (1, decoded(1), cache), 2: (2, decoded(2), cache)})
     with pytest.raises(UnresolvablePlanError, match=r"disagree at \(2,1,1\)"):
         wrong = decoded(2)
         wrong[(1, 1)] ^= 1
-        cross_check(bundle, answers, N, SUB, {2: (2, wrong, cache)})
+        cross_check(bundle, answers, {2: (2, wrong, cache)})
     # without the cache only (2,1,2) is determined
-    cross_check(bundle, answers, N, SUB, {2: (2, {(1, 2): blocks[(2, 2)]}, [])})
+    cross_check(bundle, answers, {2: (2, {(1, 2): blocks[(2, 2)]}, [])})
     with pytest.raises(UnresolvablePlanError, match="undetermined"):
-        cross_check(bundle, answers, N, SUB, {1: (1, decoded(1), [])})
+        cross_check(bundle, answers, {1: (1, decoded(1), [])})
 
 
 def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch):
@@ -166,8 +174,7 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
         return tuple(atoms), value
 
     answers = [equation(m) for m in masks]
-    bundle = QueryBundle(S=1, K=K, per_db=[[Query(atoms) for atoms, _ in answers]],
-                         emission=[[None] * len(answers)])
+    bundle = _sent([atoms for atoms, _ in answers])
     answers = [[v for _, v in answers]]
     cache = [equation(m) for m in extra]
     decoded = {(1, t + 1): blocks[t] for t in range(targets)}
@@ -176,15 +183,15 @@ def _cross_check_against_brute_force(rng, n, targets, masks, extra, monkeypatch)
     want = _brute_force(n, masks + extra, 0)
     if any(want[t] is None for t in range(targets)):
         with pytest.raises(UnresolvablePlanError, match="undetermined"):
-            cross_check(bundle, answers, N, SUB, {1: (1, decoded, cache)})
+            cross_check(bundle, answers, {1: (1, decoded, cache)})
         return len(built)
-    cross_check(bundle, answers, N, SUB, {1: (1, decoded, cache)})
+    cross_check(bundle, answers, {1: (1, decoded, cache)})
     echelons = len(built)
     t = rng.randrange(targets)
     wrong = dict(decoded)
     wrong[(1, t + 1)] ^= 1 << rng.randrange(16)
     with pytest.raises(UnresolvablePlanError, match=rf"disagree at \(1,1,{t + 1}\)"):
-        cross_check(bundle, answers, N, SUB, {1: (1, wrong, cache)})
+        cross_check(bundle, answers, {1: (1, wrong, cache)})
     return echelons
 
 
@@ -260,14 +267,14 @@ def test_cross_check_keeps_each_users_cache_rows_to_itself():
     # User 2 demands the same file with no cache rows and comes after user
     # 1, so a shared echelon that kept user 1's rows would fix x0 for it too.
     x = [0x0101, 0x0202, 0x0404, 0x0808]
-    bundle = QueryBundle(S=1, K=K, per_db=[[Query((a(2, 1, 3),))]], emission=[[None]])
+    bundle = _sent([(a(2, 1, 3),)])
     answers = [[x[3]]]
     cache = [((a(1, 1, 1), a(2, 1, 1), a(2, 1, 2)), x[0] ^ x[1] ^ x[2]),
              ((a(2, 1, 1), a(2, 1, 2), a(2, 1, 3)), x[1] ^ x[2] ^ x[3])]
     user1 = (1, {(1, 1): x[0]}, cache)
-    cross_check(bundle, answers, N, SUB, {1: user1})
+    cross_check(bundle, answers, {1: user1})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, answers, N, SUB, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
+        cross_check(bundle, answers, {1: user1, 2: (1, {(1, 1): x[0]}, [])})
 
 
 def test_cross_check_user_peel_never_uses_another_users_cache_rows():
@@ -276,13 +283,13 @@ def test_cross_check_user_peel_never_uses_another_users_cache_rows():
     # are x1 and x0^x1, which would fix x0 for user 1 too if its peel could
     # push them.
     x0, x1 = 0x0101, 0x0202
-    bundle = QueryBundle(S=1, K=K, per_db=[[Query((a(2, 1, 2),))]], emission=[[None]])
+    bundle = _sent([(a(2, 1, 2),)])
     answers = [[0x0404]]
     user1 = (1, {(1, 1): x0}, [((a(2, 1, 1),), x1)])
     user2 = (1, {(1, 1): x0}, [((a(2, 1, 1),), x1), ((a(1, 1, 1), a(2, 1, 1)), x0 ^ x1)])
-    cross_check(bundle, answers, N, SUB, {2: user2})
+    cross_check(bundle, answers, {2: user2})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, answers, N, SUB, {1: user1, 2: user2})
+        cross_check(bundle, answers, {1: user1, 2: user2})
 
 
 def test_cross_check_undetermined_target_is_named(monkeypatch):
@@ -290,9 +297,9 @@ def test_cross_check_undetermined_target_is_named(monkeypatch):
     # a target in no equation at all is too
     bundle = _bundle([[(1, 1), (2, 1)]])
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,1\) undetermined"):
-        cross_check(bundle, [[5]], N, SUB, {1: (1, {(1, 1): 3}, [])})
+        cross_check(bundle, [[5]], {1: (1, {(1, 1): 3}, [])})
     with pytest.raises(UnresolvablePlanError, match=r"\(1,1,2\) undetermined"):
-        cross_check(bundle, [[5]], N, SUB, {1: (1, {(1, 2): 3}, [])})
+        cross_check(bundle, [[5]], {1: (1, {(1, 2): 3}, [])})
 
 
 def _reference_core(bundle, sub, users):
@@ -341,7 +348,7 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
     seen = []
     monkeypatch.setattr(gf2, "_echelon",
                         lambda masks, values: seen.append(masks) or _echelon(masks, values))
-    check_decoded(bundle, art["answers"], tr.N, tr.demand, caches, decoded)
+    check_decoded(bundle, art["answers"], tr.demand, caches, decoded)
     got = sorted(m.bit_count() for masks in seen for m in masks)
     assert got == _reference_core(bundle, sub, users)
     # N = K peels every target: nothing is left to reduce

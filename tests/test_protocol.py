@@ -312,7 +312,7 @@ class TestSwapRebalancing:
         }
         tr = generate_alg2(S, N, K, demands, P, perms)
         bundle = assemble_bundle(tr)
-        assert check_structure(bundle, S, N).ok
+        assert check_structure(bundle).ok
         answers = answer_bundle(store, bundle)
         syms = resolve_symbols(tr, bundle, answers)
         for u in (1, K):
@@ -424,14 +424,14 @@ def _decodes(tr, store, caches) -> bool:
         symbols = resolve_symbols(tr, bundle, answers)
         decoded = {u: decode_user(u, tr, bundle, answers, caches[u], symbols=symbols,
                                   run_oracle=False) for u in caches}
-        check_decoded(bundle, answers, tr.N, tr.demand, caches, decoded)
+        check_decoded(bundle, answers, tr.demand, caches, decoded)
     except UnresolvablePlanError:
         return False
     sub = tr.S ** (tr.N - 1)
     decode_ok = all(got[(j, x)] == store.block(tr.demand[u - 1], j, x)
                     for u, got in decoded.items()
                     for j in range(1, tr.K + 1) for x in range(1, sub + 1))
-    return decode_ok and check_structure(bundle, tr.S, tr.N).ok
+    return decode_ok and check_structure(bundle).ok
 
 
 class TestAlignmentCheck:
@@ -593,7 +593,7 @@ class TestDecodeDetail:
         answers = [list(row) for row in art["answers"]]
         for rows in (per_db, emission, answers):
             rows[1].pop(0)
-        dropped = QueryBundle(S=bundle.S, K=bundle.K, per_db=per_db, emission=emission,
+        dropped = QueryBundle(S=bundle.S, N=bundle.N, K=bundle.K, per_db=per_db, emission=emission,
                               slots=dict(bundle.slots))
         with pytest.raises(UnresolvablePlanError, match=message):
             resolve_symbols(art["transcript"], dropped, answers)
@@ -607,7 +607,7 @@ class TestDecodeDetail:
             peeled = {u: decode_user(u, tr, bundle, answers, art["caches"][u],
                                      run_oracle=False)
                       for u in range(1, tr.K + 1)}
-            check_decoded(bundle, answers, tr.N, tr.demand, art["caches"], peeled)
+            check_decoded(bundle, answers, tr.demand, art["caches"], peeled)
             for u in range(1, tr.K + 1):
                 own = decode_user(u, tr, bundle, answers, art["caches"][u])
                 assert peeled[u] == own == art["decoded"][u]
@@ -699,7 +699,7 @@ class TestSessionOracle:
         decoded[u][(j, x)] ^= 1
         d = tr.demand[u - 1]
         with pytest.raises(UnresolvablePlanError, match=rf"disagree at \({d},{j},{x}\)"):
-            check_decoded(art["bundle"], art["answers"], tr.N, tr.demand, art["caches"],
+            check_decoded(art["bundle"], art["answers"], tr.demand, art["caches"],
                           decoded)
 
     def test_flipped_peeled_block_is_caught(self):
@@ -736,7 +736,7 @@ class TestSessionOracle:
         tr = art["transcript"]
         tracemalloc.start()
         try:
-            check_decoded(art["bundle"], art["answers"], tr.N, tr.demand, art["caches"],
+            check_decoded(art["bundle"], art["answers"], tr.demand, art["caches"],
                           art["decoded"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:

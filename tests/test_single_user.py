@@ -100,9 +100,9 @@ class TestStructuralProperties:
             for trial in range(100):
                 perms = _random_perms(S, N, seed=(S, N, d, trial).__hash__())
                 bundle = assemble_bundle(generate_alg1(S, N, perms, d))
-                report = check_structure(bundle, S, N)
+                report = check_structure(bundle)
                 assert report.ok, report.failures[:3]
-                rate = count_rate(bundle, S, N, 1)
+                rate = count_rate(bundle)
                 assert rate == pir_rate(S, N)
 
     @pytest.mark.parametrize("S,N", [(2, 2), (3, 3), (4, 3)])
