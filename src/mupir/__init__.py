@@ -26,10 +26,11 @@ from .params import (
     psi,
     q_value,
 )
-from .single_user import decode_single, generate_alg1
+from .single_user import decode_single
 from .protocol import (
     choose_base_and_rho,
     decode_user,
+    generate_alg1,
     generate_alg2,
     generate_alg3,
     placement,

@@ -32,12 +32,12 @@ from .protocol import (
     SessionTranscript,
     assemble_bundle,
     block_memo,
+    generate_alg1,
     generate_alg2,
     generate_alg3,
     replay_bundle,
     rho_options,
 )
-from .single_user import generate_alg1
 
 
 @dataclass

@@ -28,12 +28,13 @@ from .protocol import (
     check_decoded,
     choose_base_and_rho,
     decode_user,
+    generate_alg1,
     generate_alg2,
     generate_alg3,
     placement,
     resolve_symbols,
 )
-from .single_user import decode_single, generate_alg1
+from .single_user import decode_single
 
 CONFIG_KEYS = {
     "scheme": str,

@@ -1,6 +1,14 @@
-"""Multi-user protocol: placement, per-slot query generation, decoding.
+"""Every generator block and session transcript: placement, per-slot query
+generation, decoding.
 
-The two per-slot schedules (`qset1_schedule` for base/own slots,
+The single-user block (alg1, `_alg1_schedule`) works in rounds of growing
+sum size k.  Database 1 seeds one singleton per file; afterwards each
+database turns every demand-free (k-1)-sum held by the other databases into
+a k-sum by adding one fresh demand reference, then pads with fresh
+demand-free k-sums until every k-subset of files appears its prescribed
+number of times.  A single-user session is that one block of user 1, K = 1.
+
+The two multi-user per-slot schedules (`qset1_schedule` for base/own slots,
 `qset2_schedule` for paired-difference slots) share one engine.  Per
 database s and sum size k, the engine must emit every k-subset of files the
 same number of times (type symmetry), while giving file i a prescribed
@@ -9,18 +17,18 @@ that file's secret permutation); the remaining references reuse positions
 already exposed in earlier rounds, so each query is one XOR away from known
 material.
 
-The schedule produced by the engine is a pure function of the counting
-parameters; the secret permutations only relabel positions to subsubfile
-indices afterwards.  That keeps generation, replay and exhaustive
-enumeration cheap and exactly reproducible.  Every generator block, the
-single-user one (alg1) included, is a schedule of `Record`s with `refs`
-((file, position) pairs).  The generators return only the session's
+Every schedule is a pure function of the counting parameters; the secret
+permutations only relabel positions to subsubfile indices afterwards.  That
+keeps generation, replay and exhaustive enumeration cheap and exactly
+reproducible.  Every block is a schedule of `Record`s with `refs` ((file,
+position) pairs).  The generators return only the session's
 `SessionTranscript`; one `materialize` turns a block's records into queries,
 and one `replay_bundle` interleaves the blocks per database in a given
 emission order, which `assemble_bundle` draws when the session sends.  One
 `resolve_symbols` peels every block: a fresh record's first reference is its
-answer XOR its source's answer, when it has a source, else XOR its other
-references, all resolved in earlier rounds.
+answer XOR its source's answer, when it has a source (an alg1 query one
+reference from an answered one), else XOR its other references, all
+resolved in earlier rounds.
 """
 from __future__ import annotations
 
@@ -48,6 +56,7 @@ from .core import (
 from .errors import (
     DemandError,
     InfeasibleSwapError,
+    InvalidDimensionError,
     RegimeError,
     UnresolvablePlanError,
 )
@@ -177,15 +186,10 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
 def qset1_schedule(S: int, N: int, d: int):
     """Position-level schedule for one demanded-file slot."""
     per_db, t = _run_symmetric_rounds(
-        S,
-        N,
-        multiplicity=lambda s, k: psi(s, S, N, k),
-        fresh_quota=lambda s, k, i: f_rep(s, i, d, k, S, N),
-    )
-    sub = S ** (N - 1)
-    H = h_value(S, N)
-    assert all(t[i] == sub for i in range(1, N + 1) if i != d)
-    assert t[d] == H
+        S, N, multiplicity=lambda s, k: psi(s, S, N, k),
+        fresh_quota=lambda s, k, i: f_rep(s, i, d, k, S, N))
+    assert all(t[i] == S ** (N - 1) for i in range(1, N + 1) if i != d)
+    assert t[d] == h_value(S, N)
     return per_db
 
 
@@ -193,14 +197,49 @@ def qset1_schedule(S: int, N: int, d: int):
 def qset2_schedule(S: int, N: int):
     """Position-level schedule for one paired-difference slot."""
     per_db, t = _run_symmetric_rounds(
-        S,
-        N,
-        multiplicity=lambda s, k: k * phi(s, S, k),
-        fresh_quota=lambda s, k, i: comb(N - 1, k - 1) * phi(s, S, k),
-    )
-    sub = S ** (N - 1)
-    assert all(t[i] == sub for i in range(1, N + 1))
+        S, N, multiplicity=lambda s, k: k * phi(s, S, k),
+        fresh_quota=lambda s, k, i: comb(N - 1, k - 1) * phi(s, S, k))
+    assert all(t[i] == S ** (N - 1) for i in range(1, N + 1))
     return per_db
+
+
+@lru_cache(maxsize=None)
+def _alg1_schedule(S: int, N: int, d: int):
+    """Position-level schedule of the single-user block for demand d: per
+    database, a tuple of Records in insertion order.  A demand-bearing record's
+    refs are its fresh demand reference followed by its source's refs, and it
+    resolves that reference as its answer XOR its `source` answer; seeds and
+    fills resolve nothing, and no reference is reused within a database."""
+    if not 1 <= d <= N:
+        raise DemandError(f"demand {d} outside [1,{N}]")
+    per_db = [[] for _ in range(S)]
+    t = [0] * (N + 1)
+    for i in range(1, N + 1):
+        t[i] = 1
+        per_db[0].append(Record(((i, 1),), i == d))
+    for k in range(2, N + 1):
+        for j in range(1, S + 1):
+            consumed = False
+            # ascending database index, insertion order within each database
+            for i in range(1, S + 1):
+                if i == j:
+                    continue
+                for idx, rec in enumerate(per_db[i - 1]):
+                    if len(rec.refs) != k - 1 or any(f == d for f, _ in rec.refs):
+                        continue
+                    t[d] += 1
+                    per_db[j - 1].append(Record(((d, t[d]),) + rec.refs, True, (i, idx)))
+                    consumed = True
+            if consumed:
+                for fileset in combinations([i for i in range(1, N + 1) if i != d], k):
+                    for _ in range(phi(j, S, k)):
+                        refs = []
+                        for u in fileset:
+                            t[u] += 1
+                            refs.append((u, t[u]))
+                        per_db[j - 1].append(Record(tuple(refs)))
+    assert t[d] == S ** (N - 1), (S, N, d, t[d])
+    return tuple(tuple(db) for db in per_db)
 
 
 def materialize(records, perms: dict, info: SlotInfo, K: int) -> list:
@@ -377,6 +416,30 @@ def assemble_bundle(transcript: SessionTranscript, shuffle_rng=None, memo=None) 
     return replay_bundle(transcript, emission, memo)
 
 
+def _check_perms(user_perms, N, K, sub) -> None:
+    """Refuse unless users 1..K each have a permutation of [sub] for files
+    1..N, the layout `materialize` builds on.  Plain loops: a generator runs
+    this once per session and the oracle once per branch."""
+    files = range(1, N + 1)
+    for c in range(1, K + 1):
+        perms = user_perms.get(c, {})
+        for i in files:
+            p = perms.get(i)
+            if p is None or len(p.images) != sub:
+                raise InvalidDimensionError(
+                    f"user {c}, file {i}: no permutation of [S^(N-1)] = [{sub}]")
+
+
+def generate_alg1(S: int, N: int, perms: dict, d: int) -> SessionTranscript:
+    """The single-user session's transcript for demand d: one alg1 block of
+    user 1 with K = 1 and H = S^(N-1).  perms: {file -> Permutation}."""
+    sub = S ** (N - 1)
+    _check_perms({1: perms}, N, 1, sub)
+    return SessionTranscript(S=S, N=N, K=1, demand=(d,), perms={1: dict(perms)},
+                             records={1: _alg1_schedule(S, N, d)},
+                             slots={1: SlotInfo("alg1", 1, d)}, H=sub)
+
+
 def generate_alg2(S, N, K, demands, P: Permutation, user_perms) -> SessionTranscript:
     """All-distinct-demands session: one qset1 block per user."""
     demands = validate_demands(demands, N, K)
@@ -404,6 +467,7 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
     is checked here, file by file: every partner must be a base user that
     demands the file exactly when it is the user's own demand, which is
     what `decode_user` needs of it."""
+    _check_perms(user_perms, N, K, S ** (N - 1))
     H = h_value(S, N)
     slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
     slots, records = {}, {}
@@ -442,7 +506,7 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     own slot, so no two blocks share a key.
     """
     index = bundle.answer_index()
-    K, sub = transcript.K, transcript.S ** (transcript.N - 1)
+    K, sub = bundle.K, bundle.sub
     # per user and file, the own-slot atom of x = 0, which x then offsets, and
     # the images that turn a position into x
     at = {user: {f: (atom(f, transcript.slots[user].subfile, 0, K, sub), p.images)
@@ -502,8 +566,7 @@ def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answer
     """
     if symbols is None:
         symbols = resolve_symbols(transcript, bundle, answers)
-    N, K, S = transcript.N, transcript.K, transcript.S
-    sub = S ** (N - 1)
+    N, K, sub = bundle.N, bundle.K, bundle.sub
     H = transcript.H
     d = transcript.demand[user - 1]
     slots = transcript.slots

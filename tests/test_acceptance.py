@@ -28,8 +28,8 @@ from mupir.params import (
     psi,
     q_value,
 )
-from mupir.protocol import assemble_bundle
-from mupir.single_user import decode_single, generate_alg1
+from mupir.protocol import assemble_bundle, generate_alg1
+from mupir.single_user import decode_single
 
 from conftest import mutate_bundle
 

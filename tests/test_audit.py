@@ -34,8 +34,7 @@ from mupir.core import (
 from mupir.errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value, pir_rate, proposed_rate
-from mupir.protocol import assemble_bundle, generate_alg2, generate_alg3
-from mupir.single_user import generate_alg1
+from mupir.protocol import assemble_bundle, generate_alg1, generate_alg2, generate_alg3
 
 from conftest import identity, mutate_bundle
 from test_golden import BLOCK_BYTES, GOLDEN, SEED

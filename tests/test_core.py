@@ -275,8 +275,7 @@ class TestCanonicalForm:
 
     @given(st.integers(0, 10_000))
     def test_order_invariance_on_generated_bundles(self, seed):
-        from mupir.protocol import assemble_bundle
-        from mupir.single_user import generate_alg1
+        from mupir.protocol import assemble_bundle, generate_alg1
 
         rng = random.Random(seed)
         perms = {i: sample_permutation(4, rng) for i in (1, 2, 3)}

@@ -162,6 +162,16 @@ class TestRates:
         with pytest.raises(RegimeError):
             proposed_rate(3, 3, 2)
 
+    def test_rate_is_n_times_one_minus_the_cache_fraction(self):
+        # R = N(1 - M) exactly wherever K >= N: the s = N term of the
+        # cut-set bound, so at N = K the scheme downloads no more than any
+        # scheme could at its M
+        triples = [(S, N, K) for S in range(2, 7) for N in range(2, 8)
+                   for K in range(N, 13)]
+        assert len(triples) == 255
+        for S, N, K in triples:
+            assert proposed_rate(S, N, K) == N * (1 - cache_fraction(S, N, K)), (S, N, K)
+
     def test_pir_rate(self):
         assert pir_rate(4, 3) == Fraction(21, 16)
         assert pir_rate(2, 3) == Fraction(7, 4)

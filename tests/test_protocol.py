@@ -1,4 +1,5 @@
 """Multi-user protocol: placement, slot generators, sessions, decoding."""
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from mupir.audit import check_structure
+from mupir.audit import check_structure, verify_replay
 from mupir.core import (
     Permutation,
     Query,
@@ -23,12 +24,14 @@ from mupir.core import (
 from mupir.errors import (
     DemandError,
     InfeasibleSwapError,
+    InvalidDimensionError,
     RegimeError,
     UnresolvablePlanError,
 )
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
+    _alg1_schedule,
     _run_symmetric_rounds,
     assemble_bundle,
     check_decoded,
@@ -44,7 +47,6 @@ from mupir.protocol import (
     resolve_symbols,
     rho_options,
 )
-from mupir.single_user import _alg1_schedule
 
 from conftest import identity
 
@@ -412,6 +414,62 @@ class TestSessions:
         report, art = _session(2, 2, 4, seed=6)
         bundle = art["bundle"]
         assert replay_bundle(art["transcript"], bundle.emission).per_db == bundle.per_db
+
+
+
+class TestPermutationLength:
+    """`materialize` lays a block out by its permutations' length, so every
+    generator refuses a user without one permutation of [S^(N-1)] per file."""
+
+    MESSAGE = r"^user {}, file {}: no permutation of \[S\^\(N-1\)\] = \[4\]$"
+
+    @staticmethod
+    def _perms(users, n=4):
+        return {c: {i: identity(n) for i in (1, 2, 3)} for c in users}
+
+    def test_alg2_refuses_permutations_over_another_length(self):
+        # over [5] in a (2,3,3) store of 4 subsubfiles per subfile: atoms past
+        # the store that the replay check alone would accept
+        with pytest.raises(InvalidDimensionError, match=self.MESSAGE.format(1, 1)):
+            generate_alg2(2, 3, 3, (1, 2, 3), identity(3), self._perms((1, 2, 3), 5))
+        perms = self._perms((1, 2, 3))
+        perms[2][3] = identity(3)
+        with pytest.raises(InvalidDimensionError, match=self.MESSAGE.format(2, 3)):
+            generate_alg2(2, 3, 3, (1, 2, 3), identity(3), perms)
+
+    def test_alg3_refuses_a_missing_or_short_permutation(self):
+        args = (2, 3, 4, (1, 2, 3, 1), identity(4), (1, 2, 3), {4: {1: 1, 2: 3, 3: 2}})
+        assert generate_alg3(*args, self._perms((1, 2, 3, 4))).K == 4
+        perms = self._perms((1, 2, 3, 4))
+        del perms[4][2]
+        with pytest.raises(InvalidDimensionError, match=self.MESSAGE.format(4, 2)):
+            generate_alg3(*args, perms)
+        with pytest.raises(InvalidDimensionError, match=self.MESSAGE.format(4, 1)):
+            generate_alg3(*args, self._perms((1, 2, 3)))
+        perms = self._perms((1, 2, 3, 4))
+        perms[4][3] = identity(8)
+        with pytest.raises(InvalidDimensionError, match=self.MESSAGE.format(4, 3)):
+            generate_alg3(*args, perms)
+
+
+@pytest.mark.parametrize("S, N, K, seed", [(3, 3, 3, 42), (2, 2, 3, 1), (3, 3, 5, 7)])
+def test_decode_reads_the_store_shape_from_the_bundle(S, N, K, seed):
+    # a transcript claiming another shape still decodes every block exactly:
+    # the decode path reads S, N and K from the bundle, and verify_replay is
+    # what refuses the mismatched pair
+    report, art = _session(S, N, K, seed)
+    store, bundle, answers, sub = art["store"], art["bundle"], art["answers"], S ** (N - 1)
+    tr = dataclasses.replace(art["transcript"], S=S + 1, N=N + 1, K=K + 2)
+    symbols = resolve_symbols(tr, bundle, answers)
+    assert symbols == art["symbols"]
+    for u in range(1, K + 1):
+        d = report["demand"][u - 1]
+        out = decode_user(u, tr, bundle, answers, art["caches"][u], symbols=symbols,
+                          run_oracle=False)
+        assert out == {(j, x): store.block(d, j, x)
+                       for j in range(1, K + 1) for x in range(1, sub + 1)}
+    assert verify_replay(bundle, art["transcript"]) is True
+    assert verify_replay(bundle, tr) is False
 
 
 def _decodes(tr, store, caches) -> bool:

@@ -13,10 +13,11 @@ from mupir.core import (
     canonical_view,
     sample_permutation,
 )
-from mupir.errors import DemandError, UnresolvablePlanError
+from mupir.errors import DemandError, InvalidDimensionError, UnresolvablePlanError
 from mupir.params import phi, pir_rate
-from mupir.protocol import assemble_bundle, replay_bundle, resolve_symbols
-from mupir.single_user import _alg1_schedule, decode_single, generate_alg1
+from mupir.protocol import (
+    _alg1_schedule, assemble_bundle, generate_alg1, replay_bundle, resolve_symbols)
+from mupir.single_user import decode_single
 
 from conftest import identity
 
@@ -80,6 +81,15 @@ class TestGeneration:
         perms = {i: identity(4) for i in (1, 2, 3)}
         with pytest.raises(DemandError):
             generate_alg1(2, 3, perms, 4)
+
+    def test_permutations_must_be_over_the_subsubfiles(self):
+        # (2, 3) has 4 subsubfiles: a permutation of [3] or of [5], or none,
+        # for a file is refused before anything is built
+        for n, missing in ((3, None), (5, None), (4, 2)):
+            perms = {i: identity(n) for i in (1, 2, 3) if i != missing}
+            with pytest.raises(InvalidDimensionError,
+                               match=rf"^user 1, file {missing or 1}: no permutation of "):
+                generate_alg1(2, 3, perms, 1)
 
     def test_replay_bit_identical(self):
         perms = _random_perms(3, 3, seed=9)
