@@ -272,12 +272,6 @@ class QueryBundle:
     def counts(self) -> tuple:
         return tuple(len(q) for q in self.per_db)
 
-    def answer_index(self) -> dict:
-        """(user, db, local_index) -> the query's emitted position in db."""
-        return {(user, db0, local): pos
-                for db0, order in enumerate(self.emission)
-                for pos, (user, local) in enumerate(order)}
-
 
 _atoms = itemgetter(0)  # a Query's atoms
 

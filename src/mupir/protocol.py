@@ -28,15 +28,19 @@ emission order, which `assemble_bundle` draws when the session sends.  One
 `resolve_symbols` peels every block: a fresh record's first reference is its
 answer XOR its source's answer, when it has a source (an alg1 query one
 reference from an answered one), else XOR its other references, all
-resolved in earlier rounds.
+resolved in earlier rounds.  Both read a schedule through its `_Layout`,
+made on first use and kept with the cached schedule: every record's
+references as flat keys in atom order, so that a session only maps its
+permutations' images over them.
 """
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations, permutations
+from itertools import chain, combinations, pairwise, permutations
 from math import comb
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -242,31 +246,143 @@ def _alg1_schedule(S: int, N: int, d: int):
     return tuple(tuple(db) for db in per_db)
 
 
+class _Layout(NamedTuple):
+    """Everything `materialize` and `resolve_symbols` read of one schedule,
+    flat, with the secret permutations left out.
+
+    A key stands for one (file, position) reference at one subfile slot:
+    the n-th file the schedule names, of largest position w_n, takes keys
+    w_1 + ... + w_(n-1) + pos - 1 at a block's one slot (or the lower of a
+    qset2 file's two), and those plus the total of all the w at the higher
+    slot.  Records are numbered over all databases in order; record r's
+    references are keys[cuts[r]:cuts[r + 1]], file by file, and `step`
+    keys each, in slot order.  Since the atom map is monotone in (file,
+    slot, subsub), that is atom order, as long as a record names no file
+    twice.
+    """
+
+    records: tuple     # the schedule, held so that its id is never reused
+    files: tuple       # (file, largest position) of each file named, in file order
+    step: int          # keys per reference: its slots, 1 or 2
+    keys: list
+    cuts: array
+    db_slices: tuple   # db_slices[db0]: the records of database db0 + 1
+    fresh_at: array    # a fresh record r's fresh reference is its fresh_at[r]-th
+    runs: tuple        # runs[k - 1]: ranges of the fresh records of sum size k, in order
+    sources: dict      # sourced record -> its source record, or -1 if there is none
+
+
+_LAYOUTS = {}  # (id(schedule), step) -> its _Layout
+_INTS = []     # _INTS[k] is k: the layouts' keys share these int objects
+
+
+def _layout(records, step: int) -> _Layout:
+    """Build the schedule's layout for `step` slots per reference and hold
+    it in `_LAYOUTS`, where every later use finds it, for the life of the
+    process.  Schedules are cached and never change, and the layout holds
+    the schedule, so its identity is a safe key.  A record that names a
+    file twice is refused."""
+    widths = {}
+    for db_list in records:
+        for rec in db_list:
+            for f, pos in rec.refs:
+                if widths.get(f, 0) < pos:
+                    widths[f] = pos
+    files = tuple(sorted(widths.items()))
+    base, total = {}, 0
+    for f, w in files:
+        base[f] = total - 1
+        total += w
+    if len(_INTS) < step * total:
+        _INTS.extend(range(len(_INTS), step * total))
+    ints = _INTS
+    db_cuts = [0]
+    for db_list in records:
+        db_cuts.append(db_cuts[-1] + len(db_list))
+    keys, cuts, fresh_at, sources, sizes = [], array("l", [0]), array("H"), {}, []
+    for db0, db_list in enumerate(records):
+        for local, (refs, fresh, source) in enumerate(db_list):
+            ordered = sorted(refs)
+            if len(dict(ordered)) < len(ordered):
+                f = next(f for (f, _), (e, _) in pairwise(ordered) if f == e)
+                raise UnresolvablePlanError(
+                    f"record (db {db0 + 1}, local {local}) names file {f} twice")
+            for f, pos in ordered:
+                k = base[f] + pos
+                keys.append(ints[k])
+                if step == 2:
+                    keys.append(ints[k + total])
+            cuts.append(len(keys))
+            fresh_at.append(ordered.index(refs[0]) if fresh else 0)
+            if fresh:
+                g = db_cuts[db0] + local
+                sizes.append((len(refs), g))
+                if source is not None:
+                    sdb, sidx = source
+                    ok = 1 <= sdb <= len(records) and 0 <= sidx < len(records[sdb - 1])
+                    sources[g] = db_cuts[sdb - 1] + sidx if ok else -1
+    # fresh records by sum size, then record: contiguous runs of each size
+    runs = {}
+    for k, g in sorted(sizes):
+        group = runs.setdefault(k, [])
+        if group and group[-1][1] == g:
+            group[-1][1] = g + 1
+        else:
+            group.append([g, g + 1])
+    runs = tuple(tuple(range(a, b) for a, b in runs.get(k, ()))
+                 for k in range(1, max(runs, default=0) + 1))
+    lay = _LAYOUTS[(id(records), step)] = _Layout(
+        records, files, step, keys, cuts, tuple(map(slice, db_cuts, db_cuts[1:])),
+        fresh_at, runs, sources)
+    return lay
+
+
+def _lookup(lay: _Layout, perms: dict, K: int, own: int, partners=None, sub=None) -> list:
+    """Per key of `lay`, the atom it stands for under the block's
+    permutations: each file's images, offset to its slot, one `map` per file
+    and slot.  A one-slot block's slot is `own`; a qset2 block pairs file f
+    with its slot partners[f - 1] as well.  The atoms are in a store of
+    `sub` subsubfiles per subfile, or of each permutation's length when
+    `sub` is None."""
+    lut, high = [], []
+    for f, w in lay.files:
+        images = perms[f].images
+        n = len(images)
+        if n != w:
+            if n < w:
+                raise InvalidDimensionError(
+                    f"file {f}: position {w} is past its permutation of [{n}]")
+            images = images[:w]
+        if sub is not None:
+            n = sub
+        # atom(f, j, x) is ((f - 1) * K + j - 1) * n + x - 1
+        if partners is None:
+            lut += map((((f - 1) * K + own - 1) * n - 1).__add__, images)
+        else:
+            j = partners[f - 1]
+            lo, hi = (j, own) if j < own else (own, j)
+            lut += map((((f - 1) * K + lo - 1) * n - 1).__add__, images)
+            high += map((((f - 1) * K + hi - 1) * n - 1).__add__, images)
+    lut += high
+    return lut
+
+
 def materialize(records, perms: dict, info: SlotInfo, K: int) -> list:
     """Per-database query lists of one generator block of a K-subfile store.
 
     Each record reference (file, pos) becomes the atom of subsubfile
     perms[file](pos) at every subfile slot in info.subfiles(file): the
     block's own slot for alg1 and qset1, the file's partner slot and the
-    block's own for qset2.
+    block's own for qset2.  The schedule's `_Layout` already lists every
+    record's references in atom order, so the block's atoms are one `map`
+    over its keys, cut per record.
     """
-    # per file, each slot's atom of x = 0, which x then offsets, and the images
-    by_file = {f: ([atom(f, j, 0, K, len(p.images)) for j in info.subfiles(f)], p.images)
-               for f, p in perms.items()}
-    out = []
-    for db_list in records:
-        row = []
-        for rec in db_list:
-            atoms = []
-            for f, pos in rec.refs:
-                offsets, images = by_file[f]
-                x = images[pos - 1]
-                for o in offsets:
-                    atoms.append(o + x)
-            atoms.sort()
-            row.append(new_query((tuple(atoms),)))
-        out.append(row)
-    return out
+    step = 1 if info.partners is None else 2
+    lay = _LAYOUTS.get((id(records), step)) or _layout(records, step)
+    lut = _lookup(lay, perms, K, info.subfile, info.partners)
+    at = tuple(map(lut.__getitem__, lay.keys))
+    queries = [new_query((at[a:b],)) for a, b in pairwise(lay.cuts)]
+    return list(map(queries.__getitem__, lay.db_slices))
 
 
 _images = attrgetter("images")
@@ -467,9 +583,11 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
     is checked here, file by file: every partner must be a base user that
     demands the file exactly when it is the user's own demand, which is
     what `decode_user` needs of it."""
+    slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
+    if len(slot_of) != K:
+        raise DemandError(f"user permutation must be over [K]={K}, got n={len(slot_of)}")
     _check_perms(user_perms, N, K, S ** (N - 1))
     H = h_value(S, N)
-    slot_of = P.images  # user c's slot p_c is slot_of[c - 1]
     slots, records = {}, {}
     for c in range(1, K + 1):
         d = demands[c - 1]
@@ -503,49 +621,75 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     qset2).  A value is keyed by the atom of its subsubfile at the block's
     own slot, atom(file, p_u, x, K, sub): there it is W itself for alg1 and
     qset1 blocks, and W XOR its partner slot's W for qset2.  Each user has its
-    own slot, so no two blocks share a key.
+    own slot, so no two blocks share a key.  The records are walked by sum
+    size, then user, database and record, through each schedule's
+    `_Layout`, and each record's answer is read from a per-user table
+    filled from the bundle's emission; an emission entry naming a record
+    the transcript does not have is refused.
     """
-    index = bundle.answer_index()
     K, sub = bundle.K, bundle.sub
-    # per user and file, the own-slot atom of x = 0, which x then offsets, and
-    # the images that turn a position into x
-    at = {user: {f: (atom(f, transcript.slots[user].subfile, 0, K, sub), p.images)
-                 for f, p in transcript.perms[user].items()}
-          for user in transcript.records}
+    plans, tables, rounds = {}, {}, 0
+    for user in sorted(transcript.records):
+        records = transcript.records[user]
+        info = transcript.slots[user]
+        step = 1 if info.partners is None else 2
+        lay = _LAYOUTS.get((id(records), step)) or _layout(records, step)
+        plans[user] = (lay, _lookup(lay, transcript.perms[user], K, info.subfile, sub=sub))
+        rounds = max(rounds, len(lay.runs))
+        tables[user] = [[None] * len(db_list) for db_list in records]
+    for db0, (order, row) in enumerate(zip(bundle.emission, answers)):
+        at_db = {user: table[db0] for user, table in tables.items() if db0 < len(table)}
+        try:
+            for (user, local), block in zip(order, row):
+                at_db[user][local] = block
+        except (KeyError, IndexError):
+            raise UnresolvablePlanError(
+                f"database {db0 + 1} answers record (user {user}, local {local}), "
+                "which the transcript does not have") from None
+    tables = {user: list(chain.from_iterable(table)) for user, table in tables.items()}
     values = {}
-    work = [(user, db0, local, rec)
-            for user in sorted(transcript.records)
-            for db0, db_list in enumerate(transcript.records[user])
-            for local, rec in enumerate(db_list) if rec.fresh]
-    work.sort(key=lambda w: len(w[3].refs))  # refs[1:] were exposed in earlier rounds
-    for user, db0, local, (refs, _, source) in work:
-        mine = at[user]
-        try:
-            acc = answers[db0][index[(user, db0, local)]]
-            if source is not None:
-                sdb, sidx = source
-                acc ^= answers[sdb - 1][index[(user, sdb - 1, sidx)]]
-        except KeyError:
-            what = "source answer" if (user, db0, local) in index else "answer"
-            raise UnresolvablePlanError(
-                f"{what} of record (user {user}, db {db0 + 1}, local {local}) is missing"
-            ) from None
-        try:
-            for f, pos in (refs[1:] if source is None else ()):
-                o, images = mine[f]
-                acc ^= values[o + images[pos - 1]]
-        except KeyError as exc:
-            raise UnresolvablePlanError(
-                f"old reference {atom_triple(exc.args[0], K, sub)} not resolved before use"
-            ) from exc
-        f, pos = refs[0]
-        o, images = mine[f]
-        key = o + images[pos - 1]
-        if key in values:
-            raise UnresolvablePlanError(
-                f"reference {atom_triple(key, K, sub)} resolved twice")
-        values[key] = acc
+    for k in range(rounds):
+        for user, (lay, own) in plans.items():
+            if k >= len(lay.runs):
+                continue
+            table = tables[user]
+            keys, cuts, fresh_at, sources, step = (
+                lay.keys, lay.cuts, lay.fresh_at, lay.sources, lay.step)
+            for run in lay.runs[k]:
+                for g in run:
+                    acc = table[g]
+                    if acc is None:
+                        raise _missing("answer", user, lay, g)
+                    c = cuts[g]
+                    key = own[keys[c + fresh_at[g] * step]]
+                    source = sources.get(g)
+                    if source is not None:
+                        other = table[source] if source >= 0 else None
+                        if other is None:
+                            raise _missing("source answer", user, lay, g)
+                        acc ^= other
+                    else:
+                        refs = keys[c:cuts[g + 1]:step]
+                        del refs[fresh_at[g]]
+                        try:
+                            for a in refs:
+                                acc ^= values[own[a]]
+                        except KeyError as exc:
+                            raise UnresolvablePlanError(
+                                f"old reference {atom_triple(exc.args[0], K, sub)} "
+                                "not resolved before use") from exc
+                    if key in values:
+                        raise UnresolvablePlanError(
+                            f"reference {atom_triple(key, K, sub)} resolved twice")
+                    values[key] = acc
     return values
+
+
+def _missing(what, user, lay, g) -> UnresolvablePlanError:
+    """The error for record g of the user's layout, whose `what` is missing."""
+    db0, rows = next((db0, rows) for db0, rows in enumerate(lay.db_slices) if g < rows.stop)
+    return UnresolvablePlanError(
+        f"{what} of record (user {user}, db {db0 + 1}, local {g - rows.start}) is missing")
 
 
 def decode_user(user, transcript: SessionTranscript, bundle: QueryBundle, answers,

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from mupir import protocol
 from mupir.audit import check_structure, verify_replay
 from mupir.core import (
     Permutation,
@@ -31,6 +32,7 @@ from mupir.errors import (
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import cache_fraction, h_value, q_value
 from mupir.protocol import (
+    Record,
     _alg1_schedule,
     _run_symmetric_rounds,
     assemble_bundle,
@@ -140,12 +142,30 @@ class TestQset1:
                             assert pos <= H
 
 
+def _shuffled_perms(files, n, seed):
+    """A seeded random permutation of [n] for each of `files`."""
+    rng = random.Random(seed)
+    return {i: Permutation(tuple(rng.sample(range(1, n + 1), n))) for i in files}
+
+
 class TestQset2:
     def test_counts(self):
-        perms = {i: identity(9) for i in (1, 2, 3)}
+        # own slot 2: file 2's partner slot lies above it, files 1 and 3's
+        # below, so a reference's two atoms come in either order
+        perms = _shuffled_perms((1, 2, 3), 9, seed=3)
         omega = SlotInfo(kind="qset2", subfile=2, partners=(1, 3, 1))
         per_db = materialize(qset2_schedule(3, 3), perms, omega, 3)
         assert [len(db) for db in per_db] == [9, 9, 9]
+        assert per_db == reference_materialize(qset2_schedule(3, 3), perms, omega.subfiles, 3)
+
+    @pytest.mark.parametrize("omega", [
+        SlotInfo(kind="qset2", subfile=3, partners=(1, 2)),  # own slot above both partners
+        SlotInfo(kind="qset2", subfile=1, partners=(2, 3)),  # and below both
+    ])
+    def test_a_2_2_3_block_matches_the_per_atom_reference(self, omega):
+        perms = _shuffled_perms((1, 2), 2, seed=omega.subfile)
+        assert (materialize(qset2_schedule(2, 2), perms, omega, 3)
+                == reference_materialize(qset2_schedule(2, 2), perms, omega.subfiles, 3))
 
     def test_atom_pairing(self):
         perms = {i: identity(2) for i in (1, 2)}
@@ -187,6 +207,48 @@ def test_materialize_matches_per_atom_reference(block_session):
         want = reference_materialize(records, tr.perms[user], info.subfiles, tr.K)
         assert materialize(records, tr.perms[user], info, tr.K) == want
     assert kind in kinds
+
+
+class TestLayout:
+    """`materialize` and `resolve_symbols` read each schedule through one
+    layout, made on its first use and kept with it."""
+
+    def test_a_content_equal_copy_materializes_alike(self):
+        cached = qset1_schedule(3, 3, 2)
+        copy = tuple(map(tuple, cached))
+        assert copy == cached and copy is not cached
+        perms = _shuffled_perms((1, 2, 3), 9, seed=1)
+        info = SlotInfo(kind="qset1", subfile=2, demand=2)
+        want = reference_materialize(cached, perms, info.subfiles, 3)
+        assert materialize(copy, perms, info, 3) == want
+        assert materialize(cached, perms, info, 3) == want
+
+    def test_sessions_share_one_layout_per_schedule(self):
+        before = set(protocol._LAYOUTS)
+        used = set()
+        for seed in range(50):
+            _, art = _session(2, 3, 4, seed)
+            tr = art["transcript"]
+            for user, records in tr.records.items():
+                step = 1 if tr.slots[user].partners is None else 2
+                used.add((id(records), step))
+                assert protocol._LAYOUTS[(id(records), step)].records is records
+        # qset1 for each demanded file and one qset2 schedule, whatever the draws
+        assert len(used) == len({key for key, _ in used}) == 4
+        assert set(protocol._LAYOUTS) - before <= used
+
+    def test_a_record_naming_a_file_twice_is_refused(self):
+        records = ((Record(((2, 1),), True), Record(((1, 1), (2, 2), (1, 2)), True)),)
+        with pytest.raises(UnresolvablePlanError,
+                           match=r"^record \(db 1, local 1\) names file 1 twice$"):
+            materialize(records, {1: identity(2), 2: identity(2)},
+                        SlotInfo(kind="qset1", subfile=1), 1)
+
+    def test_a_permutation_shorter_than_the_schedule_is_refused(self):
+        perms = {1: identity(9), 2: identity(9), 3: identity(8)}
+        with pytest.raises(InvalidDimensionError,
+                           match=r"^file 3: position 9 is past its permutation of \[8\]$"):
+            materialize(qset1_schedule(3, 3, 2), perms, SlotInfo(kind="qset1", subfile=1), 3)
 
 
 def test_materialize_and_replay_build_real_queries(block_session):
@@ -415,6 +477,20 @@ class TestSessions:
         bundle = art["bundle"]
         assert replay_bundle(art["transcript"], bundle.emission).per_db == bundle.per_db
 
+
+
+@pytest.mark.parametrize("K, generate", [
+    (2, lambda P, perms: generate_alg2(2, 2, 2, (1, 2), P, perms)),
+    (3, lambda P, perms: generate_alg3(2, 2, 3, (1, 2, 1), P, (1, 2), {3: {1: 1, 2: 1}},
+                                       perms)),
+], ids=["alg2", "alg3"])
+def test_a_slot_map_over_another_length_is_refused(K, generate):
+    # a slot map over [K + 1] gives user 1 slot K + 1, past the store
+    perms = {c: {i: identity(2) for i in (1, 2)} for c in range(1, K + 1)}
+    P = Permutation(tuple(range(K + 1, 0, -1)))
+    with pytest.raises(DemandError,
+                       match=rf"^user permutation must be over \[K\]={K}, got n={K + 1}$"):
+        generate(P, perms)
 
 
 class TestPermutationLength:
@@ -655,6 +731,18 @@ class TestDecodeDetail:
                               slots=dict(bundle.slots))
         with pytest.raises(UnresolvablePlanError, match=message):
             resolve_symbols(art["transcript"], dropped, answers)
+
+    def test_an_answer_to_no_record_is_refused(self):
+        _, art = run_mupir_session(2, 3, 3, 1, seed=0)
+        bundle, answers = art["bundle"], [list(row) for row in art["answers"]]
+        emission = [list(order) for order in bundle.emission]
+        emission[1].append((1, len(art["transcript"].records[1][1])))
+        answers[1].append(answers[1][0])
+        extra = dataclasses.replace(bundle, emission=emission)
+        with pytest.raises(UnresolvablePlanError,
+                           match=r"^database 2 answers record \(user 1, local \d+\), "
+                                 r"which the transcript does not have$"):
+            resolve_symbols(art["transcript"], extra, answers)
 
     def test_shared_system_gives_same_output(self):
         # one oracle pass shared by every user agrees with each user's own
