@@ -291,16 +291,23 @@ def canonical_form(bundle: QueryBundle) -> tuple:
 
 def answer_bundle(store: FileStore, bundle: QueryBundle) -> list:
     """One block per query: XOR of the referenced subsubfiles, order-aligned.
-    A one-atom query's answer is the store's own block, not a copy."""
+    A one-atom query's answer is the store's own block, not a copy.  A
+    query with no atoms, or an atom past the store, is refused by database
+    and position (from 1)."""
     data = store.data
     out = []
-    for queries in bundle.per_db:
+    for s, queries in enumerate(bundle.per_db, start=1):
         row = []
-        for q in queries:
-            atoms = iter(q.atoms)
-            acc = data[next(atoms)]
-            for a in atoms:
-                acc ^= data[a]
-            row.append(acc)
+        try:
+            for q in queries:
+                atoms = iter(q.atoms)
+                acc = data[next(atoms)]
+                for a in atoms:
+                    acc ^= data[a]
+                row.append(acc)
+        except (StopIteration, IndexError) as exc:
+            fault = ("has no atoms" if isinstance(exc, StopIteration)
+                     else f"names an atom past the store's {len(data)} blocks")
+            raise InvalidDimensionError(f"database {s}, query {len(row) + 1} {fault}") from None
         out.append(row)
     return out

@@ -25,13 +25,14 @@ position) pairs).  The generators return only the session's
 `SessionTranscript`; one `materialize` turns a block's records into queries,
 and one `replay_bundle` interleaves the blocks per database in a given
 emission order, which `assemble_bundle` draws when the session sends.  One
-`resolve_symbols` peels every block: a fresh record's first reference is its
-answer XOR its source's answer, when it has a source (an alg1 query one
-reference from an answered one), else XOR its other references, all
-resolved in earlier rounds.  Both read a schedule through its `_Layout`,
-made on first use and kept with the cached schedule: every record's
-references as flat keys in atom order, so that a session only maps its
-permutations' images over them.
+`resolve_symbols` peels each user's block on its own: a fresh record's
+first reference is its answer XOR its source's answer, when it has a source
+(an alg1 query one reference from an answered one), else XOR its other
+references, which fresh records of smaller sum size resolved first.  Both
+read a schedule through its `_Layout`, made on first use and kept with the
+cached schedule: every record's references as flat keys in atom order, so
+that a session only maps its permutations' images over them, and the
+block's peel order.
 """
 from __future__ import annotations
 
@@ -258,7 +259,9 @@ class _Layout(NamedTuple):
     references are keys[cuts[r]:cuts[r + 1]], file by file, and `step`
     keys each, in slot order.  Since the atom map is monotone in (file,
     slot, subsub), that is atom order, as long as a record names no file
-    twice.
+    twice.  `order` is the block's peel order: its fresh records by sum
+    size, then record, so the other references of each one are resolved
+    before it.
     """
 
     records: tuple     # the schedule, held so that its id is never reused
@@ -268,7 +271,7 @@ class _Layout(NamedTuple):
     cuts: array
     db_slices: tuple   # db_slices[db0]: the records of database db0 + 1
     fresh_at: array    # a fresh record r's fresh reference is its fresh_at[r]-th
-    runs: tuple        # runs[k - 1]: ranges of the fresh records of sum size k, in order
+    order: array       # the fresh records by sum size, then record
     sources: dict      # sourced record -> its source record, or -1 if there is none
 
 
@@ -276,12 +279,17 @@ _LAYOUTS = {}  # (id(schedule), step) -> its _Layout
 _INTS = []     # _INTS[k] is k: the layouts' keys share these int objects
 
 
-def _layout(records, step: int) -> _Layout:
-    """Build the schedule's layout for `step` slots per reference and hold
-    it in `_LAYOUTS`, where every later use finds it, for the life of the
+def _layout(records, info: SlotInfo) -> _Layout:
+    """The schedule's layout for the block's slots per reference: two for a
+    qset2 block (`info.partners`), else one.  It is built on first use and
+    held in `_LAYOUTS`, where every later use finds it, for the life of the
     process.  Schedules are cached and never change, and the layout holds
     the schedule, so its identity is a safe key.  A record that names a
     file twice is refused."""
+    step = 1 if info.partners is None else 2
+    lay = _LAYOUTS.get((id(records), step))
+    if lay is not None:
+        return lay
     widths = {}
     for db_list in records:
         for rec in db_list:
@@ -321,19 +329,9 @@ def _layout(records, step: int) -> _Layout:
                     sdb, sidx = source
                     ok = 1 <= sdb <= len(records) and 0 <= sidx < len(records[sdb - 1])
                     sources[g] = db_cuts[sdb - 1] + sidx if ok else -1
-    # fresh records by sum size, then record: contiguous runs of each size
-    runs = {}
-    for k, g in sorted(sizes):
-        group = runs.setdefault(k, [])
-        if group and group[-1][1] == g:
-            group[-1][1] = g + 1
-        else:
-            group.append([g, g + 1])
-    runs = tuple(tuple(range(a, b) for a, b in runs.get(k, ()))
-                 for k in range(1, max(runs, default=0) + 1))
     lay = _LAYOUTS[(id(records), step)] = _Layout(
         records, files, step, keys, cuts, tuple(map(slice, db_cuts, db_cuts[1:])),
-        fresh_at, runs, sources)
+        fresh_at, array("I", [g for _, g in sorted(sizes)]), sources)
     return lay
 
 
@@ -377,8 +375,7 @@ def materialize(records, perms: dict, info: SlotInfo, K: int) -> list:
     record's references in atom order, so the block's atoms are one `map`
     over its keys, cut per record.
     """
-    step = 1 if info.partners is None else 2
-    lay = _LAYOUTS.get((id(records), step)) or _layout(records, step)
+    lay = _layout(records, info)
     lut = _lookup(lay, perms, K, info.subfile, info.partners)
     at = tuple(map(lut.__getitem__, lay.keys))
     queries = [new_query((at[a:b],)) for a, b in pairwise(lay.cuts)]
@@ -392,9 +389,10 @@ def block_memo():
     """A `materialize` that builds each distinct block once and then shares
     it, for a walk that assembles one block in many sessions.  It takes
     `materialize`'s arguments.  The key is exactly what `materialize` reads:
-    the schedule by identity (schedules are cached and never change; each
-    one seen is held, so its id is not reused), each file with its
-    permutation's images, the slot's `subfile` and `partners`, and K.  The
+    the schedule by identity, each file with its permutation's images, the
+    slot's `subfile` and `partners`, and K.  Every block it holds was built
+    by `materialize`, whose layout keeps the schedule in `_LAYOUTS` for the
+    life of the process, so no schedule's id in a key is ever reused.  The
     blocks are shared, so no caller may edit one; they live as long as the
     memo."""
     blocks = {}
@@ -402,10 +400,10 @@ def block_memo():
     def memo(records, perms, info, K):
         key = (id(records), info.subfile, info.partners, K,
                *perms, *map(_images, perms.values()))
-        hit = blocks.get(key)
-        if hit is None:
-            hit = blocks[key] = (records, materialize(records, perms, info, K))
-        return hit[1]
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = materialize(records, perms, info, K)
+        return block
     return memo
 
 
@@ -617,25 +615,23 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
 
     Every fresh record resolves its fresh reference refs[0] as its answer
     XOR its source's answer, when it has a source (alg1), else XOR the
-    values of refs[1:], which smaller fresh records resolved first (qset1,
-    qset2).  A value is keyed by the atom of its subsubfile at the block's
-    own slot, atom(file, p_u, x, K, sub): there it is W itself for alg1 and
-    qset1 blocks, and W XOR its partner slot's W for qset2.  Each user has its
-    own slot, so no two blocks share a key.  The records are walked by sum
-    size, then user, database and record, through each schedule's
-    `_Layout`, and each record's answer is read from a per-user table
+    values of refs[1:], which smaller fresh records of its block resolved
+    first (qset1, qset2).  A value is keyed by the atom of its subsubfile at
+    the block's own slot, atom(file, p_u, x, K, sub): there it is W itself
+    for alg1 and qset1 blocks, and W XOR its partner slot's W for qset2.
+    Each user has its own slot, so no two blocks share a key, and each
+    block is peeled on its own, user by user, along its schedule's
+    `_Layout.order`.  Each record's answer is read from a per-user table
     filled from the bundle's emission; an emission entry naming a record
     the transcript does not have is refused.
     """
     K, sub = bundle.K, bundle.sub
-    plans, tables, rounds = {}, {}, 0
+    plans, tables = {}, {}
     for user in sorted(transcript.records):
         records = transcript.records[user]
         info = transcript.slots[user]
-        step = 1 if info.partners is None else 2
-        lay = _LAYOUTS.get((id(records), step)) or _layout(records, step)
+        lay = _layout(records, info)
         plans[user] = (lay, _lookup(lay, transcript.perms[user], K, info.subfile, sub=sub))
-        rounds = max(rounds, len(lay.runs))
         tables[user] = [[None] * len(db_list) for db_list in records]
     for db0, (order, row) in enumerate(zip(bundle.emission, answers)):
         at_db = {user: table[db0] for user, table in tables.items() if db0 < len(table)}
@@ -646,42 +642,37 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
             raise UnresolvablePlanError(
                 f"database {db0 + 1} answers record (user {user}, local {local}), "
                 "which the transcript does not have") from None
-    tables = {user: list(chain.from_iterable(table)) for user, table in tables.items()}
     values = {}
-    for k in range(rounds):
-        for user, (lay, own) in plans.items():
-            if k >= len(lay.runs):
-                continue
-            table = tables[user]
-            keys, cuts, fresh_at, sources, step = (
-                lay.keys, lay.cuts, lay.fresh_at, lay.sources, lay.step)
-            for run in lay.runs[k]:
-                for g in run:
-                    acc = table[g]
-                    if acc is None:
-                        raise _missing("answer", user, lay, g)
-                    c = cuts[g]
-                    key = own[keys[c + fresh_at[g] * step]]
-                    source = sources.get(g)
-                    if source is not None:
-                        other = table[source] if source >= 0 else None
-                        if other is None:
-                            raise _missing("source answer", user, lay, g)
-                        acc ^= other
-                    else:
-                        refs = keys[c:cuts[g + 1]:step]
-                        del refs[fresh_at[g]]
-                        try:
-                            for a in refs:
-                                acc ^= values[own[a]]
-                        except KeyError as exc:
-                            raise UnresolvablePlanError(
-                                f"old reference {atom_triple(exc.args[0], K, sub)} "
-                                "not resolved before use") from exc
-                    if key in values:
-                        raise UnresolvablePlanError(
-                            f"reference {atom_triple(key, K, sub)} resolved twice")
-                    values[key] = acc
+    for user, (lay, own) in plans.items():
+        table = list(chain.from_iterable(tables[user]))
+        keys, cuts, fresh_at, sources, step = (
+            lay.keys, lay.cuts, lay.fresh_at, lay.sources, lay.step)
+        for g in lay.order:
+            acc = table[g]
+            if acc is None:
+                raise _missing("answer", user, lay, g)
+            c = cuts[g]
+            key = own[keys[c + fresh_at[g] * step]]
+            source = sources.get(g)
+            if source is not None:
+                other = table[source] if source >= 0 else None
+                if other is None:
+                    raise _missing("source answer", user, lay, g)
+                acc ^= other
+            else:
+                refs = keys[c:cuts[g + 1]:step]
+                del refs[fresh_at[g]]
+                try:
+                    for a in refs:
+                        acc ^= values[own[a]]
+                except KeyError as exc:
+                    raise UnresolvablePlanError(
+                        f"old reference {atom_triple(exc.args[0], K, sub)} "
+                        "not resolved before use") from exc
+            if key in values:
+                raise UnresolvablePlanError(
+                    f"reference {atom_triple(key, K, sub)} resolved twice")
+            values[key] = acc
     return values
 
 

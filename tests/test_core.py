@@ -22,6 +22,7 @@ from mupir.core import (
     xor_combine,
 )
 from mupir.errors import DemandError, InvalidDimensionError
+from mupir.harness import run_mupir_session
 
 from conftest import identity
 
@@ -317,3 +318,15 @@ def test_answer_bundle_matches_per_atom_reference(block_session):
                for q, a in zip(queries, row) if len(q.atoms) == 1]
     assert singles
     assert all(a is store.block(*triple(first)) for first, a in singles)
+
+
+@pytest.mark.parametrize("db0,n,query,message", [
+    (0, 0, Query(()), r"^database 1, query 1 has no atoms$"),
+    (1, 1, Query((0, 8)), r"^database 2, query 2 names an atom past the store's 8 blocks$"),
+])
+def test_answer_bundle_refuses_a_malformed_query(db0, n, query, message):
+    _, art = run_mupir_session(2, 2, 2, 1, seed=0)
+    bundle = art["bundle"]
+    bundle.per_db[db0][n] = query
+    with pytest.raises(InvalidDimensionError, match=message):
+        answer_bundle(art["store"], bundle)

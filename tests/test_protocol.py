@@ -237,6 +237,53 @@ class TestLayout:
         assert len(used) == len({key for key, _ in used}) == 4
         assert set(protocol._LAYOUTS) - before <= used
 
+    def test_the_memo_needs_no_schedule_of_its_own(self):
+        # the memo keys a schedule by id and holds only blocks: the layout
+        # that materialize keeps holds each schedule, so the id of a dropped
+        # one is never reused by another of the same shape, built last here
+        # so that it would take the dropped one's memory
+        memo = protocol.block_memo()
+        perms = _shuffled_perms((1, 2, 3), 9, seed=4)
+        info = SlotInfo(kind="qset1", subfile=2, demand=2)
+        cached = qset1_schedule(3, 3, 2)
+        others = [[tuple(rec._replace(refs=tuple((sigma[f - 1], pos) for f, pos in rec.refs))
+                         for rec in db_list) for db_list in cached]
+                  for sigma in [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]]
+        schedule = tuple(map(tuple, cached))
+        assert memo(schedule, perms, info, 3) == materialize(schedule, perms, info, 3)
+        for dbs in others:
+            del schedule
+            schedule = tuple(dbs)
+            want = reference_materialize(schedule, perms, info.subfiles, 3)
+            assert memo(schedule, perms, info, 3) == materialize(schedule, perms, info, 3) == want
+
+    @pytest.mark.parametrize("session", [
+        lambda: run_mupir_session(3, 3, 5, 2, seed=7),
+        lambda: run_mupir_session(2, 3, 4, 2, seed=0),
+        lambda: run_single_session(4, 5, 2, seed=0),
+    ], ids=["3,3,5", "2,3,4", "alg1-4,5"])
+    def test_each_block_peels_on_its_own(self, session):
+        # one user's records, slot, answers and emission alone resolve
+        # exactly that user's values: the values of its own slot
+        _, art = session()
+        tr, bundle, answers = art["transcript"], art["bundle"], art["answers"]
+        symbols = resolve_symbols(tr, bundle, answers)
+        kinds, covered = set(), {}
+        for user, info in tr.slots.items():
+            kinds.add(info.kind)
+            one = dataclasses.replace(tr, records={user: tr.records[user]},
+                                      perms={user: tr.perms[user]}, slots={user: info})
+            rows = [[n for n, (u, _) in enumerate(order) if u == user] for order in bundle.emission]
+            pick = lambda lists: [[lst[n] for n in ns] for lst, ns in zip(lists, rows)]
+            alone = dataclasses.replace(bundle, per_db=pick(bundle.per_db),
+                                        emission=pick(bundle.emission), slots=one.slots)
+            got = resolve_symbols(one, alone, pick(answers))
+            assert got == {key: value for key, value in symbols.items()
+                           if atom_triple(key, tr.K, bundle.sub)[1] == info.subfile}
+            covered.update(got)
+        assert covered == symbols
+        assert kinds in ({"qset1", "qset2"}, {"alg1"})
+
     def test_a_record_naming_a_file_twice_is_refused(self):
         records = ((Record(((2, 1),), True), Record(((1, 1), (2, 2), (1, 2)), True)),)
         with pytest.raises(UnresolvablePlanError,
