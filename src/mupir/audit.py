@@ -11,19 +11,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, permutations, product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, sub as _minus
 
 from .core import (
     Permutation,
     QueryBundle,
-    atom,
+    atom_codes,
     atom_triple,
     canonical_form,
     canonical_view,
+    code_subfile,
     collector_paused,
+    file_refs,
     query_refs,
 )
 from .errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
@@ -96,43 +98,60 @@ def _slot_queries(bundle: QueryBundle):
     return by_user
 
 
-_sum_refs = itemgetter(1)  # a (db, references) sum's references
+_atoms = itemgetter(0)    # a Query's atoms
+_refs_of = itemgetter(1)  # a (db, references) sum's references
 
 
 def _peel_closure(sums):
     """References resolvable from the sums, (db, frozenset of references),
     each reference one int (`core.query_refs`).
 
-    A one-reference sum resolves its reference.  Source rule, applied once:
-    a sum resolves a reference whose removal leaves a sum sent whole by
-    another database.  Then, to a fixpoint: a sum with exactly one unknown
-    reference resolves it.  Returns (exposed, each unresolved sum's unknowns).
+    A sum with exactly one unknown reference resolves it.  Source rule: a
+    sum resolves a reference whose removal leaves a sum sent whole by
+    another database.  Returns (exposed, each unresolved sum's unknowns, in
+    the order of `sums`).
 
-    The sum that removing r from a sum of total t leaves has total t - r, so
-    the source rule looks among the sums of that total only; one of them is
-    that sum when it is one shorter and a subset.
+    One pass peels the sums in order; smallest first, as `_check_counts`
+    gives them, resolves every multi-user block.  The source rule starts at
+    the first sum with two or more unknowns at its turn, since every
+    earlier sum is known by then.  It looks among the sums of total t - r
+    only: removing r from a sum of total t leaves that total, and one of
+    them is that sum when it is one shorter and a subset.  Rounds over the
+    unresolved sums then go on to the fixpoint.
     """
-    totals = list(map(sum, map(_sum_refs, sums)))
-    by_total = {}  # total -> [(sum, the database sending it)]
-    for (db, refs), t in zip(sums, totals):
+    exposed, pending = set(), []
+    disjoint = exposed.isdisjoint
+    for e, (_, refs) in enumerate(sums):
+        unknown = refs if disjoint(refs) else refs - exposed
+        if len(unknown) > 1:
+            break
+        exposed |= unknown
+    else:
+        return exposed, pending
+    totals = list(map(sum, map(_refs_of, sums)))
+    by_total = {}  # total -> [(database, references)]
+    for s, t in zip(sums, totals):
         hit = by_total.get(t)
         if hit is None:
-            by_total[t] = [(refs, db)]
+            by_total[t] = [s]
         else:
-            hit.append((refs, db))
-    get = by_total.get
-    exposed = set()
-    for (db, refs), t in zip(sums, totals):
+            hit.append(s)
+    get, add = by_total.get, exposed.add
+    for (db, refs), t in zip(sums[e:], totals[e:]):
         n = len(refs) - 1
-        if not n:
-            exposed |= refs
-            continue
         for r in refs:
-            for other, other_db in get(t - r, ()):
-                if other_db != db and len(other) == n and other <= refs:
-                    exposed.add(r)
-    pending = [refs for _, refs in sums]
-    changed = True
+            hit = get(t - r)
+            if hit is not None:
+                for other_db, other in hit:
+                    if other_db != db and len(other) == n and other <= refs:
+                        add(r)
+                        break
+        unknown = refs - exposed
+        if len(unknown) == 1:
+            exposed |= unknown
+        elif unknown:
+            pending.append(unknown)
+    changed = not all(map(disjoint, pending))
     while changed:
         changed = False
         rest = []
@@ -147,51 +166,95 @@ def _peel_closure(sums):
     return exposed, pending
 
 
+@lru_cache(maxsize=1 << 12)
+def _classify(codes, wants, K, sub) -> tuple:
+    """What a query's subfile codes (`core.atom_codes`) tell of it: (its
+    fileset, the references it has when it passes, each atom's offset from
+    its reference).  `wants[f - 1]` is file f's wanted slots, in order.  It
+    can pass only when each file's atoms take exactly the file's wanted
+    slots, and then it has one reference per file exactly when it passes:
+    when each file's atoms share one subsubfile.  One that cannot pass
+    wants -1 references.  Memoised: sessions of one shape see the same few
+    tuples of codes."""
+    by_file, offsets = {}, []
+    for code in codes:
+        f, j, offset = code_subfile(code, K, sub)
+        by_file.setdefault(f, []).append(j)
+        offsets.append(offset)
+    fit = all(1 <= f <= len(wants) and tuple(sorted(js)) == wants[f - 1]
+              for f, js in by_file.items())
+    return (tuple(sorted(by_file)), len(by_file) if fit else -1,
+            tuple(offsets) if any(offsets) else None)
+
+
 def _check_counts(user, per_db, info, bundle, failures, tables):
     """Per database: every reference touches exactly its block's subfile
     slots, no sum repeats a file, and each k-subset type occurs as often as
     `_REPS` prescribes for the block's kind, with no other type.  So each
     file is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  A
-    reference is one int, the atom of its subsubfile at slot 1:
-    `core.query_refs` groups each query's atoms into references, and only a
-    failure message decodes one.  A query's type, wanted slots and file
-    repeat depend only on its files, so each is worked out once per distinct
-    tuple of files.  Returns each query's (database, frozenset of
-    references) and each database's references."""
+    reference is one int, the atom of its subsubfile at slot 1, as
+    `core.query_refs` groups them.
+
+    A query is read through its atoms' subfile codes (`core.atom_codes`,
+    made for a database at once).  What a tuple of codes tells
+    (`_classify`) is worked out once per distinct tuple, and a query's
+    references are its atoms less their offsets.  A query whose references
+    do not number what its codes want fails a rule, and only then
+    `query_refs` regroups it to name the fault.  An atom outside the store
+    is named instead, with the store's size, and the block is checked no
+    further: its tables would count subsubfiles that do not exist.  Returns
+    None then, else the sums (database, frozenset of references), smallest
+    first, and each database's reference sets."""
     S, N, K, sub = bundle.S, bundle.N, bundle.K, bundle.sub
+    size = N * K * sub
     reps = partial(_REPS[info.kind], S, N)
-    want_slots = {i: tuple(sorted(info.subfiles(i))) for i in range(1, N + 1)}
-    want_get = want_slots.get
-    typed = {}  # files, in reference order -> (fileset, wanted slots, repeats a file)
-    sums, tally, types = [], [], {}  # types: (db, fileset) -> count
+    wants = tuple(tuple(sorted(info.subfiles(i))) for i in range(1, N + 1))
+    typed = {}  # atom codes -> (fileset, references wanted, offsets)
+    by_size, by_db, types, faults, outside = {}, [], {}, [], []
     for db0, queries in enumerate(per_db):
-        seen, filesets = [], []
-        tally.append(seen)
-        for q in queries:
-            files, slots, refs = query_refs(q.atoms, K, sub)
-            key = tuple(files)
+        refsets, filesets = [], []
+        lists = list(map(_atoms, queries))
+        codes = atom_codes(chain.from_iterable(lists), sub)
+        stop = 0
+        for atoms in lists:
+            start, stop = stop, stop + len(atoms)
+            key = codes[start:stop]
             hit = typed.get(key)
             if hit is None:
-                distinct = set(files)
-                hit = typed[key] = (tuple(sorted(distinct)), list(map(want_get, files)),
-                                    len(distinct) != len(files))
-            fileset, wanted, repeated = hit
-            if slots != wanted:
+                hit = typed[key] = _classify(key, wants, K, sub)
+            fileset, wanted, offsets = hit
+            refs = frozenset(atoms if offsets is None else map(_minus, atoms, offsets))
+            n = len(refs)
+            if n != wanted:
+                where = f"user {user} db {db0 + 1}"
+                bad = [a for a in atoms if not 0 <= a < size]
+                if bad:
+                    outside += [f"{where}: atom {a} lies outside the store's {size} blocks"
+                                for a in bad]
+                    continue
+                files, slots, _ = query_refs(atoms, K, sub)
                 for f, subfiles in zip(files, slots):
                     if len(subfiles) > 1:
                         subfiles = tuple(sorted(subfiles))
-                    if subfiles != want_get(f):
-                        failures.append(
-                            f"user {user} db {db0 + 1}: reference to file {f} "
-                            f"uses slots {list(subfiles)}"
-                        )
-            if repeated:
-                failures.append(f"user {user} db {db0 + 1}: repeated file within one sum")
+                    if subfiles != wants[f - 1]:
+                        faults.append(f"{where}: reference to file {f} uses slots "
+                                      f"{list(subfiles)}")
+                if len(set(files)) != len(files):
+                    faults.append(f"{where}: repeated file within one sum")
+            refsets.append(refs)
             filesets.append(fileset)
-            sums.append((db0, refs))
-            seen += refs
+            hold = by_size.get(n)
+            if hold is None:
+                by_size[n] = [(db0, refs)]
+            else:
+                hold.append((db0, refs))
+        by_db.append(refsets)
         for fileset, n in Counter(filesets).items():
             types[(db0 + 1, fileset)] = n
+    if outside:
+        failures += outside
+        return None
+    failures += faults
     for k in range(1, N + 1):
         for s in range(1, S + 1):
             want = reps(s, k)
@@ -205,7 +268,8 @@ def _check_counts(user, per_db, info, bundle, failures, tables):
                     )
     for key in types:
         failures.append(f"user {user}: unexpected sum type at {key}")
-    return sums, tally
+    sums = list(chain.from_iterable(by_size[n] for n in sorted(by_size)))
+    return sums, by_db
 
 
 def _file_subsub(r, bundle) -> tuple:
@@ -214,14 +278,14 @@ def _file_subsub(r, bundle) -> tuple:
     return f, x
 
 
-def _check_no_repeats(user, tally, bundle, failures):
+def _check_no_repeats(user, by_db, bundle, failures):
     """Single-user privacy: no reference repeats within a database.  The
     repeats of a database are named in (file, subsub) order."""
-    for db0, refs in enumerate(tally):
-        if len(set(refs)) < len(refs):
+    for db0, refsets in enumerate(by_db):
+        if sum(map(len, refsets)) != len(frozenset().union(*refsets)):
+            counts = Counter(chain.from_iterable(refsets))
             failures.extend(f"user {user} db {db0 + 1}: reference {_file_subsub(r, bundle)} "
-                            f"appears {n} times" for r, n in sorted(Counter(refs).items())
-                            if n > 1)
+                            f"appears {n} times" for r, n in sorted(counts.items()) if n > 1)
 
 
 def _wanted_counts(info, bundle) -> dict:
@@ -240,11 +304,11 @@ def _check_peel_exposure(user, sums, info, bundle, failures):
     K, sub = bundle.K, bundle.sub
     want = {}  # file -> (its wanted references, all its references)
     for i, n in _wanted_counts(info, bundle).items():
-        every = [atom(i, 1, x, K, sub) for x in range(1, sub + 1)]
+        every = file_refs(i, K, sub)
         want[i] = frozenset(every[:n]), frozenset(every)
     touched = frozenset().union(*(every for _, every in want.values()))
     exposed, unknowns = _peel_closure(sums)
-    unresolved = sum(1 for unknown in unknowns if not touched.isdisjoint(unknown))
+    unresolved = len(unknowns) - sum(map(touched.isdisjoint, unknowns))
     if unresolved:
         failures.append(f"user {user}: {unresolved} sums cannot be peeled")
     for i, (refs, every) in sorted(want.items()):
@@ -269,9 +333,12 @@ def check_structure(bundle: QueryBundle) -> AuditReport:
         if kind not in _REPS:
             failures.append(f"user {user}: unknown generator kind {kind!r}")
             continue
-        sums, tally = _check_counts(user, per_db, info, bundle, failures, tables)
+        counted = _check_counts(user, per_db, info, bundle, failures, tables)
+        if counted is None:
+            continue
+        sums, by_db = counted
         if kind == "alg1":
-            _check_no_repeats(user, tally, bundle, failures)
+            _check_no_repeats(user, by_db, bundle, failures)
         _check_peel_exposure(user, sums, info, bundle, failures)
     return AuditReport(
         ok=not failures,

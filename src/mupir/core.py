@@ -5,8 +5,9 @@ positions are all 1-based, matching the usual set notation [n].  A "block"
 is the content of one subsubfile, held as a non-negative int of at most
 8 * block_bytes bits, so that adding blocks is one int XOR.  An "atom" is a
 subsubfile's index in the store's flat block tuple; only `atom`, its
-inverse `atom_triple` and `query_refs`, which groups a query's atoms by
-subsubfile, know that layout.
+inverse `atom_triple`, `query_refs`, which groups a query's atoms by
+subsubfile, and the structure audit's bulk readers `atom_codes`,
+`code_subfile` and `file_refs` know that layout.
 """
 from __future__ import annotations
 
@@ -113,6 +114,26 @@ def query_refs(atoms, K: int, sub: int) -> tuple:
         else:
             groups[r] = slots + (j + 1,)
     return files, list(groups.values()), frozenset(groups)
+
+
+def atom_codes(atoms, sub: int) -> tuple:
+    """Each atom's subfile code: the atoms of one subfile W_{f,j} share it,
+    and `code_subfile` decodes it.  Made for many atoms at once, with no
+    call per atom."""
+    return tuple([a // sub for a in atoms])
+
+
+def code_subfile(code: int, K: int, sub: int) -> tuple:
+    """(f, j, offset) of a subfile code: an atom of W_{f,j} less `offset` is
+    its reference, the atom of its subsubfile at slot 1 (`query_refs`)."""
+    f, j = divmod(code, K)
+    return f + 1, j + 1, j * sub
+
+
+def file_refs(f: int, K: int, sub: int) -> range:
+    """The references of file f, its atoms at slot 1, in subsub order."""
+    first = atom(f, 1, 1, K, sub)
+    return range(first, first + sub)
 
 
 @dataclass(frozen=True)
@@ -241,6 +262,11 @@ class SlotInfo(NamedTuple):
         return (self.partners[file - 1], self.subfile)
 
 
+# SlotInfo built at C level, as `new_query` builds a Query; it takes all
+# four fields as one tuple: new_slot((kind, subfile, demand, partners)).
+new_slot = partial(tuple.__new__, SlotInfo)
+
+
 @dataclass
 class QueryBundle:
     """Per-database query lists for one session, plus their emission order.
@@ -293,7 +319,10 @@ def answer_bundle(store: FileStore, bundle: QueryBundle) -> list:
     """One block per query: XOR of the referenced subsubfiles, order-aligned.
     A one-atom query's answer is the store's own block, not a copy.  A
     query with no atoms, or an atom past the store, is refused by database
-    and position (from 1)."""
+    and position (from 1).  Atoms are trusted to be non-negative: a negative
+    one is answered with the block Python's negative indexing gives, since
+    refusing it here would cost a pass over every atom.  `check_structure`
+    names such an atom and `verify_replay` refuses its bundle."""
     data = store.data
     out = []
     for s, queries in enumerate(bundle.per_db, start=1):

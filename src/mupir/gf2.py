@@ -15,11 +15,20 @@ decoding: peel, then eliminate only what is left):
    is kept.
 2. Each user peels on, by the same routine, from a copy of that state with
    its own cache rows: what it finds is checked only against its blocks.
-3. A target still unknown lies in the core: every row peeling left, with
-   every known block substituted.  Its answer rows are brought once, for
-   all users, to a forward echelon form whose rows carry their blocks;
-   each user adds its cache rows to a copy, and a target's value is what
-   its unit vector reduces to.  At N = K nothing is left for this step.
+3. Pairs: a target still unknown is fixed by two answer rows whose atom
+   multisets differ by exactly its column, as the XOR of their answers, and
+   checked as a peeled value is.  The pairs are found from the atoms alone:
+   in a single-user block they are a query and the query one reference
+   shorter that another database answered, and they fix every target
+   peeling leaves.  A user's targets are tried in order up to the first
+   with no pair, so where there are none (the multi-user blocks' core) the
+   step costs one failed search per user.
+4. A target still unknown lies in the core: every row peeling left, with
+   every known block substituted, and the cache rows of the users that
+   still have a target.  Its answer rows are brought once, for all users,
+   to a forward echelon form whose rows carry their blocks; each user adds
+   its cache rows to a copy, and a target's value is what its unit vector
+   reduces to.  At N = K nothing is left for steps 3 and 4.
 """
 from __future__ import annotations
 
@@ -104,6 +113,28 @@ def _peel(stack, deg, value, n_answers, lo, hi, rows, holders, vals, K, sub, by_
                 stack.append(e2)
 
 
+def _pair(c, rows, holders, vals, n_answers):
+    """Column c's value from two answer rows whose atom multisets differ by
+    exactly c, the XOR of their answers; None when no two rows do.  The
+    shorter row holds every other atom of the longer, so it is sought only
+    among the rows holding one of them."""
+    for e in holders[c]:
+        if e >= n_answers:  # an equation's holders are in order, answers first
+            return None
+        row = rows[e]
+        if len(row) < 2:
+            continue
+        want = sorted(row)
+        want.remove(c)
+        a, n = want[0], len(want)
+        for e2 in holders[a]:
+            if e2 >= n_answers:
+                break
+            if len(rows[e2]) == n and sorted(rows[e2]) == want:
+                return vals[e] ^ vals[e2]
+    return None
+
+
 def cross_check(bundle, answers, users) -> None:
     """Re-derive every decoded block from the equations alone and compare.
 
@@ -113,6 +144,13 @@ def cross_check(bundle, answers, users) -> None:
     cache rows [(atoms, block)]); the targets are the atoms of its decoded
     blocks.  Raises UnresolvablePlanError at the first target the equations
     do not determine, or whose value differs from the decoded block.
+
+    On answers that are not those of one store, the equations disagree
+    among themselves, and the value found depends on the rows that found
+    it.  A pair is the two answers the single-user decoder XORs for the
+    same block, so a corrupted answer there gives the same wrong value in
+    both and passes this check: a session's comparison with the store is
+    what catches it.
     """
     K, sub = bundle.K, bundle.sub
     columns = bundle.N * K * sub  # one column per atom
@@ -145,7 +183,7 @@ def cross_check(bundle, answers, users) -> None:
 
     # 2. each user peels on with its own cache rows, on a copy; its targets
     # still unknown go to the core
-    core = {}          # user -> the columns of its targets left unknown
+    core = {}          # user -> (column, its decoded block's key) of its targets left
     for u, (d, decoded, _) in users.items():
         lo, hi = span[u]
         mine = value.copy()
@@ -153,42 +191,58 @@ def cross_check(bundle, answers, users) -> None:
         _peel(stack, deg.copy(), mine, n_answers, lo, hi, rows, holders, vals, K, sub,
               {d: [decoded]})
         cols = []
-        for j, x in decoded:
+        for jx in decoded:
+            j, x = jx
             c = atom(d, j, x, K, sub)
             if not holders[c]:
                 raise _undetermined((d, j, x))
             if mine[c] is None:
-                cols.append(c)
+                cols.append((c, jx))
         if cols:
             core[u] = cols
 
-    # 3. the core: every row peeling left, with each known column
-    # substituted.  One pass numbers the unknown columns as first met; it
-    # takes the rows last to first, cache rows before answer rows, which
-    # measured the fewest row operations in the elimination.
+    # 3. pairs; a user's targets from its first with no pair go to the core
+    for u, cols in list(core.items()):
+        decoded = users[u][1]
+        for n, (c, jx) in enumerate(cols):
+            v = _pair(c, rows, holders, vals, n_answers)
+            if v is None:
+                core[u] = cols[n:]
+                break
+            if decoded[jx] != v:
+                raise _disagree(atom_triple(c, K, sub))
+        else:
+            del core[u]
+
+    # 4. the core: every row peeling left, with each known column
+    # substituted, and the cache rows of only the users with a target there.
+    # One pass numbers the unknown columns as first met; it takes the rows
+    # last to first, cache rows before answer rows, which measured the
+    # fewest row operations in the elimination.
     if not core:
         return
-    owner = [u for u, (lo, hi) in span.items() for _ in range(lo, hi)]
     bit = {}                    # unknown column -> its bit in the core
     masks, values = [], []      # the core's answer rows
     extra = {}                  # user -> its cache rows there, as (mask, block)
-    for e in reversed(range(len(rows))):
-        if not deg[e]:
-            continue
-        mask, v = 0, vals[e]
-        for c in rows[e]:
-            w = value[c]
-            if w is None:
-                mask ^= 1 << bit.setdefault(c, len(bit))
+    spans = [(u, range(*span[u])) for u in reversed(span) if u in core]
+    for u, todo in spans + [(None, range(n_answers))]:
+        for e in reversed(todo):
+            if not deg[e]:
+                continue
+            mask, v = 0, vals[e]
+            for c in rows[e]:
+                w = value[c]
+                if w is None:
+                    mask ^= 1 << bit.setdefault(c, len(bit))
+                else:
+                    v ^= w
+            if u is None:
+                masks.append(mask)
+                values.append(v)
             else:
-                v ^= w
-        if e < n_answers:
-            masks.append(mask)
-            values.append(v)
-        else:
-            extra.setdefault(owner[e - n_answers], []).append((mask, v))
+                extra.setdefault(u, []).append((mask, v))
 
-    # 4. reduce the core once; each user adds its own cache rows to a copy,
+    # reduce the core once; each user adds its own cache rows to a copy,
     # so one user's cache never determines another user's block
     shared = _echelon(masks, values)
     for u, cols in core.items():
@@ -200,12 +254,13 @@ def cross_check(bundle, answers, users) -> None:
         # name an undetermined target before a disagreeing one
         decoded = users[u][1]
         wrong = None
-        for c in cols:
-            v = _express(echelon, 1 << bit[c])
-            _, j, x = named = atom_triple(c, K, sub)
+        for c, jx in cols:
+            # a column in no row the core took has no bit
+            b = bit.get(c)
+            v = None if b is None else _express(echelon, 1 << b)
             if v is None:
-                raise _undetermined(named)
-            if wrong is None and decoded[(j, x)] != v:
-                wrong = named
+                raise _undetermined(atom_triple(c, K, sub))
+            if wrong is None and decoded[jx] != v:
+                wrong = c
         if wrong is not None:
-            raise _disagree(wrong)
+            raise _disagree(atom_triple(wrong, K, sub))

@@ -54,6 +54,7 @@ from .core import (
     atom,
     atom_triple,
     new_query,
+    new_slot,
     shuffle,
     validate_demands,
     xor_combine,
@@ -551,7 +552,7 @@ def generate_alg1(S: int, N: int, perms: dict, d: int) -> SessionTranscript:
     _check_perms({1: perms}, N, 1, sub)
     return SessionTranscript(S=S, N=N, K=1, demand=(d,), perms={1: dict(perms)},
                              records={1: _alg1_schedule(S, N, d)},
-                             slots={1: SlotInfo("alg1", 1, d)}, H=sub)
+                             slots={1: new_slot(("alg1", 1, d, None))}, H=sub)
 
 
 def generate_alg2(S, N, K, demands, P: Permutation, user_perms) -> SessionTranscript:
@@ -593,7 +594,7 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
         if c in base:
             if not user_perms[c][d].tail_fixed_from(H):
                 raise DemandError(f"permutation for user {c}, file {d} must fix positions > {H}")
-            slots[c] = SlotInfo("qset1", own, d)
+            slots[c] = new_slot(("qset1", own, d, None))
             records[c] = qset1_schedule(S, N, d)
             continue
         align, partners = rho.get(c, {}), []
@@ -604,7 +605,7 @@ def _generate(S, N, K, demands, P, base, rho, user_perms):
                     f"rho for user {c}: file {i}'s partner {b} must be a base user "
                     f"{'' if i == d else 'not '}demanding file {i}")
             partners.append(slot_of[b - 1])
-        slots[c] = SlotInfo("qset2", own, partners=tuple(partners))
+        slots[c] = new_slot(("qset2", own, None, tuple(partners)))
         records[c] = qset2_schedule(S, N)
     return SessionTranscript(S=S, N=N, K=K, demand=demands, perms=user_perms,
                              records=records, slots=slots, H=H)

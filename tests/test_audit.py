@@ -501,6 +501,26 @@ class TestFailureMessages:
         assert f"user 3 db 1: reference to file {f} uses slots [1, 3]" in report.failures
         assert report.failures == reference_check_structure(mutated, 2, 2).failures
 
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 3, 5)], ids=lambda d: "-".join(map(str, d)))
+    @pytest.mark.parametrize("where", ["negative", "past-the-end"])
+    def test_an_atom_outside_the_store_is_named(self, dims, where):
+        # the block fails by the atom alone, with the store's size, and
+        # replay refuses the bundle
+        run = run_single_session if len(dims) == 2 else run_mupir_session
+        _, art = run(*dims, 1, seed=0)
+        bundle, tr = art["bundle"], art["transcript"]
+        size = bundle.N * bundle.K * bundle.sub
+        bad = -1 if where == "negative" else size
+        per_db = [list(queries) for queries in bundle.per_db]
+        atoms = list(per_db[1][0].atoms)
+        atoms[0] = bad
+        per_db[1][0] = Query(tuple(atoms))
+        mutated = dataclasses.replace(bundle, per_db=per_db)
+        user = bundle.emission[1][0][0]
+        assert check_structure(mutated).failures == [
+            f"user {user} db 2: atom {bad} lies outside the store's {size} blocks"]
+        assert not verify_replay(mutated, tr)
+
 
 class TestCountRate:
     def test_examples(self):

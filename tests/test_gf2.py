@@ -1,14 +1,15 @@
 """GF(2) oracle: the forward echelon whose rows carry their blocks and the
 peel-then-core cross-check, both checked against brute force."""
 import random
+from collections import Counter
 
 import pytest
 
 from mupir import gf2
 from mupir.core import Query, QueryBundle, atom, atom_triple
 from mupir.errors import UnresolvablePlanError
-from mupir.gf2 import _echelon, _express, _insert, cross_check
-from mupir.harness import run_mupir_session
+from mupir.gf2 import _echelon, _express, _insert, _pair, cross_check
+from mupir.harness import run_mupir_session, run_single_session
 from mupir.protocol import check_decoded
 
 # the hand-built systems' atoms: two files of one subfile of 16 subsubfiles,
@@ -302,33 +303,49 @@ def test_cross_check_undetermined_target_is_named(monkeypatch):
         cross_check(bundle, [[5]], {1: (1, {(1, 2): 3}, [])})
 
 
+def _paired(bundle):
+    """Every atom that two answer rows pin down: the atom multisets of the
+    two differ by exactly that atom."""
+    rows = [Counter(q.atoms) for queries in bundle.per_db for q in queries]
+    out = set()
+    for long in rows:
+        for short in rows:
+            diff = long - short
+            if sum(diff.values()) == 1 and not short - long:
+                out |= set(diff)
+    return out
+
+
+def _peel_sets(rows, known):
+    """The atoms known after peeling the rows (sets of atoms) from `known`:
+    a row with one unknown atom fixes it."""
+    known = set(known)
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            left = row - known
+            if len(left) == 1:
+                known |= left
+                changed = True
+    return known
+
+
 def _reference_core(bundle, sub, users):
     """Sizes of the answer rows the reduction must see.  `users` maps each
     user to (its file, its cache rows as atom sets).  Peel the answers
     (sets of atoms), then each user's own cache rows; when a target is
-    still unknown, every answer row left counts, known atoms removed, and
-    none does when every target is peeled."""
+    still unknown and no pair of answer rows fixes it, every answer row
+    left counts, known atoms removed, and none does when every target is
+    peeled or paired."""
     answer_rows = [set(q.atoms) for queries in bundle.per_db for q in queries]
-
-    def peel(rows, known):
-        known = set(known)
-        changed = True
-        while changed:
-            changed = False
-            for row in rows:
-                left = row - known
-                if len(left) == 1:
-                    known |= left
-                    changed = True
-        return known
-
-    known = peel(answer_rows, ())
+    known = _peel_sets(answer_rows, ())
     left = set()
     for d, rows in users.values():
-        mine = peel(answer_rows + rows, known)
+        mine = _peel_sets(answer_rows + rows, known)
         left |= {c for row in answer_rows + rows for c in row
                  if atom_triple(c, bundle.K, sub)[0] == d} - mine
-    if not left:
+    if not left - _paired(bundle):
         return []
     return sorted(len(row - known) for row in answer_rows if row - known)
 
@@ -351,8 +368,9 @@ def test_reduction_masks_match_column_reference(block_session, monkeypatch):
     check_decoded(bundle, art["answers"], tr.demand, caches, decoded)
     got = sorted(m.bit_count() for masks in seen for m in masks)
     assert got == _reference_core(bundle, sub, users)
-    # N = K peels every target: nothing is left to reduce
-    assert (got == []) == (kind == "qset1")
+    # N = K peels every target, and a pair of answer rows fixes every
+    # single-user target peeling leaves: nothing is left to reduce
+    assert (got == []) == (kind in ("alg1", "qset1"))
 
 
 def test_reduction_masks_match_column_reference_past_components(monkeypatch):
@@ -360,3 +378,121 @@ def test_reduction_masks_match_column_reference_past_components(monkeypatch):
     # column with any target's component; the core still takes them
     _, art = run_mupir_session(3, 3, 5, 1, seed=7)
     test_reduction_masks_match_column_reference(("qset2", art), monkeypatch)
+
+
+def _no_elimination(masks, values):
+    raise AssertionError("the core was reduced")
+
+
+@pytest.mark.parametrize("S,N", [(3, 3), (4, 3), (4, 5)])
+def test_single_user_sessions_need_no_elimination(monkeypatch, S, N):
+    # pairs of answer rows fix every target peeling leaves in an alg1
+    # block, so no echelon is built
+    monkeypatch.setattr(gf2, "_echelon", _no_elimination)
+    for seed in range(3):
+        report, art = run_single_session(S, N, 1, seed)
+        assert report["decode_ok"] and report["audit_ok"]
+        tr = art["transcript"]
+        decoded = {1: {(1, x): b for x, b in art["decoded"].items()}}
+        check_decoded(art["bundle"], art["answers"], tr.demand, {}, decoded)
+
+
+def test_multi_user_core_still_reaches_elimination(monkeypatch):
+    # a qset2 core target has no pair: the elimination still runs
+    monkeypatch.setattr(gf2, "_echelon", _no_elimination)
+    with pytest.raises(AssertionError, match="the core was reduced"):
+        run_mupir_session(3, 3, 5, 1, seed=0)
+
+
+def test_flipped_alg1_core_target_is_caught_by_its_pair(monkeypatch):
+    # a (4,5) target that peeling does not reach: its pair fixes it, and a
+    # flipped decoded block there is named
+    monkeypatch.setattr(gf2, "_echelon", _no_elimination)
+    _, art = run_single_session(4, 5, 1, seed=2)
+    bundle, tr = art["bundle"], art["transcript"]
+    d, sub = tr.demand[0], 4 ** 4
+    known = _peel_sets([set(q.atoms) for queries in bundle.per_db for q in queries], ())
+    x = next(x for x in range(1, sub + 1) if atom(d, 1, x, 1, sub) not in known)
+    decoded = {1: {(1, y): b for y, b in art["decoded"].items()}}
+    decoded[1][(1, x)] ^= 1
+    with pytest.raises(UnresolvablePlanError, match=rf"disagree at \({d},1,{x}\)$"):
+        check_decoded(bundle, art["answers"], tr.demand, {}, decoded)
+
+
+def _value(blocks, mask):
+    """The XOR of the blocks a mask names."""
+    v = 0
+    for t, b in enumerate(blocks):
+        if mask >> t & 1:
+            v ^= b
+    return v
+
+
+def test_cross_check_pairs_and_core_match_brute_force(monkeypatch):
+    # targets below `paired` each come with a pair of answer rows, a row of
+    # two other unknowns and the same row with the target added; the rest
+    # lie in random rows only.  The outcome must match brute force, and the
+    # targets past the paired ones are all that the elimination reduces.
+    rng = random.Random(2218)
+    both = 0
+    for _ in range(200):
+        targets = rng.randint(2, 5)
+        paired = rng.randint(1, targets - 1)
+        n = targets + rng.randint(2, 4)
+        masks = []
+        for t in range(paired):
+            short = sum(1 << o for o in rng.sample(range(targets, n), 2))
+            masks += [short, short | 1 << t]
+        masks += [rng.getrandbits(n) | 1 << rng.randrange(paired, targets)
+                  for _ in range(rng.randint(targets - paired, n - paired))]
+        rng.shuffle(masks)
+        _cross_check_against_brute_force(rng, n, targets, masks, [], monkeypatch)
+        if any(_brute_force(n, masks, 0)[t] is None for t in range(targets)):
+            continue
+        # once more on the true blocks, counting what pairs and the
+        # elimination fix
+        blocks = [rng.getrandbits(16) for _ in range(n)]
+        atoms = [tuple(a(1, 1, t + 1) if t < targets else a(2, 1, t - targets + 1)
+                       for t in range(n) if m >> t & 1) for m in masks]
+        found, reduced = [], []
+
+        def pair(c, *rest):
+            v = _pair(c, *rest)
+            found.append(v is not None)
+            return v
+
+        monkeypatch.setattr(gf2, "_pair", pair)
+        monkeypatch.setattr(gf2, "_express", lambda e, m: reduced.append(m) or _express(e, m))
+        cross_check(_sent(atoms), [[_value(blocks, m) for m in masks]],
+                    {1: (1, {(1, t + 1): blocks[t] for t in range(targets)}, [])})
+        assert len(reduced) <= targets - paired
+        both += any(found) and bool(reduced)
+    assert both >= 20  # pairs and elimination both fix targets of one system
+
+
+def test_core_takes_only_the_cache_rows_of_users_with_a_target_there(monkeypatch):
+    # (3,3,5) seed 0: users 2, 4 and 5 have targets left after peeling,
+    # users 1 and 3 none, so the rows reduced are the core's answer rows
+    # and the cache rows of users 2, 4 and 5 that hold an unknown
+    _, art = run_mupir_session(3, 3, 5, 1, seed=0)
+    bundle, tr, caches = art["bundle"], art["transcript"], art["caches"]
+    sub = 9
+    answer_rows = [set(q.atoms) for queries in bundle.per_db for q in queries]
+    known = _peel_sets(answer_rows, ())
+    cache_rows, left = {}, {}
+    for u in art["decoded"]:
+        j = bundle.slots[u].subfile
+        cache_rows[u] = [{atom(i, j, t, 5, sub) for i in (1, 2, 3)} for t in caches[u]]
+        reach = _peel_sets(answer_rows + cache_rows[u], known)
+        left[u] = [(j, x) for j in range(1, 6) for x in range(1, sub + 1)
+                   if atom(tr.demand[u - 1], j, x, 5, sub) not in reach]
+    core_users = [u for u in left if left[u]]
+    assert core_users == [2, 4, 5]
+    core_answers = sum(1 for row in answer_rows if row - known)
+    held = {u: sum(1 for row in rows if row - known) for u, rows in cache_rows.items()}
+    assert held[1] + held[3] > 0  # rows the core no longer takes
+    inserted = []
+    monkeypatch.setattr(gf2, "_insert",
+                        lambda rows, mask, block: inserted.append(mask) or _insert(rows, mask, block))
+    check_decoded(bundle, art["answers"], tr.demand, caches, art["decoded"])
+    assert len(inserted) == core_answers + sum(held[u] for u in core_users)

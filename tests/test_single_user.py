@@ -14,6 +14,7 @@ from mupir.core import (
     sample_permutation,
 )
 from mupir.errors import DemandError, InvalidDimensionError, UnresolvablePlanError
+from mupir.harness import run_single_session
 from mupir.params import phi, pir_rate
 from mupir.protocol import (
     _alg1_schedule, assemble_bundle, generate_alg1, replay_bundle, resolve_symbols)
@@ -172,6 +173,21 @@ class TestDecoding:
         out = decode_single(transcript, bundle, answers)
         mismatch = any(out[x] != store.block(1, 1, x) for x in range(1, 10))
         assert mismatch
+
+    @pytest.mark.parametrize("db0", range(4))
+    def test_a_corrupted_answer_never_passes_as_the_store(self, db0):
+        # the GF(2) oracle fixes a block by the same pair of answers the
+        # decoder XORs, so it may agree with a wrong block; decoding then
+        # either fails or differs from the store, which the session checks
+        _, art = run_single_session(4, 5, 1, seed=0)
+        tr, bundle, store = art["transcript"], art["bundle"], art["store"]
+        answers = [list(row) for row in art["answers"]]
+        answers[db0][0] ^= 1
+        try:
+            out = decode_single(tr, bundle, answers)
+        except UnresolvablePlanError:
+            return
+        assert any(out[x] != store.block(tr.demand[0], 1, x) for x in range(1, 4 ** 4 + 1))
 
     def test_reference_resolved_twice_raises(self):
         # database 1 lists the demand seed twice: an error, not an assert
