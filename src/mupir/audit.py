@@ -26,7 +26,6 @@ from .core import (
     code_subfile,
     collector_paused,
     file_refs,
-    query_refs,
 )
 from .errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
 from .params import h_value, phi, psi
@@ -104,7 +103,7 @@ _refs_of = itemgetter(1)  # a (db, references) sum's references
 
 def _peel_closure(sums):
     """References resolvable from the sums, (db, frozenset of references),
-    each reference one int (`core.query_refs`).
+    each reference one int, as `_check_counts` makes them.
 
     A sum with exactly one unknown reference resolves it.  Source rule: a
     sum resolves a reference whose removal leaves a sum sent whole by
@@ -192,19 +191,18 @@ def _check_counts(user, per_db, info, bundle, failures, tables):
     slots, no sum repeats a file, and each k-subset type occurs as often as
     `_REPS` prescribes for the block's kind, with no other type.  So each
     file is referenced exactly sum_k C(N-1, k-1) * reps(s, k) times.  A
-    reference is one int, the atom of its subsubfile at slot 1, as
-    `core.query_refs` groups them.
+    reference is one int, the atom of its subsubfile at slot 1.
 
     A query is read through its atoms' subfile codes (`core.atom_codes`,
     made for a database at once).  What a tuple of codes tells
     (`_classify`) is worked out once per distinct tuple, and a query's
     references are its atoms less their offsets.  A query whose references
-    do not number what its codes want fails a rule, and only then
-    `query_refs` regroups it to name the fault.  An atom outside the store
-    is named instead, with the store's size, and the block is checked no
-    further: its tables would count subsubfiles that do not exist.  Returns
-    None then, else the sums (database, frozenset of references), smallest
-    first, and each database's reference sets."""
+    do not number what its codes want fails a rule, and only then are its
+    atoms regrouped by reference, from its codes, to name the fault.  An
+    atom outside the store is named instead, with the store's size, and the
+    block is checked no further: its tables would count subsubfiles that do
+    not exist.  Returns None then, else the sums (database, frozenset of
+    references), smallest first, and each database's reference sets."""
     S, N, K, sub = bundle.S, bundle.N, bundle.K, bundle.sub
     size = N * K * sub
     reps = partial(_REPS[info.kind], S, N)
@@ -232,10 +230,13 @@ def _check_counts(user, per_db, info, bundle, failures, tables):
                     outside += [f"{where}: atom {a} lies outside the store's {size} blocks"
                                 for a in bad]
                     continue
-                files, slots, _ = query_refs(atoms, K, sub)
-                for f, subfiles in zip(files, slots):
-                    if len(subfiles) > 1:
-                        subfiles = tuple(sorted(subfiles))
+                groups = {}  # reference -> (file, its slots)
+                for a, code in zip(atoms, key):
+                    f, j, offset = code_subfile(code, K, sub)
+                    groups.setdefault(a - offset, (f, []))[1].append(j)
+                files = [f for f, _ in groups.values()]
+                for f, subfiles in groups.values():
+                    subfiles = tuple(sorted(subfiles))
                     if subfiles != wants[f - 1]:
                         faults.append(f"{where}: reference to file {f} uses slots "
                                       f"{list(subfiles)}")

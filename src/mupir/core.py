@@ -5,8 +5,7 @@ positions are all 1-based, matching the usual set notation [n].  A "block"
 is the content of one subsubfile, held as a non-negative int of at most
 8 * block_bytes bits, so that adding blocks is one int XOR.  An "atom" is a
 subsubfile's index in the store's flat block tuple; only `atom`, its
-inverse `atom_triple`, `query_refs`, which groups a query's atoms by
-subsubfile, and the structure audit's bulk readers `atom_codes`,
+inverse `atom_triple`, and the structure audit's bulk readers `atom_codes`,
 `code_subfile` and `file_refs` know that layout.
 """
 from __future__ import annotations
@@ -88,34 +87,6 @@ def atom_triple(a: int, K: int, sub: int) -> tuple:
     return fj // K + 1, fj % K + 1, x + 1
 
 
-def query_refs(atoms, K: int, sub: int) -> tuple:
-    """One query's atoms grouped by subsubfile: (files, slots, refs).  A
-    reference is the atom of its subsubfile at slot 1, atom(f, 1, x, K, sub),
-    so references sort as (f, x) does and `atom_triple` decodes them.  `refs`
-    is the frozenset of the query's references; in order of first occurrence,
-    the n-th has file files[n] and takes the subfile slots slots[n], in atom
-    order.  Called once per query, so no call is made per atom."""
-    files = []
-    if K == 1:  # every atom is at slot 1, so each is its own reference
-        refs = frozenset(atoms)
-        if len(refs) == len(atoms):
-            for a in atoms:
-                files.append(a // sub + 1)
-            return files, [(1,)] * len(atoms), refs
-    groups = {}
-    for a in atoms:
-        fj = a // sub
-        j = fj % K
-        r = a - j * sub
-        slots = groups.get(r)
-        if slots is None:
-            groups[r] = (j + 1,)
-            files.append(fj // K + 1)
-        else:
-            groups[r] = slots + (j + 1,)
-    return files, list(groups.values()), frozenset(groups)
-
-
 def atom_codes(atoms, sub: int) -> tuple:
     """Each atom's subfile code: the atoms of one subfile W_{f,j} share it,
     and `code_subfile` decodes it.  Made for many atoms at once, with no
@@ -125,7 +96,7 @@ def atom_codes(atoms, sub: int) -> tuple:
 
 def code_subfile(code: int, K: int, sub: int) -> tuple:
     """(f, j, offset) of a subfile code: an atom of W_{f,j} less `offset` is
-    its reference, the atom of its subsubfile at slot 1 (`query_refs`)."""
+    its reference, the atom of its subsubfile at slot 1."""
     f, j = divmod(code, K)
     return f + 1, j + 1, j * sub
 

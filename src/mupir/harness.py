@@ -88,7 +88,7 @@ def _parse_demands(spec, scheme, N, K):
     index in [1, N] for the single-user one."""
     try:
         demands = tuple(int(part) for part in spec.split(","))
-    except (AttributeError, ValueError):
+    except ValueError:
         raise ConfigError(f"field 'demands': cannot parse {spec!r}") from None
     if scheme == "mupir":
         return validate_demands(demands, N, K)
@@ -233,11 +233,15 @@ def run_session(config: dict):
     (report, artifacts).  Every session starts here, and this is where
     defaults apply: a field the config leaves out takes its `_DEFAULTS`
     value, and K takes N (a single-user session has K = 1, and refuses any
-    other).  A field outside `CONFIG_KEYS`, or a session whose store would
-    pass `STORE_BUDGET_BYTES`, is refused before anything is built."""
-    for key in config:
+    other).  A field outside `CONFIG_KEYS` or not of its type there (a bool
+    is not an int), or a session whose store would pass
+    `STORE_BUDGET_BYTES`, is refused before anything is built."""
+    for key, value in config.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown field {key!r}")
+        kind = CONFIG_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"field {key!r} needs {kind.__name__}, got {value!r}")
     cfg = {**_DEFAULTS, **config}
     scheme, S, N, spec = cfg["scheme"], cfg["S"], cfg["N"], cfg["demands"]
     if scheme not in ("single", "mupir"):

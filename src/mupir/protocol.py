@@ -20,7 +20,7 @@ material.
 Every schedule is a pure function of the counting parameters; the secret
 permutations only relabel positions to subsubfile indices afterwards.  That
 keeps generation, replay and exhaustive enumeration cheap and exactly
-reproducible.  Every block is a schedule of `Record`s with `refs` ((file,
+reproducible.  Every block is a `Schedule` of `Record`s with `refs` ((file,
 position) pairs).  The generators return only the session's
 `SessionTranscript`; one `materialize` turns a block's records into queries,
 and one `replay_bundle` interleaves the blocks per database in a given
@@ -29,10 +29,10 @@ emission order, which `assemble_bundle` draws when the session sends.  One
 first reference is its answer XOR its source's answer, when it has a source
 (an alg1 query one reference from an answered one), else XOR its other
 references, which fresh records of smaller sum size resolved first.  Both
-read a schedule through its `_Layout`, made on first use and kept with the
-cached schedule: every record's references as flat keys in atom order, so
-that a session only maps its permutations' images over them, and the
-block's peel order.
+read a schedule through its `_Layout`, made on first use and kept in the
+`Schedule`'s `layouts`, so the schedule's cache owns both: every record's
+references as flat keys in atom order, so that a session only maps its
+permutations' images over them, and the block's peel order.
 """
 from __future__ import annotations
 
@@ -118,9 +118,21 @@ class _ReusePicker:
         return heap[0][1]
 
 
+class Schedule(tuple):
+    """A schedule the generators build: per database, a tuple of Records.
+    `layouts` holds its `_Layout`s, by slots per reference, so whatever
+    holds the schedule, its `lru_cache` above all, holds them too, and
+    clearing that cache frees both."""
+
+    def __new__(cls, per_db):
+        self = super().__new__(cls, per_db)
+        self.layouts = {}
+        return self
+
+
 def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
-    """Generic engine: returns per-database tuples of Records and the final
-    per-file fresh-position counters.
+    """Generic engine: returns the per-database Schedule of Records and the
+    final per-file fresh-position counters.
 
     multiplicity(s, k): copies of each k-subset type for database s.
     fresh_quota(s, k, i): queries with a fresh i-reference for database s.
@@ -185,7 +197,7 @@ def _run_symmetric_rounds(S, N, multiplicity, fresh_quota):
                     block[b] = Record(((i, t[i]),) + tuple(sorted(olds)), True)
             assert not pool, (S, N, s, k)
             per_db[s - 1] += block
-    return tuple(map(tuple, per_db)), t
+    return Schedule(map(tuple, per_db)), t
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +257,7 @@ def _alg1_schedule(S: int, N: int, d: int):
                             refs.append((u, t[u]))
                         per_db[j - 1].append(Record(tuple(refs)))
     assert t[d] == S ** (N - 1), (S, N, d, t[d])
-    return tuple(tuple(db) for db in per_db)
+    return Schedule(map(tuple, per_db))
 
 
 class _Layout(NamedTuple):
@@ -265,7 +277,6 @@ class _Layout(NamedTuple):
     before it.
     """
 
-    records: tuple     # the schedule, held so that its id is never reused
     files: tuple       # (file, largest position) of each file named, in file order
     step: int          # keys per reference: its slots, 1 or 2
     keys: list
@@ -276,19 +287,18 @@ class _Layout(NamedTuple):
     sources: dict      # sourced record -> its source record, or -1 if there is none
 
 
-_LAYOUTS = {}  # (id(schedule), step) -> its _Layout
-_INTS = []     # _INTS[k] is k: the layouts' keys share these int objects
+_INTS = []  # _INTS[k] is k: the layouts' keys share these int objects
 
 
 def _layout(records, info: SlotInfo) -> _Layout:
     """The schedule's layout for the block's slots per reference: two for a
-    qset2 block (`info.partners`), else one.  It is built on first use and
-    held in `_LAYOUTS`, where every later use finds it, for the life of the
-    process.  Schedules are cached and never change, and the layout holds
-    the schedule, so its identity is a safe key.  A record that names a
-    file twice is refused."""
+    qset2 block (`info.partners`), else one.  A `Schedule` keeps it in its
+    `layouts` on first use; any other records, such as a plain tuple of
+    them, are laid out afresh on each call.  A record that names a file
+    twice is refused."""
     step = 1 if info.partners is None else 2
-    lay = _LAYOUTS.get((id(records), step))
+    layouts = getattr(records, "layouts", {})
+    lay = layouts.get(step)
     if lay is not None:
         return lay
     widths = {}
@@ -330,8 +340,8 @@ def _layout(records, info: SlotInfo) -> _Layout:
                     sdb, sidx = source
                     ok = 1 <= sdb <= len(records) and 0 <= sidx < len(records[sdb - 1])
                     sources[g] = db_cuts[sdb - 1] + sidx if ok else -1
-    lay = _LAYOUTS[(id(records), step)] = _Layout(
-        records, files, step, keys, cuts, tuple(map(slice, db_cuts, db_cuts[1:])),
+    lay = layouts[step] = _Layout(
+        files, step, keys, cuts, tuple(map(slice, db_cuts, db_cuts[1:])),
         fresh_at, array("I", [g for _, g in sorted(sizes)]), sources)
     return lay
 
@@ -354,14 +364,13 @@ def _lookup(lay: _Layout, perms: dict, K: int, own: int, partners=None, sub=None
             images = images[:w]
         if sub is not None:
             n = sub
-        # atom(f, j, x) is ((f - 1) * K + j - 1) * n + x - 1
         if partners is None:
-            lut += map((((f - 1) * K + own - 1) * n - 1).__add__, images)
+            lut += map(atom(f, own, 0, K, n).__add__, images)
         else:
             j = partners[f - 1]
             lo, hi = (j, own) if j < own else (own, j)
-            lut += map((((f - 1) * K + lo - 1) * n - 1).__add__, images)
-            high += map((((f - 1) * K + hi - 1) * n - 1).__add__, images)
+            lut += map(atom(f, lo, 0, K, n).__add__, images)
+            high += map(atom(f, hi, 0, K, n).__add__, images)
     lut += high
     return lut
 
@@ -391,9 +400,8 @@ def block_memo():
     it, for a walk that assembles one block in many sessions.  It takes
     `materialize`'s arguments.  The key is exactly what `materialize` reads:
     the schedule by identity, each file with its permutation's images, the
-    slot's `subfile` and `partners`, and K.  Every block it holds was built
-    by `materialize`, whose layout keeps the schedule in `_LAYOUTS` for the
-    life of the process, so no schedule's id in a key is ever reused.  The
+    slot's `subfile` and `partners`, and K.  Each schedule it keys is held
+    with its block, so its id is not reused while the memo lives.  The
     blocks are shared, so no caller may edit one; they live as long as the
     memo."""
     blocks = {}
@@ -401,10 +409,10 @@ def block_memo():
     def memo(records, perms, info, K):
         key = (id(records), info.subfile, info.partners, K,
                *perms, *map(_images, perms.values()))
-        block = blocks.get(key)
-        if block is None:
-            block = blocks[key] = materialize(records, perms, info, K)
-        return block
+        hit = blocks.get(key)
+        if hit is None:
+            hit = blocks[key] = (records, materialize(records, perms, info, K))
+        return hit[1]
     return memo
 
 

@@ -15,7 +15,6 @@ from mupir.core import (
     build_file_store,
     canonical_form,
     canonical_view,
-    query_refs,
     sample_permutation,
     shuffle,
     validate_demands,
@@ -109,20 +108,6 @@ class TestAtom:
         (_, K, sub), ts = case
         atoms = sorted(atom(*t, K, sub) for t in ts)
         assert [atom_triple(a, K, sub) for a in atoms] == sorted(ts)
-
-    @given(shapes.flatmap(lambda shape: st.tuples(st.just(shape),
-                                                  st.lists(triples(shape), max_size=8))))
-    def test_query_refs_groups_atoms_by_subsubfile(self, case):
-        # any atoms, repeats and any order included: a reference is the
-        # slot-1 atom of its (file, subsub), with its slots in atom order
-        (_, K, sub), ts = case
-        groups = {}
-        for f, j, x in ts:
-            groups[(f, x)] = groups.get((f, x), ()) + (j,)
-        files, slots, refs = query_refs(tuple(atom(*t, K, sub) for t in ts), K, sub)
-        assert sorted(refs) == [atom(f, 1, x, K, sub) for f, x in sorted(groups)]
-        assert files == [f for f, _ in groups]
-        assert slots == list(groups.values())
 
     @given(st.integers(2, 3), st.integers(1, 3), st.integers(2, 3), st.data())
     def test_answer_bundle_xors_the_blocks_its_atoms_name(self, N, K, S, data):

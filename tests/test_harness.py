@@ -74,8 +74,25 @@ class TestRunSession:
 
     def test_demands_must_be_a_string(self):
         for demands in ([1, 2], (1, 2), 2):
-            with pytest.raises(ConfigError, match="field 'demands': cannot parse"):
+            with pytest.raises(ConfigError, match="field 'demands' needs str, got"):
                 run_session({"scheme": "mupir", "S": 2, "N": 2, "demands": demands})
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("S", "3", "int"), ("N", 3.0, "int"), ("K", True, "int"), ("seed", "x", "int"),
+        ("block_bytes", None, "int"), ("scheme", b"mupir", "str"),
+    ])
+    def test_a_field_of_the_wrong_type_is_refused_before_building(
+            self, monkeypatch, field, value, kind):
+        # a hand-built config skips parse_config's casts, so run_session
+        # checks each field's type, worded as parse_config words it; a bool
+        # is not an int
+        def no_store(*args):
+            raise AssertionError("store built for a refused config")
+
+        monkeypatch.setattr(harness, "build_file_store", no_store)
+        with pytest.raises(ConfigError) as exc:
+            run_session({"scheme": "mupir", "S": 3, "N": 3, field: value})
+        assert str(exc.value) == f"field {field!r} needs {kind}, got {value!r}"
 
     def test_misspelled_field_is_refused_before_building(self, monkeypatch):
         # a hand-built config skips parse_config, so run_session checks keys
@@ -262,6 +279,16 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rate_exact"] == "23/9"
+
+    def test_a_config_of_the_wrong_type_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a config reader that leaves every value a string hands run_session
+        # a config it refuses, which the CLI reports as a config error
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("scheme = mupir\nS = 3\nN = 3\n")
+        uncast = lambda text: dict(line.split(" = ") for line in text.splitlines())
+        monkeypatch.setattr("mupir.cli.parse_config", uncast)
+        assert main(["mupir", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: field 'S' needs int, got '3'\n"
 
     def test_config_without_k_runs_k_equal_n(self, capsys, tmp_path):
         cfg = tmp_path / "session.cfg"

@@ -2,7 +2,9 @@
 import dataclasses
 import hashlib
 import random
+import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -224,24 +226,49 @@ class TestLayout:
         assert materialize(cached, perms, info, 3) == want
 
     def test_sessions_share_one_layout_per_schedule(self):
-        before = set(protocol._LAYOUTS)
-        used = set()
+        layouts = {}
         for seed in range(50):
             _, art = _session(2, 3, 4, seed)
             tr = art["transcript"]
             for user, records in tr.records.items():
                 step = 1 if tr.slots[user].partners is None else 2
-                used.add((id(records), step))
-                assert protocol._LAYOUTS[(id(records), step)].records is records
+                lay = records.layouts[step]
+                assert layouts.setdefault(id(records), (records, lay))[1] is lay
         # qset1 for each demanded file and one qset2 schedule, whatever the draws
-        assert len(used) == len({key for key, _ in used}) == 4
-        assert set(protocol._LAYOUTS) - before <= used
+        assert len(layouts) == 4
 
-    def test_the_memo_needs_no_schedule_of_its_own(self):
-        # the memo keys a schedule by id and holds only blocks: the layout
-        # that materialize keeps holds each schedule, so the id of a dropped
-        # one is never reused by another of the same shape, built last here
-        # so that it would take the dropped one's memory
+    def test_a_plain_tuple_of_records_is_not_kept(self):
+        # only a cached Schedule keeps its layouts: a plain copy is laid
+        # out afresh on each call, and protocol holds no reference to it
+        copy = tuple(map(tuple, qset1_schedule(3, 3, 2)))
+        perms = _shuffled_perms((1, 2, 3), 9, seed=2)
+        info = SlotInfo(kind="qset1", subfile=2, demand=2)
+        before = sys.getrefcount(copy)
+        for _ in range(3):
+            assert materialize(copy, perms, info, 3) == materialize(
+                qset1_schedule(3, 3, 2), perms, info, 3)
+        assert sys.getrefcount(copy) == before
+        assert not hasattr(copy, "layouts")
+
+    def test_clearing_the_schedule_caches_frees_every_layout(self):
+        # the schedule caches own every schedule and its layouts: once the
+        # sessions are dropped and the caches cleared, no layout is left,
+        # and a layout lives as long as the schedule holding it
+        sessions = [_session(2, 3, 4, 1), run_single_session(4, 3, 1, seed=1)]
+        alive = [weakref.ref(protocol._layout(records, art["transcript"].slots[user]).cuts)
+                 for _, art in sessions
+                 for user, records in art["transcript"].records.items()]
+        assert len(alive) == 5  # qset1 for three users, qset2, alg1
+        del sessions
+        for schedule in (qset1_schedule, qset2_schedule, _alg1_schedule):
+            schedule.cache_clear()
+        assert [ref for ref in alive if ref() is not None] == []
+
+    def test_the_memo_holds_each_schedule_it_keys(self):
+        # the memo keys a schedule by id, so it holds each one it keys: the
+        # id of a dropped schedule is never reused by another of the same
+        # shape, built last here so that it would take the dropped one's
+        # memory
         memo = protocol.block_memo()
         perms = _shuffled_perms((1, 2, 3), 9, seed=4)
         info = SlotInfo(kind="qset1", subfile=2, demand=2)
