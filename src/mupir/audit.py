@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, count, permutations, product
 from math import prod
 from operator import itemgetter, sub as _minus
 
@@ -65,36 +65,39 @@ _REPS = {
 }
 
 
-def _shape_failures(bundle: QueryBundle) -> list:
-    """One failure per database whose query list and emission list do not
-    pair up: a list past the bundle's S databases, a missing list, or two
-    lists of different lengths.  `_slot_queries` reads only the pairs, so
-    this is where the rest fails."""
-    S, per_db, emission = bundle.S, bundle.per_db, bundle.emission
-    failures = []
-    for db0 in range(max(S, len(per_db), len(emission))):
-        if db0 >= S:
-            failures.append(f"db {db0 + 1}: past the bundle's {S} databases")
-        elif db0 >= len(per_db) or db0 >= len(emission):
-            failures.append(f"db {db0 + 1}: no query list or no emission list")
-        elif len(per_db[db0]) != len(emission[db0]):
-            failures.append(f"db {db0 + 1}: {len(per_db[db0])} queries but "
-                            f"{len(emission[db0])} emission entries")
-    return failures
-
-
 def _slot_queries(bundle: QueryBundle):
-    """Group queries by originating generator block, preserving order, over
-    the bundle's S databases and each one's (query, emission entry) pairs.
-    Every user of `bundle.slots` has a block, empty when none of its queries
-    was emitted, so that a missing block fails its count tables."""
-    by_user = {user: [[] for _ in range(bundle.S)] for user in bundle.slots}
-    for db0, (queries, order) in enumerate(zip(bundle.per_db[:bundle.S], bundle.emission)):
-        for q, (user, _) in zip(queries, order):
-            if user not in by_user:  # a user with no slot fails as an unknown kind
-                by_user[user] = [[] for _ in range(bundle.S)]
-            by_user[user][db0].append(q)
-    return by_user
+    """Group queries by generator block (user), preserving order, over each
+    of the S databases' (query, emission entry) pairs.  Returns the groups
+    and a failure per fault of the pairing, by database: lists of different
+    lengths, an entry, by position, that is no pair or has no int user (the
+    local index is replay's to check), a missing list or one past S.  Every
+    user of `bundle.slots` has a block, empty when none of its queries was
+    emitted, so that a missing block fails its count tables."""
+    S, per_db, emission = bundle.S, bundle.per_db, bundle.emission
+    by_user = {user: [[] for _ in range(S)] for user in bundle.slots}
+    failures = []
+    for db0, (queries, order) in enumerate(zip(per_db[:S], emission)):
+        if len(queries) != len(order):
+            failures.append(f"db {db0 + 1}: {len(queries)} queries but "
+                            f"{len(order)} emission entries")
+        for pos, q, entry in zip(count(), queries, order):
+            try:
+                user, _ = entry
+                blocks = by_user[user]
+            except (TypeError, ValueError, KeyError) as fault:
+                # an int user with no slot fails as an unknown kind; no pair,
+                # or any other user, fails here
+                if type(fault) is not KeyError or type(user) is not int:
+                    failures.append(f"db {db0 + 1}: emission entry {pos} is {entry!r}, "
+                                    "not a (user, local) pair with an int user")
+                    continue
+                blocks = by_user[user] = [[] for _ in range(S)]
+            blocks[db0].append(q)
+    failures += [f"db {db0 + 1}: no query list or no emission list"
+                 for db0 in range(min(len(per_db), len(emission)), S)]
+    failures += [f"db {db0 + 1}: past the bundle's {S} databases"
+                 for db0 in range(S, max(len(per_db), len(emission)))]
+    return by_user, failures
 
 
 _atoms = itemgetter(0)    # a Query's atoms
@@ -326,9 +329,9 @@ def check_structure(bundle: QueryBundle) -> AuditReport:
     """Verify repetition tables, no-repeat/pairing rules and peelability,
     each generator block against the tables for its own kind, in the
     bundle's own shape (S, N, K).  A database whose queries and emission
-    entries do not pair up fails by name first (`_shape_failures`)."""
-    failures, tables = _shape_failures(bundle), {}
-    for user, per_db in sorted(_slot_queries(bundle).items()):
+    entries do not pair up, or a bad entry, fails by name (`_slot_queries`)."""
+    (by_user, failures), tables = _slot_queries(bundle), {}
+    for user, per_db in sorted(by_user.items()):
         info = bundle.slots.get(user)
         kind = info.kind if info else None
         if kind not in _REPS:
@@ -356,10 +359,14 @@ def verify_replay(bundle: QueryBundle, transcript: SessionTranscript) -> bool:
     shape = (transcript.S, transcript.N, transcript.K)
     if (bundle.S, bundle.N, bundle.K) != shape or len(bundle.emission) != transcript.S:
         return False
-    for db0, order in enumerate(bundle.emission):
-        if sorted(order) != transcript.record_keys(db0):
-            return False
-    return replay_bundle(transcript, bundle.emission).per_db == bundle.per_db
+    try:
+        for db0, order in enumerate(bundle.emission):
+            if sorted(order) != transcript.record_keys(db0):
+                return False
+        replayed = replay_bundle(transcript, bundle.emission)
+    except TypeError:  # an entry that is no (user, local) pair of ints
+        return False
+    return replayed.per_db == bundle.per_db
 
 
 @dataclass

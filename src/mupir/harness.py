@@ -215,13 +215,9 @@ def run_mupir_session(S, N, K, block_bytes, seed, demand=None):
             got[(j, x)] == store.block(demands[u - 1], j, x)
             for u, got in decoded_all.items()
             for j in range(1, K + 1) for x in range(1, sub + 1))
-        params = SchemeParams.compute(S, N, K)
-        report_params = {
-            "S": S, "N": N, "K": K, "block_bytes": block_bytes,
-            "q": params.q, "H": params.H,
-            "M_exact": frac_str(params.M), "M_dec": dec(params.M),
-            "R_exact": frac_str(params.R_proposed), "R_dec": dec(params.R_proposed),
-        }
+        closed = rates_report(S, N, K)
+        report_params = {"S": S, "N": N, "K": K, "block_bytes": block_bytes, **{
+            key: closed[key] for key in ("q", "H", "M_exact", "M_dec", "R_exact", "R_dec")}}
         return _audit_and_report("mupir", report_params, seed, bundle, transcript, decode_ok, {
             "store": store, "answers": answers, "caches": caches, "broadcast": broadcast,
             "decoded": decoded_all, "symbols": symbols,

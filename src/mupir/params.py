@@ -37,7 +37,6 @@ def base_reps(S: int, k: int) -> tuple:
     """
     if S < 2 or k < 1:
         raise InvalidDimensionError(f"base_reps needs S>=2, k>=1, got S={S}, k={k}")
-    g_prev, f_prev = 1, 0  # k = 1
     if k == 1:
         g_rec, f_rec = 1, 0
     else:
@@ -104,11 +103,7 @@ def proposed_rate(S: int, N: int, K: int) -> Rational:
     """Download rate of the cache-aided scheme (exact)."""
     if N > K:
         raise RegimeError(f"unsupported regime N={N} > K={K}")
-    q = q_value(S, N)
-    sub = S ** (N - 1)
-    if N == K:
-        return Fraction(q, sub)
-    return Fraction(N, K) * (Fraction(q, sub) + (K - N))
+    return Fraction(N, K) * (Fraction(q_value(S, N), S ** (N - 1)) + (K - N))
 
 
 def pir_rate(S: int, N: int) -> Rational:
@@ -144,25 +139,22 @@ def _lower_hull(points: list) -> list:
     return hull
 
 
-def pd_rate(S: int, N: int, K: int, M) -> Rational:
-    """Product-design baseline rate at cache size M.
-
-    At the corner points M = tN/K the defining min() value is returned; in
-    between, the lower convex envelope over {(0, N)} and all corner points,
-    built by exact lower-hull construction.
-    """
-    M = Fraction(M)
-    if not 0 <= M <= N:
-        raise InvalidDimensionError(f"M={M} outside [0, {N}]")
-    pts = _pd_points(S, N, K)
-    for x, y in pts:
-        if x == M:
-            return y
-    hull = _lower_hull(pts)
+def _envelope(points: list, M: Rational) -> Rational:
+    """The lower convex envelope of `points` (x strictly increasing) at M."""
+    hull = _lower_hull(points)
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= M <= x2:
             return y1 + Fraction(y2 - y1, x2 - x1) * (M - x1)
     raise InvalidDimensionError(f"M={M} not covered by envelope")  # pragma: no cover
+
+
+def pd_rate(S: int, N: int, K: int, M) -> Rational:
+    """Product-design baseline rate at cache size M: the lower convex
+    envelope over (0, N) and all corner points M = tN/K, corners included."""
+    M = Fraction(M)
+    if not 0 <= M <= N:
+        raise InvalidDimensionError(f"M={M} outside [0, {N}]")
+    return _envelope(_pd_points(S, N, K), M)
 
 
 @dataclass(frozen=True)
@@ -202,11 +194,10 @@ class SchemeParams:
     def compute(cls, S: int, N: int, K: int) -> "SchemeParams":
         """The triple's record; N > K fails first in `cache_fraction`."""
         q, H, M = q_value(S, N), h_value(S, N), cache_fraction(S, N, K)
-        R = proposed_rate(S, N, K)
+        R, corners = proposed_rate(S, N, K), _pd_points(S, N, K)
         return cls(
             S=S, N=N, K=K, q=q, H=H, M=M, R_proposed=R, R_pir=pir_rate(S, N),
-            R_pd=pd_rate(S, N, K, M), slack_nsq=N * S ** (N - 1) - q,
-            chord_margins=tuple(N - (N - Rt) * M / Mt - R
-                                for Mt, Rt in _pd_points(S, N, K)[1:]),
+            R_pd=_envelope(corners, M), slack_nsq=N * S ** (N - 1) - q,
+            chord_margins=tuple(N - (N - Rt) * M / Mt - R for Mt, Rt in corners[1:]),
         )
 

@@ -631,8 +631,8 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     Each user has its own slot, so no two blocks share a key, and each
     block is peeled on its own, user by user, along its schedule's
     `_Layout.order`.  Each record's answer is read from a per-user table
-    filled from the bundle's emission; an emission entry naming a record
-    the transcript does not have is refused.
+    filled from the bundle's emission; an emission entry naming no record
+    of the transcript, or no (user, local) pair of ints, is refused.
     """
     K, sub = bundle.K, bundle.sub
     plans, tables = {}, {}
@@ -645,8 +645,13 @@ def resolve_symbols(transcript: SessionTranscript, bundle: QueryBundle, answers)
     for db0, (order, row) in enumerate(zip(bundle.emission, answers)):
         at_db = {user: table[db0] for user, table in tables.items() if db0 < len(table)}
         try:
-            for (user, local), block in zip(order, row):
+            for entry, block in zip(order, row):
+                user, local = entry
                 at_db[user][local] = block
+        except (TypeError, ValueError):
+            raise UnresolvablePlanError(
+                f"database {db0 + 1} answers emission entry {entry!r}, "
+                "which is no (user, local) pair of ints") from None
         except (KeyError, IndexError):
             raise UnresolvablePlanError(
                 f"database {db0 + 1} answers record (user {user}, local {local}), "

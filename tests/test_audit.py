@@ -31,7 +31,12 @@ from mupir.core import (
     atom_triple,
     canonical_form,
 )
-from mupir.errors import InvalidDimensionError, RegimeError, TooLargeInstanceError
+from mupir.errors import (
+    InvalidDimensionError,
+    RegimeError,
+    TooLargeInstanceError,
+    UnresolvablePlanError,
+)
 from mupir.harness import run_mupir_session, run_single_session
 from mupir.params import h_value, pir_rate, proposed_rate
 from mupir.protocol import assemble_bundle, generate_alg1, generate_alg2, generate_alg3
@@ -201,7 +206,7 @@ def reference_check_structure(bundle, S, N):
     """The structure audit as first written, with a regrouping pass for the
     no-repeat rule and one scan of the exposed set per file."""
     failures, tables = [], {}
-    for user, per_db in sorted(audit._slot_queries(bundle).items()):
+    for user, per_db in sorted(audit._slot_queries(bundle)[0].items()):
         info = bundle.slots.get(user)
         kind = info.kind if info else None
         if kind not in audit._REPS:
@@ -968,3 +973,52 @@ class TestReplayVerification:
         atoms[0] = atom(f, j, 3 - x, 2, 2)
         bundle.per_db[0][0] = Query(tuple(atoms))
         assert not verify_replay(bundle, art["transcript"])
+
+
+class TestMalformedEmissionEntry:
+    """An emission entry that is not a (user, local) pair of ints fails each
+    check by name: replay is refused, the structure audit names the database
+    and the position, and `resolve_symbols` names the entry.  No check
+    raises anything else on it."""
+
+    # (entry, resolve_symbols' message for it at database 2)
+    BAD = [
+        (None, "emission entry None, which is no (user, local) pair of ints"),
+        (("x", 0), "record (user x, local 0), which the transcript does not have"),
+        ((1, 2, 3), "emission entry (1, 2, 3), which is no (user, local) pair of ints"),
+        (([1], 0), "emission entry ([1], 0), which is no (user, local) pair of ints"),
+    ]
+
+    @staticmethod
+    def tampered(entry):
+        """The (2,2,3,1) seed-0 session with database 2's entry 3 replaced."""
+        _, art = run_mupir_session(2, 2, 3, 1, seed=0)
+        emission = [list(order) for order in art["bundle"].emission]
+        emission[1][3] = entry
+        return art, dataclasses.replace(art["bundle"], emission=emission)
+
+    @pytest.mark.parametrize("entry, message", BAD, ids=[repr(e) for e, _ in BAD])
+    def test_every_check_fails_it_by_name(self, entry, message):
+        art, bundle = self.tampered(entry)
+        assert not verify_replay(bundle, art["transcript"])
+        report = check_structure(bundle)
+        assert not report.ok
+        assert report.failures[0] == (f"db 2: emission entry 3 is {entry!r}, "
+                                      "not a (user, local) pair with an int user")
+        with pytest.raises(UnresolvablePlanError) as exc:
+            protocol.resolve_symbols(art["transcript"], bundle, art["answers"])
+        assert str(exc.value) == "database 2 answers " + message
+
+    @pytest.mark.parametrize("as_float", [False, True], ids=["None", "float"])
+    def test_a_bad_local_index_is_left_to_replay(self, as_float):
+        # the structure audit groups by user alone; replay reads the index,
+        # and a float equal to it sorts as the int would
+        user, local = self.tampered(None)[0]["bundle"].emission[1][3]
+        entry = (user, float(local) if as_float else None)
+        art, bundle = self.tampered(entry)
+        assert check_structure(bundle).ok
+        assert not verify_replay(bundle, art["transcript"])
+        with pytest.raises(UnresolvablePlanError) as exc:
+            protocol.resolve_symbols(art["transcript"], bundle, art["answers"])
+        assert str(exc.value) == (f"database 2 answers emission entry {entry!r}, "
+                                  "which is no (user, local) pair of ints")

@@ -12,6 +12,7 @@ from mupir.harness import (
     dec,
     frac_str,
     parse_config,
+    rates_report,
     reverify_sweep_rows,
     rows_to_csv,
     run_mupir_session,
@@ -19,6 +20,8 @@ from mupir.harness import (
     sweep,
     to_json,
 )
+
+from test_golden import BLOCK_BYTES, GOLDEN, SEED
 
 
 class TestConfig:
@@ -53,6 +56,18 @@ class TestRunSession:
         assert report["rate_exact"] == "23/9"
         assert report["decode_ok"] and report["audit_ok"]
         assert report["params"]["q"] == 23 and report["params"]["H"] == 5
+
+    @pytest.mark.parametrize("dims", [d for scheme, *d in sorted(GOLDEN) if scheme == "mupir"],
+                             ids=lambda d: "-".join(map(str, d)))
+    def test_mupir_params_are_the_rates_report(self, dims):
+        # a session states no closed form of its own; its params keep their
+        # key order, which the CLI's CSV columns follow
+        params = run_mupir_session(*dims, BLOCK_BYTES, SEED)[0]["params"]
+        assert list(params) == ["S", "N", "K", "block_bytes", "q", "H",
+                                "M_exact", "M_dec", "R_exact", "R_dec"]
+        assert params.pop("block_bytes") == BLOCK_BYTES
+        report = rates_report(*dims)
+        assert params == {k: report[k] for k in params}
 
     def test_single_report(self):
         report, _ = run_session({"scheme": "single", "S": 4, "N": 3, "seed": 3})

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unread.
+"""No module of the package imports a name it never uses, no private
+module-level name goes unread, and no public function or class goes unnamed
+by the package, the tests and the benchmark.
 
 No linter is part of the toolchain, and moving code between modules tends
 to leave an import, or a helper nothing calls any more, behind.
@@ -48,6 +49,19 @@ def test_guard_finds_unused_imports():
     assert unused_imports(source) == [(2, "os"), (3, "d"), (4, "x")]
 
 
+def _names_read(tree) -> set:
+    """Every name the tree loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def unread_private_names(sources: dict) -> list:
     """(module, line, name) of every private module-level function, class
     or assigned name in `sources` ({module: source}) that no top-level
@@ -64,15 +78,7 @@ def unread_private_names(sources: dict) -> list:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 names = []
-            read = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    read.update(alias.name for alias in node.names)
-            reads.append(read)
+            reads.append(_names_read(stmt))
             defined += [(module, stmt.lineno, name, len(reads) - 1) for name in names
                         if name.startswith("_") and not name.endswith("__")]
     return [(module, line, name) for module, line, name, own in defined
@@ -100,3 +106,45 @@ def test_guard_finds_unread_private_names():
     assert unread_private_names({"a": a, "b": b, "c": c}) == [
         ("a", 4, "_unread"), ("a", 5, "_annotated"), ("a", 6, "_recursive"),
         ("b", 2, "_private_method_only")]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# public names that something outside Python names: the console script
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def unnamed_public_names(package: dict, readers: dict) -> list:
+    """(module, line, name) of every public top-level function or class of
+    `package` ({module: source}) that nothing names but its own definition:
+    no other top-level statement of the package and no source of `readers`
+    ({name: source}), matched by name alone."""
+    outside = set().union(*(_names_read(ast.parse(s)) for s in readers.values()))
+    stmts = [(module, stmt) for module, source in package.items()
+             for stmt in ast.parse(source).body]
+    reads = [_names_read(stmt) for _, stmt in stmts]
+    return [(module, stmt.lineno, stmt.name) for n, (module, stmt) in enumerate(stmts)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in outside
+            and not any(stmt.name in read for m, read in enumerate(reads) if m != n)]
+
+
+def test_every_public_name_is_named_elsewhere():
+    found = unnamed_public_names({p.name: p.read_text() for p in PACKAGE},
+                                 {str(p): p.read_text() for p in READERS})
+    assert [(m, name) for m, _, name in found if (m, name) not in ENTRY_POINTS] == []
+
+
+def test_guard_finds_unnamed_public_names():
+    a = ("import b\n"
+         "def used_by_b(): pass\n"
+         "def used_by_a_reader(): pass\n"
+         "def used_in_a(): pass\n"
+         "def planted(): return planted()\n"
+         "class Planted:\n"
+         "    def planted_method(self): return Planted\n"
+         "def public(): return used_in_a()\n")
+    b = "from a import used_by_b\nclass B: pass\n"
+    reader = "import a\na.used_by_a_reader()\nb.B\na.public\n"
+    assert unnamed_public_names({"a": a, "b": b}, {"test_x": reader}) == [
+        ("a", 5, "planted"), ("a", 6, "Planted")]

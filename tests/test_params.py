@@ -17,7 +17,11 @@ from mupir.params import (
     proposed_rate,
     psi,
     q_value,
+    _pd_points,
 )
+
+# every supported triple with S 2-6, N 2-7 and K from N to 12
+GRID = [(S, N, K) for S in range(2, 7) for N in range(2, 8) for K in range(N, 13)]
 
 
 class TestBaseReps:
@@ -193,6 +197,28 @@ class TestRates:
             got = pd_rate(S, N, K, Fraction(t * N, K))
             want = min(N * (1 - Fraction(t, K)), Fraction(K - t, t + 1) * A)
             assert got == want
+
+    def test_pd_rate_is_the_lower_envelope_at_every_corner(self):
+        # at a corner M = tN/K the baseline is the lowest chord between two
+        # points of (0, N) and the corners that straddle it (memory sharing),
+        # not the corner's own min(): 590 corners of the grid lie above it
+        above = 0
+        for S, N, K in GRID:
+            pts = _pd_points(S, N, K)
+            for M, R in pts:
+                chords = [y1 + (y2 - y1) * (M - x1) / (x2 - x1)
+                          for x1, y1 in pts if x1 < M for x2, y2 in pts if x2 > M]
+                envelope = min([R] + chords)
+                assert pd_rate(S, N, K, M) == envelope, (S, N, K, M)
+                above += R > envelope
+        assert above == 590
+        assert pd_rate(3, 3, 4, Fraction(3, 4)) == Fraction(107, 54)
+
+    def test_cache_fraction_is_never_a_corner(self):
+        # q > 0 puts M below N/K, the first corner, and M > 0 above (0, N),
+        # so no session's M sits on a breakpoint of the envelope
+        for S, N, K in GRID:
+            assert cache_fraction(S, N, K) not in {M for M, _ in _pd_points(S, N, K)}
 
     def test_pd_rate_range_check(self):
         with pytest.raises(Exception):
